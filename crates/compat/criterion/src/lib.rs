@@ -80,6 +80,7 @@ impl Criterion {
             _c: self,
             name: name.to_string(),
             throughput: None,
+            last_ns_per_iter: None,
         }
     }
 }
@@ -89,6 +90,7 @@ pub struct BenchmarkGroup<'a> {
     _c: &'a mut Criterion,
     name: String,
     throughput: Option<Throughput>,
+    last_ns_per_iter: Option<f64>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -139,12 +141,20 @@ impl BenchmarkGroup<'_> {
     /// Ends the group (prints nothing extra; present for API parity).
     pub fn finish(self) {}
 
-    fn report(&self, label: &str, b: &Bencher) {
+    /// Mean ns/iter of the most recent benchmark in this group (not in the
+    /// real criterion API; lets a bench print ratios between its members).
+    pub fn last_ns_per_iter(&self) -> Option<f64> {
+        self.last_ns_per_iter
+    }
+
+    fn report(&mut self, label: &str, b: &Bencher) {
         let Some((total, iters)) = b.measurement else {
+            self.last_ns_per_iter = None;
             println!("{}/{label}: no measurement recorded", self.name);
             return;
         };
         let ns = total.as_nanos() as f64 / iters as f64;
+        self.last_ns_per_iter = Some(ns);
         record_json(&format!("{}/{label}", self.name), ns);
         let mut line = format!(
             "{}/{label}: {:>12.1} ns/iter ({iters} iters)",

@@ -229,36 +229,25 @@ impl Network for KPlusOneSplayNet {
             // to the subtree (the boundary chain never includes c1/c2
             // strictly below, so the centroids cannot move).
             if w == nu {
-                stats = add(
-                    stats,
-                    self.tree.splay_until(nv, nu, self.strategy, self.policy),
-                );
+                stats += self.tree.splay_until(nv, nu, self.strategy, self.policy);
             } else if w == nv {
-                stats = add(
-                    stats,
-                    self.tree.splay_until(nu, nv, self.strategy, self.policy),
-                );
+                stats += self.tree.splay_until(nu, nv, self.strategy, self.policy);
             } else {
                 let boundary = self.tree.parent(w);
-                stats = add(
-                    stats,
-                    self.tree
-                        .splay_until(nu, boundary, self.strategy, self.policy),
-                );
-                stats = add(
-                    stats,
-                    self.tree.splay_until(nv, nu, self.strategy, self.policy),
-                );
+                stats += self
+                    .tree
+                    .splay_until(nu, boundary, self.strategy, self.policy);
+                stats += self.tree.splay_until(nv, nu, self.strategy, self.policy);
             }
         } else {
             // Different subtrees (or an endpoint is a centroid): splay each
             // non-centroid endpoint to its subtree root; the route then goes
             // u → c1 [→ c2] → v.
             if mu != M_C1 && mu != M_C2 {
-                stats = add(stats, self.splay_to_subtree_root(nu, mu));
+                stats += self.splay_to_subtree_root(nu, mu);
             }
             if mv != M_C1 && mv != M_C2 {
-                stats = add(stats, self.splay_to_subtree_root(nv, mv));
+                stats += self.splay_to_subtree_root(nv, mv);
             }
         }
         debug_assert_eq!(self.tree.parent(self.c2), self.c1);
@@ -274,12 +263,6 @@ impl Network for KPlusOneSplayNet {
     fn label(&self) -> String {
         format!("{}-SplayNet (centroid)", self.tree.k() + 1)
     }
-}
-
-fn add(mut a: SplayStats, b: SplayStats) -> SplayStats {
-    a.rotations += b.rotations;
-    a.links_changed += b.links_changed;
-    a
 }
 
 #[cfg(test)]

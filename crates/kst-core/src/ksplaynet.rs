@@ -90,40 +90,23 @@ impl KSplayNet {
     /// Adjustment with the LCA already in hand (one pointer chase shared
     /// with the routing charge — see [`KstTree::distance_lca`]).
     fn adjust_at(&mut self, nu: NodeIdx, nv: NodeIdx, w: NodeIdx) -> SplayStats {
-        let mut stats = SplayStats::default();
-        if w == nu {
+        let stats = if w == nu {
             // u is an ancestor of v: splay v up to be u's child.
-            stats = merge(
-                stats,
-                self.tree.splay_until(nv, nu, self.strategy, self.policy),
-            );
+            self.tree.splay_until(nv, nu, self.strategy, self.policy)
         } else if w == nv {
-            stats = merge(
-                stats,
-                self.tree.splay_until(nu, nv, self.strategy, self.policy),
-            );
+            self.tree.splay_until(nu, nv, self.strategy, self.policy)
         } else {
             let boundary = self.tree.parent(w);
-            stats = merge(
-                stats,
-                self.tree
-                    .splay_until(nu, boundary, self.strategy, self.policy),
-            );
+            let mut stats = self
+                .tree
+                .splay_until(nu, boundary, self.strategy, self.policy);
             // v remained inside the subtree now rooted at u.
-            stats = merge(
-                stats,
-                self.tree.splay_until(nv, nu, self.strategy, self.policy),
-            );
-        }
+            stats += self.tree.splay_until(nv, nu, self.strategy, self.policy);
+            stats
+        };
         debug_assert_eq!(self.tree.distance(nu, nv), 1);
         stats
     }
-}
-
-fn merge(mut a: SplayStats, b: SplayStats) -> SplayStats {
-    a.rotations += b.rotations;
-    a.links_changed += b.links_changed;
-    a
 }
 
 impl Network for KSplayNet {
@@ -293,6 +276,18 @@ mod tests {
                 validate(net.tree()).unwrap();
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "key 0 outside keyspace 1..=40")]
+    fn serve_rejects_key_zero() {
+        KSplayNet::balanced(3, 40).serve(0, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 41 outside keyspace 1..=40")]
+    fn serve_rejects_key_past_n() {
+        KSplayNet::balanced(3, 40).serve(7, 41);
     }
 
     #[test]

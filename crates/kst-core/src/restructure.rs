@@ -27,7 +27,8 @@
 //! rotations move-for-move at `k = 2`, which the differential tests against
 //! `splaynet-classic` verify. `Leftmost`/`Rightmost` are ablation variants.
 
-use crate::key::{key_image, NodeIdx, RoutingKey, NIL};
+use crate::key::{idx_to_key, key_image, NodeIdx, NIL};
+use crate::prefetch::prefetch_read;
 use crate::tree::KstTree;
 
 /// Policy choosing a window position when several cover the key's gap.
@@ -43,7 +44,8 @@ pub enum WindowPolicy {
     Rightmost,
 }
 
-/// Cost bookkeeping for one restructure.
+/// Cost bookkeeping for one restructure, and the additive cost monoid of
+/// every splay walk built from restructures.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestructureStats {
     /// Links added plus links removed by this operation (the model's
@@ -56,24 +58,65 @@ pub struct RestructureStats {
     pub rotations: u64,
 }
 
+impl std::ops::AddAssign for RestructureStats {
+    fn add_assign(&mut self, other: RestructureStats) {
+        self.links_changed += other.links_changed;
+        self.rotations += other.rotations;
+    }
+}
+
 impl KstTree {
     /// Generalized k-splay on a downward path (`path[i+1]` must be a child
     /// of `path[i]`, `path.len() >= 2`). After the call `path.last()`
     /// occupies the old position of `path\[0\]`.
     ///
-    /// Hot-path implementation notes: the merged super-node is assembled in
-    /// a **single pass** (one descent copying prefixes, one ascent copying
-    /// suffixes — no `Vec::insert` shifting), all working state lives in
-    /// the tree's persistent scratch arenas (zero heap allocation once the
-    /// arenas are warm — `reserve_scratch` makes even the first call
-    /// allocation-free), and the key-gap positions of every path node are
-    /// computed once on the merged array and then maintained incrementally
-    /// as each re-form step consumes its window, instead of being
-    /// re-searched from scratch per step.
+    /// Hot-path implementation notes:
+    ///
+    /// * **one body, monomorphised per arity** — the kernel is generic
+    ///   over `const K`, and this entry point dispatches k ∈ {2, 3, 4} to
+    ///   their own copies (`K = 0` reads the runtime k for every other
+    ///   arity), so the per-node window copies and slot loops compile to
+    ///   fixed-size register moves for the common small arities;
+    /// * **single-pass merge of whole nodes** — every path node is copied
+    ///   once, at its full fixed size, into index-addressed scratch that
+    ///   [`KstTree::reserve_scratch`] has already sized to the longest
+    ///   path in use (no `clear`/`extend`/`truncate`, zero heap
+    ///   allocation); copy order and alignment make the parts that must
+    ///   not survive get overwritten;
+    /// * **incremental gaps** — the key-gap position of every path node is
+    ///   searched once on the merged array and then shifted as each
+    ///   re-form step consumes its window; a window with a single valid
+    ///   position skips the policy entirely;
+    /// * **link accounting folded into install** — while node `i` adopts
+    ///   its consumed slots, a subtree keeps its link iff its parent
+    ///   *before* the write is node `i` itself, and a collapsed path node
+    ///   keeps its link (flipped) iff it is `path[i−1]`. Every other
+    ///   consumed link, and the anchor link, is one removal plus one
+    ///   addition;
+    /// * **prefetch once the tree outgrows cache** — past a fixed arena
+    ///   size, the merge hints the parent and bound lines of every subtree
+    ///   root it is about to re-attach (and `splay_until` hints the rows
+    ///   of the whole path up front); smaller trees skip the hints.
     pub fn restructure(&mut self, path: &[NodeIdx], policy: WindowPolicy) -> RestructureStats {
+        match self.k() {
+            2 => self.restructure_k::<2>(path, policy),
+            3 => self.restructure_k::<3>(path, policy),
+            4 => self.restructure_k::<4>(path, policy),
+            _ => self.restructure_k::<0>(path, policy),
+        }
+    }
+
+    /// The restructure kernel for arity `K` (`K = 0`: the tree's runtime
+    /// arity). See [`KstTree::restructure`].
+    fn restructure_k<const K: usize>(
+        &mut self,
+        path: &[NodeIdx],
+        policy: WindowPolicy,
+    ) -> RestructureStats {
         let d = path.len();
         assert!(d >= 2, "restructure needs at least two nodes");
-        let k = self.k();
+        let k = if K == 0 { self.k() } else { K };
+        debug_assert_eq!(k, self.k());
         let km1 = k - 1;
         debug_assert!(self.is_downward_path(path), "not a downward path");
 
@@ -82,6 +125,11 @@ impl KstTree {
         // in O(1) instead (releasing memory is not an allocation, so the
         // zero-alloc serve contract is untouched).
         self.disarm_depth_cache();
+        if self.scratch_gaps.len() < d {
+            // Only a hand-built path longer than every reserved span gets
+            // here; network constructors reserve their strategy's span.
+            self.reserve_scratch(d);
+        }
 
         let top = path[0];
         let anchor = self.parent(top);
@@ -91,131 +139,141 @@ impl KstTree {
             self.slot_of(anchor, top)
         };
         let (frag_lo, frag_hi) = self.bounds(top);
+        let prefetch = self.prefetch_rows();
+        let KstTree {
+            parent,
+            elems,
+            children,
+            lo,
+            hi,
+            scratch_elems: m_elems,
+            scratch_slots: m_slots,
+            scratch_pos: pos,
+            scratch_gaps: gaps,
+            ..
+        } = self;
 
         // --- 1. merge (single pass) ----------------------------------------
-        // Scratch arenas: elems (d·(k-1)), slots (d·(k-1)+1), per-slot
-        // origin tags, slot positions of each path child within its parent,
-        // and key-gap positions.
-        let mut elems = std::mem::take(&mut self.scratch_elems);
-        let mut slots = std::mem::take(&mut self.scratch_slots);
-        let mut origin = std::mem::take(&mut self.scratch_origin);
-        let mut pos = std::mem::take(&mut self.scratch_pos);
-        let mut gaps = std::mem::take(&mut self.scratch_gaps);
-        elems.clear();
-        slots.clear();
-        origin.clear();
-        pos.clear();
-        gaps.clear();
-
         // The merged array is the nested splice of each node's arrays into
-        // its parent's slot gap. Emit it front-to-back: descending, copy the
-        // strict prefix of each node up to the slot holding the next path
-        // node; at the deepest node copy everything; ascending, copy the
-        // suffixes. No element is ever moved twice. `origin[t]` tags each
-        // merged slot with the path index of the node it hung from.
+        // its parent's slot gap: the strict prefixes going down, the deepest
+        // node whole, the suffixes going back up. Prefixes are written left
+        // to right and suffixes right-aligned from the far end inwards, each
+        // as a whole-node copy whose surplus the next copy overwrites; the
+        // deepest node goes last. Slot `t` sits just left of element `t`, so
+        // one cursor per direction serves both arrays.
+        let mut m = 0usize;
         for w in 0..d - 1 {
-            let p = self.slot_of(path[w], path[w + 1]);
-            pos.push(p as u32);
-            elems.extend_from_slice(&self.elems(path[w])[..p]);
-            slots.extend_from_slice(&self.children(path[w])[..p]);
-            origin.resize(slots.len(), w as u32);
+            let (eb, cb) = (path[w] as usize * km1, path[w] as usize * k);
+            let p = children[cb..cb + k]
+                .iter()
+                .position(|&c| c == path[w + 1])
+                // ksan-allow: panic-surface structural invariant — `path` is a downward path, so path[w+1] hangs from path[w]
+                .expect("not a downward path");
+            pos[w] = p;
+            m_elems[m..m + km1].copy_from_slice(&elems[eb..eb + km1]);
+            m_slots[m..m + k].copy_from_slice(&children[cb..cb + k]);
+            m += p;
         }
-        elems.extend_from_slice(self.elems(path[d - 1]));
-        slots.extend_from_slice(self.children(path[d - 1]));
-        origin.resize(slots.len(), (d - 1) as u32);
-        for w in (0..d - 1).rev() {
-            let p = pos[w] as usize;
-            elems.extend_from_slice(&self.elems(path[w])[p..]);
-            slots.extend_from_slice(&self.children(path[w])[p + 1..]);
-            origin.resize(slots.len(), w as u32);
+        let mut me = d * km1;
+        for w in 0..d - 1 {
+            let (eb, cb) = (path[w] as usize * km1, path[w] as usize * k);
+            m_elems[me - km1..me].copy_from_slice(&elems[eb..eb + km1]);
+            m_slots[me + 1 - k..=me].copy_from_slice(&children[cb..cb + k]);
+            me -= km1 - pos[w];
         }
-        debug_assert_eq!(elems.len(), d * km1);
-        debug_assert_eq!(slots.len(), d * km1 + 1);
-        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
+        debug_assert_eq!(me, m + km1);
+        let (eb, cb) = (path[d - 1] as usize * km1, path[d - 1] as usize * k);
+        m_elems[m..m + km1].copy_from_slice(&elems[eb..eb + km1]);
+        m_slots[m..m + k].copy_from_slice(&children[cb..cb + k]);
+        m = d * km1;
+        debug_assert!(m_elems[..m].windows(2).all(|w| w[0] < w[1]));
 
-        // Key-gap position of every path node in the merged array, computed
+        if prefetch {
+            // Every merged subtree root gets its parent and bounds
+            // rewritten below: start those lines moving now.
+            for &c in &m_slots[..=m] {
+                let ci = c as usize;
+                prefetch_read(parent, ci);
+                prefetch_read(lo, ci);
+                prefetch_read(hi, ci);
+            }
+        }
+
+        // Key-gap position of every path node in the merged array, searched
         // once; re-form steps below keep them current incrementally.
-        for &node in path {
-            gaps.push(elems.partition_point(|&e| e < key_image(node + 1)));
+        for (g, &node) in gaps[..d].iter_mut().zip(path) {
+            let img = key_image(idx_to_key(node));
+            *g = m_elems[..m].partition_point(|&e| e < img);
         }
 
-        // Link accounting without materializing edge sets: the affected
-        // undirected links before the restructure are the anchor edge, the
-        // d-1 path edges, and one edge per non-NIL merged slot; afterwards,
-        // the same count. An edge survives iff a consumed slot lands under
-        // the same node it hung from (`origin` match), or an adjacent path
-        // pair swaps orientation (a collapsed path node consumed by its own
-        // old path child — a flip). Everything else is one removal plus one
-        // addition, so links_changed = 2·(total − matches).
-        let n_s = slots.iter().filter(|&&s| s != NIL).count() as u64;
-        let affected = n_s + (d as u64 - 1) + u64::from(anchor != NIL);
-        let mut matches = 0u64;
-        // Origin tag for a path node collapsed at re-form step `j`.
-        const COLLAPSED: u32 = 1 << 31;
-
-        // --- 2. re-form nodes ---------------------------------------------
-        for i in 0..d {
-            let node = path[i];
-            let m = elems.len();
-            let gap = gaps[i];
-            debug_assert_eq!(gap, elems.partition_point(|&e| e < key_image(node + 1)));
-            let (a, consumed) = if i + 1 == d {
+        // --- 2. re-form nodes, counting links as they are installed --------
+        let mut changed = u64::from(anchor != NIL);
+        let mut prev = NIL;
+        for (i, &node) in path.iter().enumerate() {
+            let last = i + 1 == d;
+            let a = if last {
                 // Fragment root takes everything that remains.
                 debug_assert_eq!(m, km1);
-                (0, km1 + 1)
+                0
             } else {
+                let gap = gaps[i];
+                debug_assert_eq!(
+                    gap,
+                    m_elems[..m].partition_point(|&e| e < key_image(idx_to_key(node)))
+                );
                 let a_min = gap.saturating_sub(km1);
                 let a_max = gap.min(m - km1);
                 debug_assert!(a_min <= a_max);
-                (
-                    choose_window(policy, a_min, a_max, gap, km1, &gaps[i + 1..]),
-                    km1 + 1,
-                )
-            };
-            for t in a..a + consumed {
-                if slots[t] == NIL {
-                    continue;
-                }
-                let o = origin[t];
-                if o & COLLAPSED == 0 {
-                    // Original subtree slot: unchanged iff it stays under
-                    // the node it hung from.
-                    matches += u64::from(o as usize == i);
+                if a_min == a_max {
+                    a_min
                 } else {
-                    // Collapsed path node from step j: the old edge
-                    // (path[j], path[j+1]) survives with flipped
-                    // orientation iff path[j+1] consumes it now.
-                    matches += u64::from((o & !COLLAPSED) as usize + 1 == i);
+                    choose_window(policy, a_min, a_max, gap, km1, &gaps[i + 1..d])
                 }
-            }
-            if i + 1 == d {
-                self.install_node(node, &elems, &slots, frag_lo, frag_hi);
-                break;
-            }
-            let lo = if a == 0 { frag_lo } else { elems[a - 1] };
-            let hi = if a + km1 == m {
+            };
+            let nlo = if a == 0 { frag_lo } else { m_elems[a - 1] };
+            let nhi = if a + km1 == m {
                 frag_hi
             } else {
-                elems[a + km1]
+                m_elems[a + km1]
             };
-            self.install_node(node, &elems[a..a + km1], &slots[a..=a + km1], lo, hi);
-            // Compact in place (drain/splice without the iterator
-            // machinery): remove the consumed window, leave the collapsed
-            // node in its gap.
-            elems.copy_within(a + km1.., a);
-            elems.truncate(m - km1);
-            slots[a] = node;
-            slots.copy_within(a + km1 + 1.., a + 1);
-            slots.truncate(m + 1 - km1);
-            origin[a] = COLLAPSED | i as u32;
-            origin.copy_within(a + km1 + 1.., a + 1);
-            origin.truncate(m + 1 - km1);
-            // Incremental window maintenance: removing elems[a..a+km1]
-            // shifts any pending gap position q down by however many of the
-            // removed elements preceded it — exactly clamp(q - a, 0, km1).
-            for g in gaps[i + 1..].iter_mut() {
+            let win_e = &m_elems[a..a + km1];
+            let win_s = &m_slots[a..a + k];
+            let (eb, cb) = (node as usize * km1, node as usize * k);
+            elems[eb..eb + km1].copy_from_slice(win_e);
+            children[cb..cb + k].copy_from_slice(win_s);
+            lo[node as usize] = nlo;
+            hi[node as usize] = nhi;
+            for (j, &c) in win_s.iter().enumerate() {
+                if c == NIL {
+                    continue;
+                }
+                let ci = c as usize;
+                changed += u64::from(c != prev && parent[ci] != node);
+                parent[ci] = node;
+                lo[ci] = if j == 0 { nlo } else { win_e[j - 1] };
+                hi[ci] = if j == km1 { nhi } else { win_e[j] };
+            }
+            if last {
+                break;
+            }
+            // Compact in place: remove the consumed window, leave the
+            // collapsed node in its gap (element loops: the tails are a few
+            // entries long, shorter than a memmove call's overhead).
+            m -= km1;
+            for t in a..m {
+                m_elems[t] = m_elems[t + km1];
+            }
+            m_slots[a] = node;
+            for t in a + 1..=m {
+                m_slots[t] = m_slots[t + km1];
+            }
+            // Removing m_elems[a..a+km1] shifts any pending gap position q
+            // down by however many removed elements preceded it — exactly
+            // clamp(q − a, 0, km1).
+            for g in gaps[i + 1..d].iter_mut() {
                 *g -= (*g).saturating_sub(a).min(km1);
             }
+            prev = node;
         }
 
         // --- 3. reattach ----------------------------------------------------
@@ -226,14 +284,8 @@ impl KstTree {
         } else {
             self.children_mut(anchor)[anchor_slot] = new_top;
         }
-
-        self.scratch_elems = elems;
-        self.scratch_slots = slots;
-        self.scratch_origin = origin;
-        self.scratch_pos = pos;
-        self.scratch_gaps = gaps;
         RestructureStats {
-            links_changed: 2 * (affected - matches),
+            links_changed: 2 * changed,
             rotations: (d - 1) as u64,
         }
     }
@@ -257,30 +309,6 @@ impl KstTree {
     fn is_downward_path(&self, path: &[NodeIdx]) -> bool {
         path.windows(2).all(|w| self.parent(w[1]) == w[0])
     }
-
-    fn install_node(
-        &mut self,
-        node: NodeIdx,
-        elems: &[RoutingKey],
-        slots: &[NodeIdx],
-        lo: RoutingKey,
-        hi: RoutingKey,
-    ) {
-        let k = self.k();
-        debug_assert_eq!(elems.len(), k - 1);
-        debug_assert_eq!(slots.len(), k);
-        self.elems_mut(node).copy_from_slice(elems);
-        self.children_mut(node).copy_from_slice(slots);
-        self.set_bounds(node, lo, hi);
-        for (j, &c) in slots.iter().enumerate() {
-            if c != NIL {
-                self.set_parent(c, node);
-                let clo = if j == 0 { lo } else { elems[j - 1] };
-                let chi = if j == k - 1 { hi } else { elems[j] };
-                self.set_bounds(c, clo, chi);
-            }
-        }
-    }
 }
 
 /// Chooses the window start within `[a_min, a_max]` for a node whose key
@@ -299,34 +327,21 @@ fn choose_window(
         WindowPolicy::Leftmost => a_min,
         WindowPolicy::Rightmost => a_max,
         WindowPolicy::Paper => {
-            if a_min == a_max {
-                return a_min;
-            }
-            let np = pend_gaps.len().min(8);
-            // A window starting at `a` spans gaps a..=a+km1.
-            let clean =
-                |a: usize| -> bool { pend_gaps[..np].iter().all(|&q| q < a || q > a + km1) };
+            let pend = &pend_gaps[..pend_gaps.len().min(8)];
             let ideal = gap as i64 - (km1 as i64 + 1) / 2;
-            let score = |a: usize| -> i64 { (a as i64 - ideal).abs() };
-            let mut best = usize::MAX;
-            let mut best_score = i64::MAX;
-            let mut any_clean = false;
+            // One ascending pass ranking (clean, centred): a window starting
+            // at `a` spans gaps a..=a+km1 and is clean when it spans no
+            // pending key's gap. Only strict improvements replace the best,
+            // so ties go to the leftmost window.
+            let mut best = (false, i64::MIN, a_min);
             for a in a_min..=a_max {
-                if clean(a) {
-                    any_clean = true;
+                let clean = pend.iter().all(|&q| q < a || q > a + km1);
+                let rank = (clean, -(a as i64 - ideal).abs());
+                if rank > (best.0, best.1) {
+                    best = (rank.0, rank.1, a);
                 }
             }
-            for a in a_min..=a_max {
-                if any_clean && !clean(a) {
-                    continue;
-                }
-                let s = score(a);
-                if s < best_score || (s == best_score && a < best) {
-                    best_score = s;
-                    best = a;
-                }
-            }
-            best
+            best.2
         }
     }
 }

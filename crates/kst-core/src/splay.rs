@@ -37,30 +37,18 @@ impl SplayStrategy {
     }
 }
 
-/// Aggregate cost of a splay walk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SplayStats {
-    /// Elementary rotations performed (a k-semi-splay counts 1, a k-splay
-    /// counts 2 — the unit-cost rotations of Section 5, in the same units
-    /// as classic splay-tree rotation counts).
-    pub rotations: u64,
-    /// Total physical links changed.
-    pub links_changed: u64,
-}
-
-impl SplayStats {
-    fn add(&mut self, r: RestructureStats) {
-        self.rotations += r.rotations;
-        self.links_changed += r.links_changed;
-    }
-}
+/// Aggregate cost of a splay walk: the restructure cost monoid summed
+/// over its steps (`rotations` in the unit-cost rotations of Section 5,
+/// the same units as classic splay-tree rotation counts).
+pub type SplayStats = RestructureStats;
 
 impl KstTree {
     /// Splays `z` upward until its parent is `boundary` (`NIL` splays to the
     /// root). All restructures happen strictly below `boundary`, which is
     /// never moved. Panics if `boundary` is not an ancestor of `z`.
     ///
-    /// Path extraction reuses the tree's scratch path arena, so repeated
+    /// Path extraction fills the tree's scratch path arena from its far
+    /// end, leaving each step's path top-first in a suffix, so repeated
     /// splay steps — and repeated serves — allocate nothing.
     pub fn splay_until(
         &mut self,
@@ -71,6 +59,19 @@ impl KstTree {
     ) -> SplayStats {
         let span = strategy.span();
         let mut stats = SplayStats::default();
+        if self.scratch_path.len() < span {
+            // Cold: a tree whose scratch was never reserved for this span.
+            self.reserve_scratch(span);
+        }
+        if self.prefetch_rows() {
+            // Every row on the way to `boundary` is about to be rotated and
+            // likely misses cache: start all of them moving at once.
+            let mut a = self.parent(z);
+            while a != boundary {
+                self.prefetch_row(a);
+                a = self.parent(a);
+            }
+        }
         let mut path = std::mem::take(&mut self.scratch_path);
         loop {
             let p = self.parent(z);
@@ -79,20 +80,20 @@ impl KstTree {
             }
             debug_assert!(p != NIL, "boundary was not an ancestor of z");
             // Collect up to `span` nodes of the path above z (top first).
-            path.clear();
-            path.push(z);
+            let mut start = span - 1;
+            path[start] = z;
             let mut top = z;
-            while path.len() < span {
+            while start > 0 {
                 let q = self.parent(top);
                 if q == boundary {
                     break;
                 }
                 debug_assert!(q != NIL, "boundary was not an ancestor of z");
                 top = q;
-                path.push(q);
+                start -= 1;
+                path[start] = q;
             }
-            path.reverse();
-            stats.add(self.restructure(&path, policy));
+            stats += self.restructure(&path[start..span], policy);
         }
         self.scratch_path = path;
         stats

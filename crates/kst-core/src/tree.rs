@@ -36,20 +36,19 @@
 //!
 //! The `scratch_*` fields are reusable arenas for [`restructure`] and
 //! [`splay_until`] (`crate::restructure` / `crate::splay`): merged element /
-//! slot buffers, per-slot origin tags for link accounting, the access
-//! path, per-path slot positions, and per-path key-gap positions. The
-//! contract is:
+//! slot buffers, the access path, per-path slot positions, and per-path
+//! key-gap positions. The contract is:
 //!
-//! * a serve-path operation `std::mem::take`s the buffers it needs, clears
-//!   them, and moves them back before returning (so panics at worst leave
-//!   an empty scratch, never a dangling one);
-//! * buffers only ever grow; after [`KstTree::reserve_scratch`] (called by
-//!   every network constructor) or one warm-up operation at the deepest
-//!   path span in use, **no serve-path operation allocates** — the
-//!   zero-allocation tests and bench assertions enforce this;
-//! * scratch contents are meaningless between operations; only capacity
-//!   persists. `Clone` transfers scratch **capacity** (never contents), so
-//!   cloned trees keep the zero-allocation guarantee.
+//! * the serve-path buffers are **index-addressed**:
+//!   [`KstTree::reserve_scratch`] (called by every network constructor)
+//!   sizes their *lengths* for the longest path span in use and the
+//!   kernels only index into them, so **no serve-path operation
+//!   allocates** — the zero-allocation tests and bench assertions enforce
+//!   this. A longer path re-sizes them once;
+//! * lengths only ever grow; contents are meaningless between operations,
+//!   and `Clone` copies the span-sized buffers along with the tree;
+//! * `splay_until` `std::mem::take`s `scratch_path` for a walk and moves it
+//!   back before returning (a panic at worst leaves it empty).
 //!
 //! [`restructure`]: KstTree::restructure
 //! [`splay_until`]: KstTree::splay_until
@@ -57,20 +56,30 @@
 use crate::key::{idx_to_key, key_image, key_to_idx, NodeIdx, NodeKey, RoutingKey, NIL};
 use crate::shape::ShapeTree;
 
+/// Node-arena size (parents, routing elements, child slots, bounds) from
+/// which rotations prefetch the rows they are about to touch. Smaller
+/// trees stay cache-resident, where the hints only cost instructions
+/// (measured with k = 2: 26% faster k-splay serves at 2¹⁸ nodes, 11%
+/// slower at 2¹⁰, break-even near 2¹⁶).
+const PREFETCH_MIN_ARENA_BYTES: usize = 4 << 20;
+
 /// A k-ary search tree on `n` nodes with permanent identifiers `1..=n`.
+#[derive(Clone)]
 pub struct KstTree {
     k: usize,
     n: usize,
     root: NodeIdx,
-    parent: Vec<NodeIdx>,
+    // The five node arenas are crate-visible so the restructure kernel can
+    // borrow them disjointly from the scratch arenas.
+    pub(crate) parent: Vec<NodeIdx>,
     /// Flat `n × (k-1)` strictly-increasing routing elements.
-    elems: Vec<RoutingKey>,
+    pub(crate) elems: Vec<RoutingKey>,
     /// Flat `n × k` child slots (`NIL` = empty).
-    children: Vec<NodeIdx>,
+    pub(crate) children: Vec<NodeIdx>,
     /// Exclusive interval bounds per node; always a superset of the node's
     /// subtree key images.
-    lo: Vec<RoutingKey>,
-    hi: Vec<RoutingKey>,
+    pub(crate) lo: Vec<RoutingKey>,
+    pub(crate) hi: Vec<RoutingKey>,
     /// Depth cache (root = 0), `u32` to keep the 10⁸-node footprint at
     /// 4 B/node. **Armed or disarmed as a whole**: when non-empty it holds
     /// the exact depth of *every* node and `distance_lca` skips its two
@@ -89,12 +98,10 @@ pub struct KstTree {
     pub(crate) scratch_elems: Vec<RoutingKey>,
     /// … merged child slots …
     pub(crate) scratch_slots: Vec<NodeIdx>,
-    /// … per-merged-slot origin tags for O(d·k) link accounting …
-    pub(crate) scratch_origin: Vec<u32>,
     /// … the access path buffer threaded through `splay_until` …
     pub(crate) scratch_path: Vec<NodeIdx>,
     /// … per-path-node slot positions used by the single-pass merge …
-    pub(crate) scratch_pos: Vec<u32>,
+    pub(crate) scratch_pos: Vec<usize>,
     /// … and per-path-node key-gap positions, maintained incrementally
     /// across the re-form steps of one restructure.
     pub(crate) scratch_gaps: Vec<usize>,
@@ -164,7 +171,6 @@ impl KstTree {
             depth: vec![0; n],
             scratch_elems: Vec::new(),
             scratch_slots: Vec::new(),
-            scratch_origin: Vec::new(),
             scratch_path: Vec::new(),
             scratch_pos: Vec::new(),
             scratch_gaps: Vec::new(),
@@ -964,11 +970,6 @@ impl KstTree {
         &self.elems[b..b + self.k - 1]
     }
 
-    pub(crate) fn elems_mut(&mut self, v: NodeIdx) -> &mut [RoutingKey] {
-        let b = v as usize * (self.k - 1);
-        &mut self.elems[b..b + self.k - 1]
-    }
-
     /// The `k` child slots of `v` (`NIL` = empty slot).
     #[inline]
     pub fn children(&self, v: NodeIdx) -> &[NodeIdx] {
@@ -988,9 +989,24 @@ impl KstTree {
         (self.lo[v as usize], self.hi[v as usize])
     }
 
-    pub(crate) fn set_bounds(&mut self, v: NodeIdx, lo: RoutingKey, hi: RoutingKey) {
-        self.lo[v as usize] = lo;
-        self.hi[v as usize] = hi;
+    /// Whether the node arenas are too large to stay cache-resident, so
+    /// that rotations should prefetch what they will touch.
+    #[inline]
+    pub(crate) fn prefetch_rows(&self) -> bool {
+        // Per node: a parent and k slots of 4 B, k − 1 elements and two
+        // bounds of 8 B.
+        self.n * (4 * (1 + self.k) + 8 * (self.k + 1)) >= PREFETCH_MIN_ARENA_BYTES
+    }
+
+    /// Prefetch hints for node `v`'s routing elements, child slots and
+    /// bounds (no observable effect; see [`crate::prefetch`]).
+    #[inline]
+    pub(crate) fn prefetch_row(&self, v: NodeIdx) {
+        let vi = v as usize;
+        crate::prefetch::prefetch_read(&self.elems, vi * (self.k - 1));
+        crate::prefetch::prefetch_read(&self.children, vi * self.k);
+        crate::prefetch::prefetch_read(&self.lo, vi);
+        crate::prefetch::prefetch_read(&self.hi, vi);
     }
 
     /// Permanent key of node `v`.
@@ -999,10 +1015,16 @@ impl KstTree {
         idx_to_key(v)
     }
 
-    /// Node index carrying `key`.
+    /// Node index carrying `key`. Panics, naming the key and `n`, unless
+    /// `1 ≤ key ≤ n` — in release builds too, so a bad key fails here
+    /// instead of wrapping to an index deep in the tree.
     #[inline]
     pub fn node_of(&self, key: NodeKey) -> NodeIdx {
-        debug_assert!(key >= 1 && key as usize <= self.n);
+        assert!(
+            key >= 1 && key as usize <= self.n,
+            "key {key} outside keyspace 1..={}",
+            self.n
+        );
         key_to_idx(key)
     }
 
@@ -1140,21 +1162,19 @@ impl KstTree {
         self.distance(self.node_of(u), self.node_of(v))
     }
 
-    /// Pre-sizes the serve-path scratch arenas for restructure paths of up
-    /// to `span` nodes, so that **no serve-path operation ever allocates**
-    /// — not even the first one. Called by every network constructor with
-    /// its splay strategy's span; idempotent and monotone (capacity only
-    /// grows). See the module docs for the scratch reuse contract.
+    /// Sizes the serve-path scratch arenas for restructure paths of up to
+    /// `span` nodes, so that **no serve-path operation ever allocates** —
+    /// not even the first one. Called by every network constructor with
+    /// its splay strategy's span; idempotent and monotone (lengths only
+    /// grow). See the module docs for the scratch reuse contract.
     pub fn reserve_scratch(&mut self, span: usize) {
         let span = span.max(2);
-        let km1 = self.k - 1;
-        let merged = span * km1;
-        reserve_to(&mut self.scratch_elems, merged);
-        reserve_to(&mut self.scratch_slots, merged + 1);
-        reserve_to(&mut self.scratch_origin, merged + 1);
-        reserve_to(&mut self.scratch_path, span);
-        reserve_to(&mut self.scratch_pos, span);
-        reserve_to(&mut self.scratch_gaps, span);
+        let merged = span * (self.k - 1);
+        grow_to(&mut self.scratch_elems, merged, 0);
+        grow_to(&mut self.scratch_slots, merged + 1, NIL);
+        grow_to(&mut self.scratch_path, span, NIL);
+        grow_to(&mut self.scratch_pos, span, 0);
+        grow_to(&mut self.scratch_gaps, span, 0);
     }
 
     /// Sorted copy of the global routing-element multiset; conserved by all
@@ -1171,38 +1191,11 @@ impl KstTree {
     }
 }
 
-/// Grows `v`'s capacity to at least `cap` without shrinking.
-fn reserve_to<T>(v: &mut Vec<T>, cap: usize) {
-    if v.capacity() < cap {
-        v.reserve(cap - v.len());
-    }
-}
-
-impl Clone for KstTree {
-    /// Clones the tree state; scratch arenas transfer their **capacity**
-    /// but not their (meaningless between operations) contents, so a clone
-    /// keeps the zero-allocation serve guarantee. A derived impl would do
-    /// the opposite — copy stale contents at shrunk capacity.
-    fn clone(&self) -> KstTree {
-        KstTree {
-            k: self.k,
-            n: self.n,
-            root: self.root,
-            parent: self.parent.clone(),
-            elems: self.elems.clone(),
-            children: self.children.clone(),
-            lo: self.lo.clone(),
-            hi: self.hi.clone(),
-            depth: self.depth.clone(),
-            scratch_elems: Vec::with_capacity(self.scratch_elems.capacity()),
-            scratch_slots: Vec::with_capacity(self.scratch_slots.capacity()),
-            scratch_origin: Vec::with_capacity(self.scratch_origin.capacity()),
-            scratch_path: Vec::with_capacity(self.scratch_path.capacity()),
-            scratch_pos: Vec::with_capacity(self.scratch_pos.capacity()),
-            scratch_gaps: Vec::with_capacity(self.scratch_gaps.capacity()),
-            scratch_edges_a: Vec::with_capacity(self.scratch_edges_a.capacity()),
-            scratch_edges_b: Vec::with_capacity(self.scratch_edges_b.capacity()),
-        }
+/// Grows `v`'s length to at least `len` (filling with `fill`) without
+/// shrinking.
+fn grow_to<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.len() < len {
+        v.resize(len, fill);
     }
 }
 

@@ -14,8 +14,10 @@
 //! The harness fuzzes `KSplayNet` against the oracle **move for move** —
 //! identical routing costs, rotation counts, link-change counts, tree
 //! shapes, routing arrays, and stored interval bounds after every request —
-//! for k ∈ {2, 3, 4, 5, 8}, every [`WindowPolicy`], and both the k-splay
-//! and k-semi-splay disciplines. Because the oracle re-derives everything
+//! for k ∈ {2, 3, 4, 5, 8, 9, 11}, every [`WindowPolicy`], and both the
+//! k-splay and k-semi-splay disciplines. The production kernel has its own
+//! compiled copy for k ∈ {2, 3, 4} and one runtime-k copy for every other
+//! arity, so the list pins both kinds move for move. Because the oracle re-derives everything
 //! from scratch on every step while the production tree reuses scratch
 //! arenas and maintains window state incrementally, agreement here is the
 //! strongest evidence that the zero-allocation serve hot path preserves the
@@ -387,7 +389,7 @@ fn fuzz(k: usize, n: usize, m: usize, seed: u64, strategy: SplayStrategy, policy
 
 #[test]
 fn oracle_ksplay_all_arities_all_policies() {
-    for (i, &k) in [2usize, 3, 4, 5, 8].iter().enumerate() {
+    for (i, &k) in [2usize, 3, 4, 5, 8, 9, 11].iter().enumerate() {
         for (j, policy) in [
             WindowPolicy::Paper,
             WindowPolicy::Leftmost,
@@ -410,7 +412,7 @@ fn oracle_ksplay_all_arities_all_policies() {
 
 #[test]
 fn oracle_semi_splay_all_arities_all_policies() {
-    for (i, &k) in [2usize, 3, 4, 5, 8].iter().enumerate() {
+    for (i, &k) in [2usize, 3, 4, 5, 8, 9, 11].iter().enumerate() {
         for (j, policy) in [
             WindowPolicy::Paper,
             WindowPolicy::Leftmost,

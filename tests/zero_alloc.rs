@@ -54,13 +54,14 @@ fn serve_paths_never_allocate() {
         }
     }
 
-    // Deep(d) generalized strategies.
-    for d in [4u8, 6] {
-        let mut net = KSplayNet::balanced(3, n).with_strategy(SplayStrategy::Deep(d));
+    // Deep(d) generalized strategies, on an arity with its own compiled
+    // restructure kernel (k = 3) and on runtime-k arities.
+    for (k, d) in [(3usize, 4u8), (3, 6), (7, 5), (11, 5)] {
+        let mut net = KSplayNet::balanced(k, n).with_strategy(SplayStrategy::Deep(d));
         let ((), allocs) = alloc_probe::count_allocations(|| {
             std::hint::black_box(serve_all(&mut net, &zipf));
         });
-        assert_eq!(allocs, 0, "KSplayNet allocated (Deep({d}))");
+        assert_eq!(allocs, 0, "KSplayNet allocated (k={k}, Deep({d}))");
     }
 
     // Centroid (k+1)-SplayNet.
