@@ -1,9 +1,10 @@
-//! Regenerates every paper artifact in one go, writing `results/*.md`.
-//! Equivalent to running `table_kary`, `table8`, `remark10`, `lemma9` and
-//! `entropy_check` back to back (see those binaries for artifact details),
+//! Regenerates the table artifacts in one go, writing `results/*.md`:
+//! Tables 1–7 (as `table_kary` writes them) and Table 8 (as `table8`),
 //! plus the regret report (`results/regret.md`: every self-adjusting net
-//! vs the offline static optimum, windowed) and the sharded-engine report
-//! (`results/engine.md`).
+//! vs the offline static optimum, windowed), the sharded-engine report
+//! (`results/engine.md`) and the observability artifacts below.
+//! `remark10`, `lemma9` and `entropy_check` are separate binaries and are
+//! not run here.
 //!
 //! Parallelism: Tables 1–7 fan out over the **whole workload × k grid**
 //! (9·W independent cells) and Table 8 over the workload grid, so the
@@ -131,7 +132,7 @@ fn main() {
         let (report, elapsed) = kst_engine::timed_run(&mut engine, trace);
         eprintln!(
             "[obs | {name}] served in {elapsed:.1?} ({} rebuild pauses)",
-            report.obs.rebuild_pause_total().count()
+            report.obs.total().rebuild_pause_us.count()
         );
         if obs_json.len() > 1 {
             obs_json.push(',');

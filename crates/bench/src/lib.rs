@@ -319,9 +319,8 @@ pub fn render_obs_table(cfg: &EngineConfig, rows: &[EngineRow]) -> String {
     ]);
     for r in rows {
         let obs = &r.report.obs;
-        let cost = obs.cost_total();
-        let pause = obs.rebuild_pause_total();
-        let nodes = obs.rebuild_nodes_total();
+        let total = obs.total();
+        let (cost, pause, nodes) = (&total.cost, &total.rebuild_pause_us, &total.rebuild_nodes);
         tab.row(vec![
             workload_label(&r.workload).to_string(),
             r.n.to_string(),

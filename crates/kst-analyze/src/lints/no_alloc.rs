@@ -1,10 +1,11 @@
 //! `no-alloc`: source-level allocation-freedom for the serve hot path.
 //!
 //! Builds a call-graph approximation rooted at the hot-path entry points
-//! (`serve`, `restructure`, `splay_until`, `distance_lca`, the engine
-//! `worker_loop`, and the kst-obs recorders `Histogram::record`,
-//! `Tracer::record`, `ObsCollector::observe`, `ShardObs::observe` and
-//! friends) and flags every transitive call to an allocating API.
+//! (`serve`, `restructure`, `splay_until`, `distance_lca`, the engine's
+//! per-shard `shard_step`, router booking and `worker_loop`, and the
+//! kst-obs recorders `Histogram::record`, `Tracer::record`,
+//! `ObsCollector::observe` and friends) and flags every transitive call
+//! to an allocating API.
 //! Resolution is by name — an over-approximation that trades precision
 //! for zero dependencies — so every cold-by-design boundary (epoch
 //! rebuilds, ledger growth) is cut explicitly with a
@@ -34,6 +35,7 @@ const ROOT_NAMES: &[(&str, Option<&str>)] = &[
     ("splay_until", None),
     ("distance_lca", None),
     ("worker_loop", None),
+    ("shard_step", None),
     // Depth-cache hot paths: the armed O(1) depth lookup, its parent-walk
     // fallback, the cache drop on restructure (`Vec::new()` never
     // allocates, and frees are outside the probe's contract), and the
@@ -43,11 +45,11 @@ const ROOT_NAMES: &[(&str, Option<&str>)] = &[
     ("disarm_depth_cache", Some("KstTree")),
     ("prefetch_read", None),
     // kst-engine dispatch helpers: the shared ShardMap routing
-    // decomposition, the router-spine charge, and the sequential serve
-    // entry point must stay allocation-free outside the documented
-    // cold paths (epoch-boundary resharding, threaded setup/teardown).
+    // decomposition, the router booking, and the inline serve entry
+    // point must stay allocation-free outside the documented cold paths
+    // (epoch-boundary resharding, threaded setup/teardown).
     ("route_request", None),
-    ("router_serve", None),
+    ("book_router", None),
     ("serve_one", Some("ShardedEngine")),
     ("shard_of", Some("ShardMap")),
     ("gateway", Some("ShardMap")),
@@ -61,8 +63,6 @@ const ROOT_NAMES: &[(&str, Option<&str>)] = &[
     ("record_timed", Some("Tracer")),
     ("observe", Some("ObsCollector")),
     ("observe_timed", Some("ObsCollector")),
-    ("observe", Some("ShardObs")),
-    ("observe_timed", Some("ShardObs")),
 ];
 
 /// Macros that always allocate.

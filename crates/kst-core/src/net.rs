@@ -9,6 +9,8 @@
 //! Section 5 — and as physical links changed).
 
 use crate::key::NodeKey;
+use std::iter::Sum;
+use std::ops::AddAssign;
 
 /// Per-request cost breakdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,6 +34,28 @@ impl ServeCost {
     /// rotation costs both one).
     pub fn total_unit(&self) -> u64 {
         self.routing + self.rotations
+    }
+}
+
+/// Field-wise addition: `ServeCost` is the workspace's one cost monoid
+/// (identity `ServeCost::default()`), so per-request, per-shard and
+/// per-run totals all fold with `+=` or `Sum`.
+impl AddAssign for ServeCost {
+    fn add_assign(&mut self, c: ServeCost) {
+        self.routing += c.routing;
+        self.rotations += c.rotations;
+        self.links_changed += c.links_changed;
+        self.rebuild_patches += c.rebuild_patches;
+        self.rebuild_nodes += c.rebuild_nodes;
+    }
+}
+
+impl Sum for ServeCost {
+    fn sum<I: Iterator<Item = ServeCost>>(iter: I) -> ServeCost {
+        iter.fold(ServeCost::default(), |mut acc, c| {
+            acc += c;
+            acc
+        })
     }
 }
 

@@ -14,6 +14,8 @@
 //! boundaries and may allocate; the serve path never calls them.
 //!
 //! [`ShardMap`]: ../../kst_engine/struct.ShardMap.html
+//! [`KstTree::extract_range`]: crate::KstTree::extract_range
+//! [`KstTree::absorb_fragment`]: crate::KstTree::absorb_fragment
 
 use crate::net::Network;
 use crate::shape::ShapeTree;

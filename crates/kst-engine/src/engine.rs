@@ -61,14 +61,16 @@
 //! operations in trace order — and resharding runs between epochs, on
 //! the dispatcher, from a thread-count-independent ledger — every shard
 //! observes the *same* operation sequence no matter how many worker
-//! threads drain the queues: the threaded run is bit-identical to the
-//! sequential one, with or without resharding, which the differential
-//! tests assert.
+//! threads drain the queues. The inline path and the workers serve that
+//! sequence through the same per-shard step and book the router through
+//! the same function, so the threaded run is bit-identical to the inline
+//! one, with or without resharding, which the differential tests assert.
 
-use crate::obs::{observed_serve, record_handoff, ObsMode, ObsReport, ShardObs};
+use crate::obs::{record_handoff, stamp, ObsMode, ObsReport};
 use crate::shard::ShardMap;
 use kst_core::{KSplayNet, Network, PatchStats, Reshardable, ServeCost, ShapeTree};
 use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
+use kst_sim::obs::ObsCollector;
 use kst_sim::Metrics;
 use kst_workloads::{DecayingDemand, KeyRange, NodeKey, Trace};
 use std::sync::mpsc;
@@ -146,8 +148,8 @@ impl ReshardConfig {
 pub struct EngineConfig {
     /// Number of keyspace shards `S` (clamped to `1..=n` at build time).
     pub shards: usize,
-    /// Worker threads draining the shard queues. `1` (or one shard) runs
-    /// the sequential path — no threads, no channels, same totals.
+    /// Worker threads draining the shard queues. `1` (or one shard)
+    /// serves inline — no threads, no channels, same totals.
     pub threads: usize,
     /// Dispatch batch size `B`: cross-thread handoff is amortized over
     /// `B` requests per channel send.
@@ -419,20 +421,12 @@ struct Op {
     half: bool,
 }
 
-fn add_cost(acc: &mut ServeCost, c: ServeCost) {
-    acc.routing += c.routing;
-    acc.rotations += c.rotations;
-    acc.links_changed += c.links_changed;
-    acc.rebuild_patches += c.rebuild_patches;
-    acc.rebuild_nodes += c.rebuild_nodes;
-}
-
 /// Routes one request through the shard map — the single decomposition
 /// point shared by the sequential serve path and the threaded
 /// dispatcher, so the [`ShardMap`] lookup and the gateway half-serve
 /// rules live in exactly one place.
 ///
-/// `emit(shard, a, b, half)` fires once for an intra-shard request
+/// `emit(op)` fires once for an intra-shard request
 /// (`half == false`, locally remapped endpoints) or up to twice for a
 /// cross-shard one (`half == true`, each endpoint toward its own
 /// gateway; an endpoint that *is* its gateway emits nothing). Returns
@@ -442,45 +436,99 @@ fn route_request(
     map: &ShardMap,
     u: NodeKey,
     v: NodeKey,
-    mut emit: impl FnMut(usize, NodeKey, NodeKey, bool),
+    mut emit: impl FnMut(Op),
 ) -> Option<(usize, usize)> {
+    let local = |s: usize, a: NodeKey, b: NodeKey, half: bool| {
+        let r = map.range(s);
+        Op {
+            shard: s as u32,
+            a: r.to_local(a),
+            b: r.to_local(b),
+            half,
+        }
+    };
     let su = map.shard_of(u);
     let sv = map.shard_of(v);
     if su == sv {
-        let r = map.range(su);
-        emit(su, r.to_local(u), r.to_local(v), false);
+        emit(local(su, u, v, false));
         return None;
     }
     let gu = map.gateway(su);
     if u != gu {
-        let r = map.range(su);
-        emit(su, r.to_local(u), r.to_local(gu), true);
+        emit(local(su, u, gu, true));
     }
     let gv = map.gateway(sv);
     if v != gv {
-        let r = map.range(sv);
-        emit(sv, r.to_local(gv), r.to_local(v), true);
+        emit(local(sv, gv, v, true));
     }
     Some((su, sv))
 }
 
-/// Charges the router for one cross-shard request: the flat
-/// `router_hops` under the star, or a serve on the k-splay spine (shard
-/// `s` ↔ spine key `s + 1`), which self-adjusts toward hot shard pairs.
-/// Allocation-free (the spine's scratch is pre-sized at construction).
-fn router_serve(
-    spine: Option<&mut KSplayNet>,
-    router_hops: u64,
-    su: usize,
-    sv: usize,
+/// The engine's one per-shard step: serves `op` on its shard's net,
+/// observes it when the shard has a collector (timed when the engine
+/// carries a clock), and books it — a whole intra-shard request into the
+/// shard's own account, a gateway half-serve into the cross-shard
+/// account without counting a request. The inline path and every worker
+/// run this against the same per-shard op order, which is what makes
+/// threaded costs and deterministic histograms bit-identical to inline
+/// ones. Allocation-free.
+fn shard_step<N: Network>(
+    net: &mut N,
+    col: Option<&mut ObsCollector>,
+    clock: Option<Stopwatch>,
+    op: Op,
+    intra: &mut Metrics,
+    cross: &mut Metrics,
 ) -> ServeCost {
-    match spine {
+    // Qualified observe calls so kst-analyze's name-based call graph
+    // resolves them exactly.
+    let c = match (col, clock) {
+        (None, _) => net.serve(op.a, op.b),
+        (Some(col), None) => {
+            let c = net.serve(op.a, op.b);
+            ObsCollector::observe(col, op.a, op.b, c);
+            c
+        }
+        (Some(col), Some(origin)) => {
+            let ts = origin.elapsed_us();
+            let c = net.serve(op.a, op.b);
+            let dur = origin.elapsed_us().saturating_sub(ts);
+            ObsCollector::observe_timed(col, op.a, op.b, c, ts, dur);
+            c
+        }
+    };
+    if op.half {
+        *cross += c;
+    } else {
+        intra.absorb(c);
+    }
+    c
+}
+
+/// The engine's one router booking for a cross-shard request: charges
+/// the flat `star_hops` under the star, or a serve on the k-splay spine
+/// (shard `s` ↔ spine key `s + 1`, self-adjusting toward hot shard
+/// pairs), then counts one whole cross-shard request, adds the charge to
+/// the cross-shard account and its routing to `router_hops`.
+/// Allocation-free (the spine's scratch is pre-sized at construction).
+fn book_router(
+    spine: Option<&mut KSplayNet>,
+    star_hops: u64,
+    (su, sv): (usize, usize),
+    cross: &mut Metrics,
+    router_hops: &mut u64,
+) -> ServeCost {
+    let c = match spine {
         None => ServeCost {
-            routing: router_hops,
+            routing: star_hops,
             ..ServeCost::default()
         },
         Some(spine) => spine.serve((su + 1) as NodeKey, (sv + 1) as NodeKey),
-    }
+    };
+    cross.requests += 1;
+    *cross += c;
+    *router_hops += c.routing;
+    c
 }
 
 /// The reshard surgery entry points of the concrete net type, captured
@@ -526,11 +574,11 @@ pub struct ShardedEngine<N> {
     /// types do it automatically).
     reshard: Option<ReshardState<N>>,
     cfg: EngineConfig,
-    /// Run-origin clock: every wall-clock timestamp an observed run
-    /// stamps (span `ts`, rebuild pauses) is an offset from this, so all
-    /// threads share one time base. Unused unless
-    /// [`EngineConfig::obs`] is [`ObsMode::WallClock`].
-    origin: Stopwatch,
+    /// Run-origin clock, present iff [`EngineConfig::obs`] is
+    /// [`ObsMode::WallClock`]: every wall-clock timestamp an observed run
+    /// stamps (span `ts`, rebuild pauses) is an offset from it, so all
+    /// threads share one time base.
+    clock: Option<Stopwatch>,
 }
 
 impl<N: Network> ShardedEngine<N> {
@@ -573,40 +621,22 @@ impl<N: Network> ShardedEngine<N> {
         let nets: Vec<N> = if workers <= 1 {
             (0..shards).map(build).collect()
         } else {
-            // Static round-robin assignment: worker `w` builds shards
-            // `w, w + T, w + 2T, …`. Shard sizes differ by at most one
-            // key, so stealing buys nothing, and each worker holding one
-            // in-flight build caps transient overlap at `workers`.
-            let mut slots: Vec<Option<N>> = (0..shards).map(|_| None).collect();
+            // Static round-robin assignment (the [`deal`] layout): worker
+            // `w` builds shards `w, w + T, w + 2T, …`. Shard sizes differ
+            // by at most one key, so stealing buys nothing, and each
+            // worker holding one in-flight build caps transient overlap
+            // at `workers`.
             std::thread::scope(|scope| {
                 let build = &build;
                 let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut out: Vec<(usize, N)> = Vec::new();
-                            let mut s = w;
-                            while s < shards {
-                                out.push((s, build(s)));
-                                s += workers;
-                            }
-                            out
-                        })
-                    })
+                    .map(|w| scope.spawn(move || (w..shards).step_by(workers).map(build).collect()))
                     .collect();
-                for h in handles {
+                let built = handles.into_iter().map(|h| {
                     // ksan-allow: panic-surface a worker panic is a factory bug; re-raising it here preserves the factory's own diagnostic
-                    for (s, net) in h.join().expect("shard build worker panicked") {
-                        slots[s] = Some(net);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    // ksan-allow: panic-surface every shard index is visited by exactly one worker above
-                    slot.expect("shard slot left unbuilt")
-                })
-                .collect()
+                    h.join().expect("shard build worker panicked")
+                });
+                interleave(built.collect())
+            })
         };
         let spine = match cfg.spine {
             SpineMode::KSplay { k } if map.shards() >= 2 => {
@@ -619,8 +649,8 @@ impl<N: Network> ShardedEngine<N> {
             nets,
             spine,
             reshard: None,
+            clock: (cfg.obs == ObsMode::WallClock).then(Stopwatch::start),
             cfg,
-            origin: Stopwatch::start(),
         }
     }
 
@@ -645,74 +675,48 @@ impl<N: Network> ShardedEngine<N> {
     }
 
     /// Serves one request on the calling thread, folding its cost into
-    /// `report` and returning the request's combined [`ServeCost`]
-    /// (cross-shard: both gateway half-serves plus the router's charge).
-    /// This is the engine's single source of truth for the cost model —
-    /// the threaded path produces identical per-shard sequences.
+    /// `report` (and into `report.obs`'s collectors, if it has any) and
+    /// returning the request's combined [`ServeCost`] (cross-shard: both
+    /// gateway half-serves plus the router's charge). Runs the same
+    /// per-shard step and router booking as [`ShardedEngine::run_trace`].
+    ///
+    /// # Panics
+    ///
+    /// If an endpoint lies outside the keyspace `1..=n` or `u == v`.
     pub fn serve_one(&mut self, u: NodeKey, v: NodeKey, report: &mut EngineReport) -> ServeCost {
-        let mode = report.obs.mode;
+        let n = self.map.n();
+        for key in [u, v] {
+            assert!(
+                key >= 1 && key as usize <= n,
+                "key {key} outside keyspace 1..={n}"
+            );
+        }
+        assert!(u != v, "self-request ({u}, {v}): endpoints must differ");
+        self.serve_request(u, v, report)
+    }
+
+    /// [`ShardedEngine::serve_one`] without the endpoint checks, for
+    /// requests a [`Trace`] has already validated.
+    fn serve_request(&mut self, u: NodeKey, v: NodeKey, report: &mut EngineReport) -> ServeCost {
+        let EngineReport {
+            per_shard,
+            cross,
+            router_hops,
+            obs,
+            ..
+        } = report;
+        let (nets, clock) = (&mut self.nets, self.clock);
         let mut c = ServeCost::default();
-        let mut intra_shard = usize::MAX;
-        let nets = &mut self.nets;
-        let obs = &mut report.obs;
-        let origin = self.origin;
-        let routed = route_request(&self.map, u, v, |s, a, b, half| {
-            let cost = observed_serve(&mut nets[s], a, b, mode, obs.per_shard.get_mut(s), origin);
-            add_cost(&mut c, cost);
-            if !half {
-                intra_shard = s;
-            }
+        let routed = route_request(&self.map, u, v, |op| {
+            let s = op.shard as usize;
+            let (net, book) = (&mut nets[s], &mut per_shard[s]);
+            c += shard_step(net, obs.per_shard.get_mut(s), clock, op, book, cross);
         });
-        match routed {
-            None => {
-                report.per_shard[intra_shard].absorb(c);
-            }
-            Some((su, sv)) => {
-                let rc = router_serve(self.spine.as_mut(), self.cfg.router_hops, su, sv);
-                report.router_hops += rc.routing;
-                add_cost(&mut c, rc);
-                report.cross.absorb(c);
-            }
+        if let Some(pair) = routed {
+            let spine = self.spine.as_mut();
+            c += book_router(spine, self.cfg.router_hops, pair, cross, router_hops);
         }
         c
-    }
-
-    /// Replays a request slice on the calling thread into an existing
-    /// report (the per-epoch unit of the resharding loop).
-    fn run_slice_seq(&mut self, requests: &[(NodeKey, NodeKey)], report: &mut EngineReport) {
-        for &(u, v) in requests {
-            self.serve_one(u, v, report);
-        }
-    }
-
-    /// Panics with a usable message when resharding is switched on for a
-    /// net type whose surgery ops were never attached.
-    fn assert_reshardable(&self) {
-        assert!(
-            self.reshard.is_some(),
-            "resharding is enabled but this engine has no reshard ops: \
-             construct via a reshardable net (e.g. ShardedEngine::ksplay) \
-             or call with_resharding()"
-        );
-    }
-
-    /// Replays the whole trace on the calling thread (epoch-chunked when
-    /// resharding is enabled).
-    pub fn run_trace_seq(&mut self, trace: &Trace) -> EngineReport {
-        assert_eq!(trace.n(), self.map.n(), "trace keyspace != engine keyspace");
-        let mut report = EngineReport::new(self.map.shards());
-        report.obs = ObsReport::with_config(self.map.shards(), self.cfg.obs, self.cfg.obs_events);
-        if self.cfg.reshard.enabled && self.map.shards() >= 2 {
-            self.assert_reshardable();
-            let epoch = self.cfg.reshard.epoch.max(1);
-            for chunk in trace.requests().chunks(epoch) {
-                self.run_slice_seq(chunk, &mut report);
-                self.reshard_boundary(chunk, &mut report);
-            }
-        } else {
-            self.run_slice_seq(trace.requests(), &mut report);
-        }
-        report
     }
 
     /// The epoch-boundary rebalance: folds the epoch's cross-shard
@@ -727,9 +731,6 @@ impl<N: Network> ShardedEngine<N> {
             return;
         };
         let shards = self.map.shards();
-        if shards < 2 {
-            return;
-        }
         for &(u, v) in chunk {
             if self.map.shard_of(u) != self.map.shard_of(v) {
                 state.demand.record(u, v);
@@ -864,83 +865,99 @@ impl<N: Network + Reshardable> ShardedEngine<N> {
 }
 
 impl<N: Network + Send> ShardedEngine<N> {
-    /// Replays the trace on a pool of `min(threads, shards)` workers with
-    /// per-worker request queues and batched dispatch, falling back to the
-    /// sequential path when one worker (or one shard) would run anyway.
-    /// Totals are bit-identical to [`ShardedEngine::run_trace_seq`] —
-    /// including under live resharding, whose epoch boundaries and
-    /// migration decisions are fixed by the trace alone.
+    /// Replays the trace into one report. With live resharding on, the
+    /// trace is served in epochs of [`ReshardConfig::epoch`] requests,
+    /// each followed by the epoch-boundary rebalance; otherwise the whole
+    /// trace is one epoch. Each epoch is served inline on the calling
+    /// thread when one worker (or one shard) would run anyway, and on
+    /// `min(threads, shards)` workers with per-worker queues and batched
+    /// dispatch otherwise. Both run the same per-shard step over the same
+    /// per-shard op order, so totals are bit-identical across thread and
+    /// batch configs — including under live resharding, whose epoch
+    /// boundaries and migration decisions are fixed by the trace alone.
     pub fn run_trace(&mut self, trace: &Trace) -> EngineReport {
-        let workers = self.cfg.threads.min(self.map.shards()).max(1);
-        if workers <= 1 {
-            return self.run_trace_seq(trace);
-        }
         assert_eq!(trace.n(), self.map.n(), "trace keyspace != engine keyspace");
-        if self.cfg.reshard.enabled && self.map.shards() >= 2 {
-            self.assert_reshardable();
-            let mut acc = EngineReport::new(self.map.shards());
-            acc.obs = ObsReport::with_config(self.map.shards(), self.cfg.obs, self.cfg.obs_events);
-            let epoch = self.cfg.reshard.epoch.max(1);
-            for chunk in trace.requests().chunks(epoch) {
-                let part = self.run_slice_threaded(chunk, workers);
-                acc.merge(&part);
-                self.reshard_boundary(chunk, &mut acc);
+        let shards = self.map.shards();
+        let mut report = EngineReport::new(shards);
+        report.obs = ObsReport::with_config(shards, self.cfg.obs, self.cfg.obs_events);
+        let resharding = self.cfg.reshard.enabled && shards >= 2;
+        assert!(
+            !resharding || self.reshard.is_some(),
+            "resharding is enabled but this engine has no reshard ops: \
+             construct via a reshardable net (e.g. ShardedEngine::ksplay) \
+             or call with_resharding()"
+        );
+        let epoch = if resharding {
+            self.cfg.reshard.epoch.max(1)
+        } else {
+            trace.len().max(1)
+        };
+        let workers = self.cfg.threads.min(shards).max(1);
+        for chunk in trace.requests().chunks(epoch) {
+            if workers == 1 {
+                for &(u, v) in chunk {
+                    self.serve_request(u, v, &mut report);
+                }
+            } else {
+                self.run_slice_threaded(chunk, workers, &mut report);
             }
-            return acc;
+            if resharding {
+                self.reshard_boundary(chunk, &mut report);
+            }
         }
-        self.run_slice_threaded(trace.requests(), workers)
+        report
     }
 
+    /// Serves one slice on `workers` scoped threads, writing into
+    /// `report`. Shard `s` — its net, its intra-shard account and its
+    /// collector — moves to worker `s % workers` for the slice and back
+    /// after it. The dispatcher walks the slice in order, routes each
+    /// request, appends the shard ops to per-worker batches (a full batch
+    /// is one channel send) and books the router itself: FIFO channels
+    /// and a single dispatcher preserve each shard's op order, and the
+    /// spine's adjustment sequence is independent of the worker layout.
     fn run_slice_threaded(
         &mut self,
         requests: &[(NodeKey, NodeKey)],
         workers: usize,
-    ) -> EngineReport {
-        let shards = self.map.shards();
+        report: &mut EngineReport,
+    ) {
         let batch = self.cfg.batch.max(1);
-        let router_hops = self.cfg.router_hops;
-        let obs_mode = self.cfg.obs;
-        let obs_events = self.cfg.obs_events;
-        let origin = self.origin;
+        let (clock, star_hops) = (self.clock, self.cfg.router_hops);
+        if report.obs.mode != ObsMode::Off {
+            let shards = self.map.shards();
+            for w in report.obs.workers.len()..workers {
+                let tracer = Tracer::with_capacity((shards + 1 + w) as u32, self.cfg.obs_events);
+                report.obs.workers.push(tracer);
+            }
+        }
+        let mut tracers = std::mem::take(&mut report.obs.workers).into_iter();
+        let lanes: Vec<Lane<N>> = deal(std::mem::take(&mut self.nets), workers)
+            .into_iter()
+            .zip(deal(report.per_shard.clone(), workers))
+            .zip(deal(std::mem::take(&mut report.obs.per_shard), workers))
+            .enumerate()
+            .map(|(id, ((nets, books), cols))| Lane {
+                id,
+                nets,
+                books,
+                cols,
+                cross: Metrics::default(),
+                tracer: tracers.next(),
+            })
+            .collect();
         let map = &self.map;
         let spine = &mut self.spine;
 
-        // Move each shard's net into its worker's slot (shard s → worker
-        // s % workers, ascending, so a worker finds shard s at local
-        // index s / workers).
-        let mut parked: Vec<Option<N>> = std::mem::take(&mut self.nets)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut worker_nets: Vec<Vec<N>> = (0..workers).map(|_| Vec::new()).collect();
-        for (s, slot) in parked.iter_mut().enumerate() {
-            // ksan-allow: panic-surface each shard slot is taken exactly once by this distribution loop
-            worker_nets[s % workers].push(slot.take().expect("net moved twice"));
-        }
-
-        let mut report = EngineReport::new(shards);
-        report.obs = ObsReport::with_config(shards, obs_mode, obs_events);
-        let mut cross_requests = 0u64;
-        let mut cross_half = ServeCost::default();
-        let mut router_total = ServeCost::default();
-
-        std::thread::scope(|scope| {
+        let (nets, books, cols) = std::thread::scope(|scope| {
             let mut senders = Vec::with_capacity(workers);
             let mut handles = Vec::with_capacity(workers);
-            for (w, nets) in worker_nets.into_iter().enumerate() {
+            for lane in lanes {
                 let (tx, rx) = mpsc::sync_channel::<Vec<Op>>(QUEUE_DEPTH);
                 senders.push(tx);
-                handles.push(scope.spawn(move || {
-                    worker_loop(nets, rx, workers, w, shards, obs_mode, obs_events, origin)
-                }));
+                handles.push(scope.spawn(move || worker_loop(lane, rx, workers, clock)));
             }
 
-            // Dispatch: walk the trace in order, route each request
-            // through the shard map, append to per-worker batches, send a
-            // batch whenever it fills. FIFO channels + a single
-            // dispatcher preserve each shard's operation order; the
-            // router spine is served here, on the dispatcher, so its
-            // adjustment sequence is independent of the worker layout.
             let mut buffers: Vec<Vec<Op>> =
                 (0..workers).map(|_| Vec::with_capacity(batch)).collect();
             let push = |buffers: &mut Vec<Vec<Op>>, obs: &mut ObsReport, op: Op| {
@@ -948,36 +965,22 @@ impl<N: Network + Send> ShardedEngine<N> {
                 buffers[w].push(op);
                 if buffers[w].len() == batch {
                     let buffered: usize = buffers.iter().map(Vec::len).sum();
-                    record_handoff(obs, w, batch, buffered, origin);
+                    record_handoff(obs, w, batch, buffered, clock);
                     let full = std::mem::replace(&mut buffers[w], Vec::with_capacity(batch));
                     // ksan-allow: panic-surface a closed queue means the scoped worker panicked; propagating is correct
                     senders[w].send(full).expect("engine worker hung up");
                 }
             };
             for &(u, v) in requests {
-                let routed = route_request(map, u, v, |s, a, b, half| {
-                    push(
-                        &mut buffers,
-                        &mut report.obs,
-                        Op {
-                            shard: s as u32,
-                            a,
-                            b,
-                            half,
-                        },
-                    );
-                });
-                if let Some((su, sv)) = routed {
-                    cross_requests += 1;
-                    add_cost(
-                        &mut router_total,
-                        router_serve(spine.as_mut(), router_hops, su, sv),
-                    );
+                let routed = route_request(map, u, v, |op| push(&mut buffers, &mut report.obs, op));
+                if let Some(pair) = routed {
+                    let (cross, hops) = (&mut report.cross, &mut report.router_hops);
+                    book_router(spine.as_mut(), star_hops, pair, cross, hops);
                 }
             }
             for (w, buf) in buffers.iter_mut().enumerate() {
                 if !buf.is_empty() {
-                    record_handoff(&mut report.obs, w, buf.len(), buf.len(), origin);
+                    record_handoff(&mut report.obs, w, buf.len(), buf.len(), clock);
                     let tail = std::mem::take(buf);
                     // ksan-allow: panic-surface a closed queue means the scoped worker panicked; propagating is correct
                     senders[w].send(tail).expect("engine worker hung up");
@@ -985,114 +988,77 @@ impl<N: Network + Send> ShardedEngine<N> {
             }
             drop(senders); // close the queues: workers drain and return
 
-            for (w, handle) in handles.into_iter().enumerate() {
+            let (mut nets, mut books, mut cols) = (Vec::new(), Vec::new(), Vec::new());
+            for handle in handles {
                 // ksan-allow: panic-surface join fails only if the worker panicked; re-panicking propagates it
-                let (results, shard_obs, tracer) = handle.join().expect("engine worker panicked");
-                for (i, (net, intra, half)) in results.into_iter().enumerate() {
-                    let s = i * workers + w; // inverse of the s % workers layout
-                    parked[s] = Some(net);
-                    report.per_shard[s] = intra;
-                    add_cost(&mut cross_half, half);
-                }
-                for (i, so) in shard_obs.into_iter().enumerate() {
-                    let s = i * workers + w;
-                    report.obs.per_shard[s] = so;
-                }
-                if obs_mode != ObsMode::Off {
-                    report.obs.workers.push(tracer);
-                }
+                let lane = handle.join().expect("engine worker panicked");
+                nets.push(lane.nets);
+                books.push(lane.books);
+                cols.push(lane.cols);
+                report.cross.merge(&lane.cross);
+                report.obs.workers.extend(lane.tracer);
             }
+            (nets, books, cols)
         });
-
-        self.nets = parked
-            .into_iter()
-            // ksan-allow: panic-surface every worker that joined cleanly has repopulated its slots
-            .map(|slot| slot.expect("worker failed to return a shard net"))
-            .collect();
-
-        // Assemble the cross-shard account: half-serve sums from the
-        // workers, whole-request count and router charges from the
-        // dispatcher. Field-wise associativity makes this equal to the
-        // sequential path's per-request absorbs.
-        report.cross = Metrics {
-            requests: cross_requests,
-            routing: cross_half.routing + router_total.routing,
-            rotations: cross_half.rotations + router_total.rotations,
-            links_changed: cross_half.links_changed + router_total.links_changed,
-            rebuild_patches: cross_half.rebuild_patches + router_total.rebuild_patches,
-            rebuild_patched_nodes: cross_half.rebuild_nodes + router_total.rebuild_nodes,
-        };
-        report.router_hops = router_total.routing;
-        report
+        self.nets = interleave(nets);
+        report.per_shard = interleave(books);
+        report.obs.per_shard = interleave(cols);
     }
 }
 
-/// Drains one worker's queue: serves every op on the owned shard nets,
-/// accumulating intra-shard metrics per shard and a single cross-shard
-/// half-serve sum, then returns the nets (in local order) with their
-/// tallies, per-shard observability state, and the worker's own batch
-/// timeline. Observation happens inside the worker against the shard's
-/// FIFO op stream — the same stream the sequential path sees — which is
-/// what makes the deterministic histogram surfaces bit-identical to
-/// [`ShardedEngine::run_trace_seq`].
-#[allow(clippy::too_many_arguments)]
+/// Everything one worker owns while it drains its queue: the shards
+/// `s ≡ id (mod workers)` in ascending order — their nets, intra-shard
+/// accounts and collectors (no collectors when observability is off) —
+/// plus its share of the cross-shard half-serve cost and its batch
+/// timeline.
+struct Lane<N> {
+    id: usize,
+    nets: Vec<N>,
+    books: Vec<Metrics>,
+    cols: Vec<ObsCollector>,
+    cross: Metrics,
+    tracer: Option<Tracer>,
+}
+
+/// Drains one worker's queue through [`shard_step`] — the per-shard step
+/// the inline path runs, fed the same per-shard op order — and hands the
+/// lane back once the dispatcher closes the queue. Allocation-free.
 fn worker_loop<N: Network>(
-    mut nets: Vec<N>,
+    mut lane: Lane<N>,
     rx: mpsc::Receiver<Vec<Op>>,
     workers: usize,
-    w: usize,
-    shards: usize,
-    mode: ObsMode,
-    events: usize,
-    origin: Stopwatch,
-) -> (Vec<(N, Metrics, ServeCost)>, Vec<ShardObs>, Tracer) {
-    // ksan-allow: no-alloc per-run tally setup, once per worker thread before any request is served
-    let mut intra = vec![Metrics::default(); nets.len()];
-    // ksan-allow: no-alloc per-run tally setup, once per worker thread before any request is served
-    let mut half = vec![ServeCost::default(); nets.len()];
-    let mut obs: Vec<ShardObs> = Vec::new();
-    // ksan-allow: no-alloc zero-capacity placeholder ring; Vec::with_capacity(0) does not allocate
-    let mut tracer = Tracer::with_capacity(0, 0);
-    if mode != ObsMode::Off {
-        for i in 0..nets.len() {
-            let track = i * workers + w; // this slot's global shard id
-            let track = track as u32;
-            // ksan-allow: no-alloc per-run observability setup, once per worker thread before any request is served
-            obs.push(ShardObs::new(track, events));
-        }
-        let track = shards + 1 + w;
-        let track = track as u32;
-        // ksan-allow: no-alloc per-run observability setup, once per worker thread before any request is served
-        tracer = Tracer::with_capacity(track, events);
-    }
+    clock: Option<Stopwatch>,
+) -> Lane<N> {
     while let Ok(ops) = rx.recv() {
-        if mode != ObsMode::Off {
-            let ts = if mode == ObsMode::WallClock {
-                origin.elapsed_us()
-            } else {
-                0
-            };
-            let len = ops.len() as u64;
-            Tracer::record_timed(&mut tracer, EventKind::ShardDispatch, len, w as u64, ts, 0);
+        if let Some(tracer) = lane.tracer.as_mut() {
+            let (len, id) = (ops.len() as u64, lane.id as u64);
+            Tracer::record_timed(tracer, EventKind::ShardDispatch, len, id, stamp(clock), 0);
         }
         for op in ops {
             let i = op.shard as usize / workers;
-            let c = observed_serve(&mut nets[i], op.a, op.b, mode, obs.get_mut(i), origin);
-            if op.half {
-                add_cost(&mut half[i], c);
-            } else {
-                intra[i].absorb(c);
-            }
+            let (net, book) = (&mut lane.nets[i], &mut lane.books[i]);
+            shard_step(net, lane.cols.get_mut(i), clock, op, book, &mut lane.cross);
         }
     }
-    let out = nets
-        .into_iter()
-        .zip(intra)
-        .zip(half)
-        .map(|((n, m), h)| (n, m, h))
-        // ksan-allow: no-alloc per-run teardown, once per worker thread after the queue closes
-        .collect();
-    (out, obs, tracer)
+    lane
+}
+
+/// Deals per-shard items onto `workers` lanes: shard `s` becomes entry
+/// `s / workers` of lane `s % workers`.
+fn deal<T>(items: Vec<T>, workers: usize) -> Vec<Vec<T>> {
+    let mut lanes: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+    for (s, item) in items.into_iter().enumerate() {
+        lanes[s % workers].push(item);
+    }
+    lanes
+}
+
+/// The inverse of [`deal`]: reassembles per-lane items in shard order.
+fn interleave<T>(lanes: Vec<Vec<T>>) -> Vec<T> {
+    let workers = lanes.len();
+    let len = lanes.iter().map(Vec::len).sum();
+    let mut lanes: Vec<_> = lanes.into_iter().map(Vec::into_iter).collect();
+    (0..len).filter_map(|s| lanes[s % workers].next()).collect()
 }
 
 impl ShardedEngine<kst_core::KSplayNet> {
@@ -1212,19 +1178,48 @@ mod tests {
     #[test]
     fn report_merge_is_associative_with_chunked_runs() {
         let trace = gens::temporal(120, 4000, 0.7, 9);
-        let cfg = EngineConfig::default().with_shards(3).with_threads(1);
-        let mut whole = ShardedEngine::ksplay(2, 120, cfg.clone());
-        let full = whole.run_trace(&trace);
+        let inline = EngineConfig::default().with_shards(3).with_threads(1);
+        let threaded = inline
+            .clone()
+            .with_threads(3)
+            .with_obs(ObsMode::Deterministic);
+        for cfg in [inline, threaded] {
+            let mut whole = ShardedEngine::ksplay(2, 120, cfg.clone());
+            let full = whole.run_trace(&trace);
 
-        let mut chunked = ShardedEngine::ksplay(2, 120, cfg);
-        let reqs = trace.requests();
-        let mut acc = EngineReport::new(3);
-        for chunk in reqs.chunks(500) {
-            let sub = Trace::new(120, chunk.to_vec());
-            let part = chunked.run_trace(&sub);
-            acc.merge(&part);
+            let mut chunked = ShardedEngine::ksplay(2, 120, cfg);
+            let reqs = trace.requests();
+            let mut acc = EngineReport::new(3);
+            for chunk in reqs.chunks(500) {
+                let sub = Trace::new(120, chunk.to_vec());
+                let part = chunked.run_trace(&sub);
+                acc.merge(&part);
+            }
+            assert_eq!(acc, full);
         }
-        assert_eq!(acc, full);
+    }
+
+    fn two_shard_engine() -> ShardedEngine<KSplayNet> {
+        let cfg = EngineConfig::default().with_shards(2).with_threads(1);
+        ShardedEngine::ksplay(2, 10, cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "key 0 outside keyspace 1..=10")]
+    fn serve_one_rejects_key_zero() {
+        two_shard_engine().serve_one(0, 4, &mut EngineReport::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "key 11 outside keyspace 1..=10")]
+    fn serve_one_rejects_key_past_n() {
+        two_shard_engine().serve_one(2, 11, &mut EngineReport::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "self-request (7, 7)")]
+    fn serve_one_rejects_a_self_request() {
+        two_shard_engine().serve_one(7, 7, &mut EngineReport::new(2));
     }
 
     #[test]

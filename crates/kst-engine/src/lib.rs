@@ -22,16 +22,19 @@
 //! * for any `S`, the per-shard partials [`Metrics::merge`] to exactly the
 //!   totals standalone nets over each shard's keyspace would report for
 //!   the intra-shard traffic;
-//! * the threaded run is bit-identical to the sequential run — the single
-//!   dispatcher fixes each shard's operation order, shards never share
-//!   state, the spine is served on the dispatcher, and resharding plans
-//!   from a thread-count-independent demand ledger between epochs;
+//! * the threaded run is bit-identical to the inline run — both serve
+//!   every shard operation through the same per-shard step and book the
+//!   router through the same function, the single dispatcher fixes each
+//!   shard's operation order, shards never share state, the spine is
+//!   served on the dispatcher, and resharding plans from a
+//!   thread-count-independent demand ledger between epochs;
 //! * with the star spine and resharding off (the defaults), the engine is
 //!   bit-identical to the original fixed-router, fixed-partition engine
 //!   on every network type;
-//! * with observability on ([`EngineConfig::obs`]), the per-shard cost
-//!   and rebuild-size histograms in [`ObsReport`] are built from those
-//!   same fixed per-shard streams, so they inherit the bit-identity —
+//! * with observability on ([`EngineConfig::obs`]), each shard's
+//!   [`kst_sim::obs::ObsCollector`] in [`ObsReport`] is fed by that same
+//!   step from the same fixed per-shard stream, so its cost and
+//!   rebuild-size histograms inherit the bit-identity —
 //!   while wall-clock surfaces (rebuild pauses, batch/queue
 //!   distributions, span timestamps) are kept out of report equality.
 //!
@@ -58,7 +61,7 @@ pub mod shard;
 pub use engine::{
     EngineConfig, EngineReport, ReshardConfig, ReshardReport, ShardedEngine, SpineMode,
 };
-pub use obs::{ObsMode, ObsReport, ShardObs};
+pub use obs::{ObsMode, ObsReport};
 pub use shard::ShardMap;
 
 use kst_core::Network;

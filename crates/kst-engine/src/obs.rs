@@ -1,5 +1,13 @@
-//! Engine-level observability: per-shard cost/rebuild histograms, pause
-//! tracking, dispatcher/worker timelines, and the exporters.
+//! Engine-level observability: the per-shard collectors, the
+//! dispatcher/worker timelines, and the exporters.
+//!
+//! Each shard's observations land in one [`ObsCollector`] (cost,
+//! rebuild-size and rebuild-pause histograms plus a span ring), fed by the
+//! engine's single per-shard step on both the inline and the threaded
+//! path. The serve path never branches on [`ObsMode`]: the mode is read
+//! when the engine is built (it carries a clock only under
+//! [`ObsMode::WallClock`]) and when a report is built ("off" means the
+//! report holds no collectors).
 //!
 //! # Determinism contract
 //!
@@ -9,7 +17,7 @@
 //!   histograms. These are built purely from `ServeCost` units over each
 //!   shard's operation sequence, and the dispatcher fixes that sequence
 //!   regardless of worker/batch configuration — so they are
-//!   **bit-identical** across sequential, threaded, and any batch size
+//!   **bit-identical** across inline, threaded, and any batch size
 //!   (`tests/engine_differential.rs` asserts it). [`ObsReport`]'s
 //!   `PartialEq` compares exactly these surfaces.
 //! * **Wall-clock / topology-dependent** — rebuild pause times, batch
@@ -19,9 +27,8 @@
 //!   [`ObsMode::WallClock`], stamped from the engine's run-origin
 //!   [`Stopwatch`] (the workspace's audited clock surface).
 
-use kst_core::{Network, NodeKey, ServeCost};
 use kst_obs::json::{histogram_json, trace_events_json};
-use kst_obs::{CostHistograms, EventKind, Histogram, Stopwatch, Tracer};
+use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
 use kst_sim::obs::ObsCollector;
 
 /// What the engine records while serving.
@@ -60,84 +67,6 @@ impl ObsMode {
     }
 }
 
-/// One shard's observability state: the simulator-level collector
-/// (cost + rebuild histograms, span ring) plus the engine-level
-/// rebuild-pause histogram.
-#[derive(Debug, Clone)]
-pub struct ShardObs {
-    /// Cost and rebuild-size histograms plus the span timeline, built
-    /// from the shard's deterministic operation sequence.
-    pub col: ObsCollector,
-    /// Wall-clock duration (µs) of each serve that applied a rebuild
-    /// patch — the pause the lazy nets trade for amortized cost. Only
-    /// populated under [`ObsMode::WallClock`]; excluded from equality.
-    pub rebuild_pause_us: Histogram,
-}
-
-impl ShardObs {
-    /// Fresh state whose tracer records on `track` and keeps the last
-    /// `events` spans.
-    pub fn new(track: u32, events: usize) -> ShardObs {
-        ShardObs {
-            col: ObsCollector::new(track, events),
-            rebuild_pause_us: Histogram::new(),
-        }
-    }
-
-    /// Records one local serve on the deterministic layer.
-    /// Allocation-free.
-    // Qualified calls throughout the observe path so kst-analyze's
-    // name-based call graph resolves them exactly.
-    pub fn observe(&mut self, a: NodeKey, b: NodeKey, c: ServeCost) {
-        ObsCollector::observe(&mut self.col, a, b, c);
-    }
-
-    /// Records one local serve with wall-clock fields; a serve that
-    /// applied rebuild patches also lands in the pause histogram.
-    /// Allocation-free.
-    pub fn observe_timed(&mut self, a: NodeKey, b: NodeKey, c: ServeCost, ts_us: u64, dur_us: u64) {
-        ObsCollector::observe_timed(&mut self.col, a, b, c, ts_us, dur_us);
-        if c.rebuild_patches > 0 {
-            Histogram::record(&mut self.rebuild_pause_us, dur_us);
-        }
-    }
-
-    /// Folds another shard state in (histogram monoid; tracer append).
-    pub fn merge(&mut self, other: &ShardObs) {
-        self.col.merge(&other.col);
-        self.rebuild_pause_us.merge(&other.rebuild_pause_us);
-    }
-}
-
-/// Serves `(a, b)` on `net`, recording per the mode. The single observe
-/// point shared by the sequential path (`serve_one`) and the worker
-/// loop, so both produce the same deterministic streams. `so` is `None`
-/// when the report carries no state for this shard (mode off).
-pub(crate) fn observed_serve<N: Network>(
-    net: &mut N,
-    a: NodeKey,
-    b: NodeKey,
-    mode: ObsMode,
-    so: Option<&mut ShardObs>,
-    origin: Stopwatch,
-) -> ServeCost {
-    match (mode, so) {
-        (ObsMode::Off, _) | (_, None) => net.serve(a, b),
-        (ObsMode::Deterministic, Some(so)) => {
-            let c = net.serve(a, b);
-            ShardObs::observe(so, a, b, c);
-            c
-        }
-        (ObsMode::WallClock, Some(so)) => {
-            let ts = origin.elapsed_us();
-            let c = net.serve(a, b);
-            let dur = origin.elapsed_us().saturating_sub(ts);
-            ShardObs::observe_timed(so, a, b, c, ts, dur);
-            c
-        }
-    }
-}
-
 /// The observability half of an `EngineReport`.
 ///
 /// Equality compares **only the deterministic surfaces** (mode, and the
@@ -148,9 +77,9 @@ pub(crate) fn observed_serve<N: Network>(
 pub struct ObsReport {
     /// The mode the run recorded under.
     pub mode: ObsMode,
-    /// Per-shard state, indexed by shard id. Empty when mode is
+    /// Per-shard collectors, indexed by shard id. Empty when mode is
     /// [`ObsMode::Off`].
-    pub per_shard: Vec<ShardObs>,
+    pub per_shard: Vec<ObsCollector>,
     /// Ops per dispatched batch (threaded runs only; topology-dependent,
     /// excluded from equality).
     pub batch_sizes: Histogram,
@@ -179,9 +108,9 @@ impl PartialEq for ObsReport {
         self.mode == other.mode
             && self.per_shard.len() == other.per_shard.len()
             && self.per_shard.iter().zip(&other.per_shard).all(|(a, b)| {
-                a.col.cost == b.col.cost
-                    && a.col.rebuild_nodes == b.col.rebuild_nodes
-                    && a.col.rebuild_patches == b.col.rebuild_patches
+                a.cost == b.cost
+                    && a.rebuild_nodes == b.rebuild_nodes
+                    && a.rebuild_patches == b.rebuild_patches
             })
             && self.moved_keys == other.moved_keys
             && self.imbalance == other.imbalance
@@ -215,57 +144,26 @@ impl ObsReport {
         ObsReport {
             mode,
             per_shard: (0..shards)
-                .map(|s| ShardObs::new(s as u32, events))
+                .map(|s| ObsCollector::new(s as u32, events))
                 .collect(),
-            batch_sizes: Histogram::new(),
-            queue_depth: Histogram::new(),
             dispatcher: Tracer::with_capacity(shards as u32, events),
-            workers: Vec::new(),
-            moved_keys: Histogram::new(),
-            imbalance: Histogram::new(),
+            ..ObsReport::off()
         }
     }
 
     /// Requests observed across all shards (cross-shard requests count
     /// once per gateway half-serve, mirroring the per-shard streams).
     pub fn requests(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.col.requests()).sum()
+        self.per_shard.iter().map(ObsCollector::requests).sum()
     }
 
-    /// All shards' cost histograms merged (the distribution a sequential
-    /// observer of every local serve would build).
-    pub fn cost_total(&self) -> CostHistograms {
-        let mut acc = CostHistograms::new();
+    /// All shards' collectors merged: the cost, rebuild-size and pause
+    /// distributions a single observer of every local serve would build.
+    /// The span ring is count-only (the per-shard rings keep the events).
+    pub fn total(&self) -> ObsCollector {
+        let mut acc = ObsCollector::new(0, 0);
         for s in &self.per_shard {
-            acc.merge(&s.col.cost);
-        }
-        acc
-    }
-
-    /// All shards' nodes-per-rebuild histograms merged.
-    pub fn rebuild_nodes_total(&self) -> Histogram {
-        let mut acc = Histogram::new();
-        for s in &self.per_shard {
-            acc.merge(&s.col.rebuild_nodes);
-        }
-        acc
-    }
-
-    /// All shards' patches-per-rebuild histograms merged.
-    pub fn rebuild_patches_total(&self) -> Histogram {
-        let mut acc = Histogram::new();
-        for s in &self.per_shard {
-            acc.merge(&s.col.rebuild_patches);
-        }
-        acc
-    }
-
-    /// All shards' rebuild-pause histograms merged (wall-clock mode
-    /// only; empty otherwise).
-    pub fn rebuild_pause_total(&self) -> Histogram {
-        let mut acc = Histogram::new();
-        for s in &self.per_shard {
-            acc.merge(&s.rebuild_pause_us);
+            acc.merge(s);
         }
         acc
     }
@@ -306,7 +204,8 @@ impl ObsReport {
     /// JSON snapshot of every histogram surface (totals plus per-shard
     /// routing/pause), for `results/observability.json`.
     pub fn to_json(&self) -> String {
-        let cost = self.cost_total();
+        let total = self.total();
+        let cost = &total.cost;
         let mut out = String::from("{");
         out.push_str(&format!("\"mode\":\"{}\"", self.mode.name()));
         out.push_str(&format!(",\"requests\":{}", self.requests()));
@@ -315,9 +214,9 @@ impl ObsReport {
             ("rotations", &cost.rotations),
             ("links", &cost.links),
             ("total_unit", &cost.total_unit),
-            ("rebuild_nodes", &self.rebuild_nodes_total()),
-            ("rebuild_patches", &self.rebuild_patches_total()),
-            ("rebuild_pause_us", &self.rebuild_pause_total()),
+            ("rebuild_nodes", &total.rebuild_nodes),
+            ("rebuild_patches", &total.rebuild_patches),
+            ("rebuild_pause_us", &total.rebuild_pause_us),
             ("batch_sizes", &self.batch_sizes),
             ("queue_depth", &self.queue_depth),
             ("moved_keys", &self.moved_keys),
@@ -332,7 +231,7 @@ impl ObsReport {
             }
             out.push_str(&format!(
                 "{{\"shard\":{s},\"routing\":{},\"rebuild_pause_us\":{}}}",
-                histogram_json(&so.col.cost.routing),
+                histogram_json(&so.cost.routing),
                 histogram_json(&so.rebuild_pause_us)
             ));
         }
@@ -347,7 +246,7 @@ impl ObsReport {
         let mut tracers: Vec<&Tracer> = Vec::new();
         let mut labels: Vec<String> = Vec::new();
         for (s, so) in self.per_shard.iter().enumerate() {
-            tracers.push(&so.col.tracer);
+            tracers.push(&so.tracer);
             labels.push(format!("shard-{s}"));
         }
         tracers.push(&self.dispatcher);
@@ -361,6 +260,11 @@ impl ObsReport {
     }
 }
 
+/// Microseconds since the run origin, or 0 when no clock is read.
+pub(crate) fn stamp(clock: Option<Stopwatch>) -> u64 {
+    clock.map_or(0, |origin| origin.elapsed_us())
+}
+
 /// Records one batch handoff on the dispatcher surfaces: batch size,
 /// queue-occupancy proxy, and a `BatchHandoff` span.
 pub(crate) fn record_handoff(
@@ -368,18 +272,14 @@ pub(crate) fn record_handoff(
     worker: usize,
     batch_len: usize,
     buffered: usize,
-    origin: Stopwatch,
+    clock: Option<Stopwatch>,
 ) {
     if obs.mode == ObsMode::Off {
         return;
     }
     Histogram::record(&mut obs.batch_sizes, batch_len as u64);
     Histogram::record(&mut obs.queue_depth, buffered as u64);
-    let ts = if obs.mode == ObsMode::WallClock {
-        origin.elapsed_us()
-    } else {
-        0
-    };
+    let ts = stamp(clock);
     Tracer::record_timed(
         &mut obs.dispatcher,
         EventKind::BatchHandoff,
@@ -393,6 +293,7 @@ pub(crate) fn record_handoff(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kst_core::ServeCost;
 
     #[test]
     fn obs_mode_parses_env_spellings() {
@@ -415,7 +316,7 @@ mod tests {
         // Same deterministic stream, wildly different wall-clock fields.
         a.per_shard[0].observe_timed(1, 2, cost, 10, 5);
         b.per_shard[0].observe_timed(1, 2, cost, 99_000, 800);
-        record_handoff(&mut a, 0, 64, 64, Stopwatch::start());
+        record_handoff(&mut a, 0, 64, 64, Some(Stopwatch::start()));
         assert_eq!(a, b);
         // ... but a diverging cost stream is detected.
         b.per_shard[1].observe(3, 4, cost);
@@ -443,7 +344,7 @@ mod tests {
         b.per_shard[0].observe(1, 2, cost);
         a.merge(&b);
         assert_eq!(a.requests(), 2);
-        assert_eq!(a.cost_total().routing.sum(), 4);
+        assert_eq!(a.total().cost.routing.sum(), 4);
     }
 
     #[test]
@@ -457,7 +358,7 @@ mod tests {
             rebuild_nodes: 20,
         };
         r.per_shard[1].observe_timed(5, 6, cost, 120, 30);
-        record_handoff(&mut r, 1, 256, 300, Stopwatch::start());
+        record_handoff(&mut r, 1, 256, 300, Some(Stopwatch::start()));
         let js = r.to_json();
         assert!(js.starts_with("{\"mode\":\"wall\""));
         for key in [

@@ -2,6 +2,7 @@
 //! Section 2: total service cost = routing + reconfiguration).
 
 use kst_core::ServeCost;
+use std::ops::AddAssign;
 
 /// Accumulated costs over a request sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -21,18 +22,39 @@ pub struct Metrics {
     /// incremental rebuild machinery actually is.
     pub rebuild_patches: u64,
     /// Total nodes re-formed by those rebuilds (n per full rebuild).
-    pub rebuild_patched_nodes: u64,
+    pub rebuild_nodes: u64,
+}
+
+/// Adds a cost to the totals without counting a request — the one
+/// place `Metrics` touches the [`ServeCost`] fields. `absorb` and
+/// `merge` are a request count plus this; the engine books gateway
+/// half-serves and router charges with it directly.
+impl AddAssign<ServeCost> for Metrics {
+    fn add_assign(&mut self, c: ServeCost) {
+        self.routing += c.routing;
+        self.rotations += c.rotations;
+        self.links_changed += c.links_changed;
+        self.rebuild_patches += c.rebuild_patches;
+        self.rebuild_nodes += c.rebuild_nodes;
+    }
 }
 
 impl Metrics {
     /// Folds one request's cost in.
     pub fn absorb(&mut self, c: ServeCost) {
         self.requests += 1;
-        self.routing += c.routing;
-        self.rotations += c.rotations;
-        self.links_changed += c.links_changed;
-        self.rebuild_patches += c.rebuild_patches;
-        self.rebuild_patched_nodes += c.rebuild_nodes;
+        *self += c;
+    }
+
+    /// The accumulated cost, without the request count.
+    pub fn cost(&self) -> ServeCost {
+        ServeCost {
+            routing: self.routing,
+            rotations: self.rotations,
+            links_changed: self.links_changed,
+            rebuild_patches: self.rebuild_patches,
+            rebuild_nodes: self.rebuild_nodes,
+        }
     }
 
     /// Mean routing cost per request.
@@ -87,11 +109,7 @@ impl Metrics {
     /// property tests (`tests/metrics_prop.rs`) pin this down.
     pub fn merge(&mut self, other: &Metrics) {
         self.requests += other.requests;
-        self.routing += other.routing;
-        self.rotations += other.rotations;
-        self.links_changed += other.links_changed;
-        self.rebuild_patches += other.rebuild_patches;
-        self.rebuild_patched_nodes += other.rebuild_patched_nodes;
+        *self += other.cost();
     }
 
     /// Mean nodes re-formed per rebuild patch (0 when no patches ran) —
@@ -100,7 +118,7 @@ impl Metrics {
         if self.rebuild_patches == 0 {
             0.0
         } else {
-            self.rebuild_patched_nodes as f64 / self.rebuild_patches as f64
+            self.rebuild_nodes as f64 / self.rebuild_patches as f64
         }
     }
 }
@@ -132,7 +150,7 @@ mod tests {
         assert!((m.avg_rotations() - 1.0).abs() < 1e-12);
         assert_eq!(m.total_unit_cost(), 8);
         assert_eq!(m.rebuild_patches, 2);
-        assert_eq!(m.rebuild_patched_nodes, 30);
+        assert_eq!(m.rebuild_nodes, 30);
         assert!((m.avg_patch_size() - 15.0).abs() < 1e-12);
     }
 
@@ -144,13 +162,13 @@ mod tests {
             rotations: 3,
             links_changed: 4,
             rebuild_patches: 5,
-            rebuild_patched_nodes: 6,
+            rebuild_nodes: 6,
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.requests, 2);
         assert_eq!(a.links_changed, 8);
         assert_eq!(a.rebuild_patches, 10);
-        assert_eq!(a.rebuild_patched_nodes, 12);
+        assert_eq!(a.rebuild_nodes, 12);
     }
 }

@@ -274,7 +274,7 @@ fn observed_cost_histograms_are_bit_identical_across_configs() {
             .with_obs_events(256)
     };
     let reference = ShardedEngine::ksplay(3, n, obs_cfg(1, 1024)).run_trace(&trace);
-    let cost = reference.obs.cost_total();
+    let cost = reference.obs.total().cost;
     assert!(reference.obs.requests() > 0);
     assert!(cost.rotations.count() > 0, "splaying must rotate");
     assert!(cost.routing.p999() >= cost.routing.p99());
@@ -285,7 +285,7 @@ fn observed_cost_histograms_are_bit_identical_across_configs() {
         // observability surfaces (ObsReport's PartialEq).
         assert_eq!(got, reference, "threads={threads} batch={batch}");
         assert_eq!(
-            got.obs.cost_total(),
+            got.obs.total().cost,
             cost,
             "merged histograms diverged (threads={threads} batch={batch})"
         );
@@ -300,8 +300,8 @@ fn observed_cost_histograms_are_bit_identical_across_configs() {
     };
     let (a, b) = (wall(1), wall(4));
     assert_eq!(a.obs, b.obs, "wall-clock noise leaked into obs equality");
-    assert_eq!(a.obs.cost_total(), cost);
-    assert_eq!(b.obs.cost_total(), cost);
+    assert_eq!(a.obs.total().cost, cost);
+    assert_eq!(b.obs.total().cost, cost);
 }
 
 #[test]
@@ -322,13 +322,10 @@ fn one_shard_observed_engine_matches_run_observed() {
     let mut obs = ObsCollector::new(0, 128);
     let m = run_observed(&mut net, &trace, &mut obs);
     assert_eq!(report.per_shard[0], m);
-    assert_eq!(report.obs.per_shard[0].col.cost, obs.cost);
-    assert_eq!(report.obs.per_shard[0].col.rebuild_nodes, obs.rebuild_nodes);
-    assert_eq!(
-        report.obs.per_shard[0].col.rebuild_patches,
-        obs.rebuild_patches
-    );
-    assert_eq!(report.obs.cost_total(), obs.cost);
+    assert_eq!(report.obs.per_shard[0].cost, obs.cost);
+    assert_eq!(report.obs.per_shard[0].rebuild_nodes, obs.rebuild_nodes);
+    assert_eq!(report.obs.per_shard[0].rebuild_patches, obs.rebuild_patches);
+    assert_eq!(report.obs.total().cost, obs.cost);
 }
 
 #[test]
@@ -352,16 +349,16 @@ fn lazy_engine_rebuild_histograms_survive_threading() {
     let par = lazy(4);
     assert_eq!(seq, par);
     assert!(
-        seq.obs.rebuild_patches_total().count() > 0,
+        seq.obs.total().rebuild_patches.count() > 0,
         "workload must trigger patching rebuilds"
     );
-    assert_eq!(seq.obs.rebuild_nodes_total(), par.obs.rebuild_nodes_total());
+    assert_eq!(seq.obs.total().rebuild_nodes, par.obs.total().rebuild_nodes);
     assert_eq!(
-        seq.obs.rebuild_patches_total(),
-        par.obs.rebuild_patches_total()
+        seq.obs.total().rebuild_patches,
+        par.obs.total().rebuild_patches
     );
     // Deterministic mode never touches a clock: no pause samples.
-    assert!(seq.obs.rebuild_pause_total().is_empty());
+    assert!(seq.obs.total().rebuild_pause_us.is_empty());
 }
 
 #[test]

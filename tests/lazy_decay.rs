@@ -84,10 +84,10 @@ fn incremental_plans_cut_patched_nodes_on_phase_shift() {
     let mi = run(&mut incr, &trace);
     assert!(incr.rebuilds() >= 20, "vacuous run");
     assert!(
-        mi.rebuild_patched_nodes < mf.rebuild_patched_nodes / 2,
+        mi.rebuild_nodes < mf.rebuild_nodes / 2,
         "incremental plans re-formed {} nodes vs {} for full rebuilds — not local",
-        mi.rebuild_patched_nodes,
-        mf.rebuild_patched_nodes
+        mi.rebuild_nodes,
+        mf.rebuild_nodes
     );
     // Locality must not cost much total quality: allow ≤ 15% overhead vs
     // the full-rebuild policy on this workload (measured: comparable).
@@ -101,7 +101,7 @@ fn incremental_plans_cut_patched_nodes_on_phase_shift() {
     // per-serve ServeCost stream exactly (full = one patch of n per
     // rebuild).
     assert_eq!(mf.rebuild_patches, full.rebuilds());
-    assert_eq!(mf.rebuild_patched_nodes, full.rebuilds() * N as u64);
+    assert_eq!(mf.rebuild_nodes, full.rebuilds() * N as u64);
     assert_eq!(mi.rebuild_patches, incr.patches_applied());
-    assert_eq!(mi.rebuild_patched_nodes, incr.nodes_patched());
+    assert_eq!(mi.rebuild_nodes, incr.nodes_patched());
 }

@@ -1,7 +1,8 @@
 //! Property tests for the metrics algebra behind sharded serving:
 //! `Metrics::merge` must be a commutative monoid (associative,
-//! commutative, `Metrics::default()` identity), and folding per-request
-//! singletons through `merge` must equal the sequential `absorb` fold —
+//! commutative, `Metrics::default()` identity), folding per-request
+//! singletons through `merge` must equal the sequential `absorb` fold,
+//! and both must agree with the `ServeCost` monoid they are built on —
 //! that algebra is what lets per-shard partials reduce to unsharded
 //! totals in any grouping.
 
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 type Fields = (u64, u64, u64, u64, u64, u64);
 
 fn metrics(
-    (requests, routing, rotations, links_changed, rebuild_patches, rebuild_patched_nodes): Fields,
+    (requests, routing, rotations, links_changed, rebuild_patches, rebuild_nodes): Fields,
 ) -> Metrics {
     Metrics {
         requests,
@@ -19,7 +20,7 @@ fn metrics(
         rotations,
         links_changed,
         rebuild_patches,
-        rebuild_patched_nodes,
+        rebuild_nodes,
     }
 }
 
@@ -27,6 +28,30 @@ fn merged(a: &Metrics, b: &Metrics) -> Metrics {
     let mut m = *a;
     m.merge(b);
     m
+}
+
+type CostFields = (u64, u64, u64, u64, u64);
+
+/// Up to 40 per-request costs, each field capped so their sum cannot
+/// overflow u64.
+fn arb_costs() -> impl Strategy<Value = Vec<CostFields>> {
+    let f = 0u64..1 << 30;
+    proptest::collection::vec((f.clone(), f.clone(), f.clone(), f.clone(), f), 0..40)
+}
+
+fn serve_costs(fields: Vec<CostFields>) -> Vec<ServeCost> {
+    fields
+        .into_iter()
+        .map(
+            |(routing, rotations, links_changed, rebuild_patches, rebuild_nodes)| ServeCost {
+                routing,
+                rotations,
+                links_changed,
+                rebuild_patches,
+                rebuild_nodes,
+            },
+        )
+        .collect()
 }
 
 /// Field values capped so chains of merges can never overflow u64.
@@ -61,23 +86,30 @@ proptest! {
     }
 
     #[test]
-    fn merging_singletons_equals_sequential_absorb(
-        costs in proptest::collection::vec(
-            (0u64..1 << 30, 0u64..1 << 30, 0u64..1 << 30, 0u64..1 << 30, 0u64..1 << 30), 0..40
-        ),
-    ) {
-        let costs: Vec<ServeCost> = costs
-            .into_iter()
-            .map(
-                |(routing, rotations, links_changed, rebuild_patches, rebuild_nodes)| ServeCost {
-                    routing,
-                    rotations,
-                    links_changed,
-                    rebuild_patches,
-                    rebuild_nodes,
-                },
-            )
-            .collect();
+    fn serve_cost_sum_equals_sequential_add_assign(costs in arb_costs()) {
+        let costs = serve_costs(costs);
+        let mut sequential = ServeCost::default();
+        for &c in &costs {
+            sequential += c;
+        }
+        prop_assert_eq!(costs.iter().copied().sum::<ServeCost>(), sequential);
+        prop_assert_eq!(costs.iter().rev().copied().sum::<ServeCost>(), sequential);
+    }
+
+    #[test]
+    fn absorb_fold_is_a_request_count_plus_the_summed_cost(costs in arb_costs()) {
+        let costs = serve_costs(costs);
+        let mut m = Metrics::default();
+        for &c in &costs {
+            m.absorb(c);
+        }
+        prop_assert_eq!(m.requests, costs.len() as u64);
+        prop_assert_eq!(m.cost(), costs.iter().copied().sum::<ServeCost>());
+    }
+
+    #[test]
+    fn merging_singletons_equals_sequential_absorb(costs in arb_costs()) {
+        let costs = serve_costs(costs);
         // Sequential accumulation, as the unsharded runner does it.
         let mut sequential = Metrics::default();
         for &c in &costs {
