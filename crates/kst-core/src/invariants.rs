@@ -10,9 +10,9 @@
 //! 3. search property: a node's key image and all its elements lie strictly
 //!    inside its (exact) enclosing gap; the subtree in slot `j` lies
 //!    strictly between elements `j-1` and `j`.
-//! 4. stored `(lo, hi)` bounds contain the node's exact enclosing gap.
-//! 5. the global element multiset has `n (k - 1)` values (conservation is
+//! 4. the global element multiset has `n (k - 1)` values (conservation is
 //!    asserted by callers comparing snapshots across operations).
+//! 5. an armed depth cache is exact for every node.
 
 use crate::key::{image_key, key_image, NodeIdx, RoutingKey, NIL};
 use crate::tree::KstTree;
@@ -85,13 +85,6 @@ pub fn validate(t: &KstTree) -> Result<(), String> {
         if img <= lo || img >= hi {
             return Err(format!("key {} image outside its gap ({lo}, {hi})", v + 1));
         }
-        let (slo, shi) = t.bounds(v);
-        if slo > lo || shi < hi {
-            return Err(format!(
-                "key {}: stored bounds ({slo}, {shi}) narrower than exact gap ({lo}, {hi})",
-                v + 1
-            ));
-        }
         let cs = t.children(v);
         if cs.len() != k {
             return Err(format!("key {}: wrong slot count", v + 1));
@@ -111,7 +104,7 @@ pub fn validate(t: &KstTree) -> Result<(), String> {
     if t.element_multiset().len() != n * (k - 1) {
         return Err("element multiset size mismatch".into());
     }
-    // 6. armed depth cache is exact for every node (disarmed is vacuous).
+    // 5. armed depth cache is exact for every node (disarmed is vacuous).
     if t.depth_cache_armed() {
         for v in t.nodes() {
             let cached = t.depth(v);
@@ -127,28 +120,6 @@ pub fn validate(t: &KstTree) -> Result<(), String> {
     Ok(())
 }
 
-/// Computes the exact enclosing gap of every node (for tests that compare
-/// stored bounds against exact ones).
-pub fn exact_gaps(t: &KstTree) -> Vec<(RoutingKey, RoutingKey)> {
-    let n = t.n();
-    let k = t.k();
-    let mut gaps = vec![(0, RoutingKey::MAX); n];
-    let mut stack: Vec<(NodeIdx, RoutingKey, RoutingKey)> = vec![(t.root(), 0, RoutingKey::MAX)];
-    while let Some((v, lo, hi)) = stack.pop() {
-        gaps[v as usize] = (lo, hi);
-        let es = t.elems(v);
-        for (j, &c) in t.children(v).iter().enumerate() {
-            if c == NIL {
-                continue;
-            }
-            let glo = if j == 0 { lo } else { es[j - 1] };
-            let ghi = if j == k - 1 { hi } else { es[j] };
-            stack.push((c, glo, ghi));
-        }
-    }
-    gaps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,20 +129,6 @@ mod tests {
         for k in 2..=8 {
             for n in [1usize, 4, 23, 100] {
                 validate(&KstTree::balanced(k, n)).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn exact_gaps_nest() {
-        let t = KstTree::balanced(3, 50);
-        let gaps = exact_gaps(&t);
-        for v in t.nodes() {
-            let p = t.parent(v);
-            if p != NIL {
-                let (lo, hi) = gaps[v as usize];
-                let (plo, phi) = gaps[p as usize];
-                assert!(plo <= lo && hi <= phi);
             }
         }
     }

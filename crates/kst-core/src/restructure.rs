@@ -94,9 +94,9 @@ impl KstTree {
     ///   consumed link, and the anchor link, is one removal plus one
     ///   addition;
     /// * **prefetch once the tree outgrows cache** — past a fixed arena
-    ///   size, the merge hints the parent and bound lines of every subtree
-    ///   root it is about to re-attach (and `splay_until` hints the rows
-    ///   of the whole path up front); smaller trees skip the hints.
+    ///   size, the merge hints the parent line of every subtree root it is
+    ///   about to re-attach (and `splay_until` hints the rows of the whole
+    ///   path up front); smaller trees skip the hints.
     pub fn restructure(&mut self, path: &[NodeIdx], policy: WindowPolicy) -> RestructureStats {
         match self.k() {
             2 => self.restructure_k::<2>(path, policy),
@@ -138,14 +138,11 @@ impl KstTree {
         } else {
             self.slot_of(anchor, top)
         };
-        let (frag_lo, frag_hi) = self.bounds(top);
         let prefetch = self.prefetch_rows();
         let KstTree {
             parent,
             elems,
             children,
-            lo,
-            hi,
             scratch_elems: m_elems,
             scratch_slots: m_slots,
             scratch_pos: pos,
@@ -189,13 +186,10 @@ impl KstTree {
         debug_assert!(m_elems[..m].windows(2).all(|w| w[0] < w[1]));
 
         if prefetch {
-            // Every merged subtree root gets its parent and bounds
-            // rewritten below: start those lines moving now.
+            // Every merged subtree root gets its parent rewritten below:
+            // start those lines moving now.
             for &c in &m_slots[..=m] {
-                let ci = c as usize;
-                prefetch_read(parent, ci);
-                prefetch_read(lo, ci);
-                prefetch_read(hi, ci);
+                prefetch_read(parent, c as usize);
             }
         }
 
@@ -230,28 +224,18 @@ impl KstTree {
                     choose_window(policy, a_min, a_max, gap, km1, &gaps[i + 1..d])
                 }
             };
-            let nlo = if a == 0 { frag_lo } else { m_elems[a - 1] };
-            let nhi = if a + km1 == m {
-                frag_hi
-            } else {
-                m_elems[a + km1]
-            };
             let win_e = &m_elems[a..a + km1];
             let win_s = &m_slots[a..a + k];
             let (eb, cb) = (node as usize * km1, node as usize * k);
             elems[eb..eb + km1].copy_from_slice(win_e);
             children[cb..cb + k].copy_from_slice(win_s);
-            lo[node as usize] = nlo;
-            hi[node as usize] = nhi;
-            for (j, &c) in win_s.iter().enumerate() {
+            for &c in win_s {
                 if c == NIL {
                     continue;
                 }
                 let ci = c as usize;
                 changed += u64::from(c != prev && parent[ci] != node);
                 parent[ci] = node;
-                lo[ci] = if j == 0 { nlo } else { win_e[j - 1] };
-                hi[ci] = if j == km1 { nhi } else { win_e[j] };
             }
             if last {
                 break;

@@ -5,7 +5,12 @@
 //! Forwarding rules at node `w` for a packet addressed to key `t`:
 //!
 //! 1. `t == key(w)` — deliver.
-//! 2. `t` outside `w`'s stored interval — forward to the parent.
+//! 2. `t` outside `w`'s interval — forward to the parent. The interval is
+//!    not stored: it is the slot gap of `w`'s parent link in the parent's
+//!    routing array (`(0, MAX)` at the root). The router keeps the
+//!    intervals of the root → `w` path on a stack, seeded once by a search
+//!    from the root to the source, pushing the child's gap on a down hop and
+//!    popping on an up hop, so deriving them costs O(depth + hops) in total.
 //! 3. otherwise `t` falls into exactly one slot gap `j` of `w`'s routing
 //!    array: forward to child `j`, **unless** the packet just arrived from
 //!    child `j` or the slot is empty, in which case forward to the parent.
@@ -22,7 +27,7 @@
 //! distance, matching the paper; this module exists to demonstrate and
 //! measure local routability.
 
-use crate::key::{key_image, NodeIdx, NodeKey, NIL};
+use crate::key::{key_image, NodeIdx, NodeKey, RoutingKey, NIL};
 use crate::tree::KstTree;
 
 /// Outcome of routing one packet.
@@ -56,24 +61,42 @@ pub fn route(t: &KstTree, src: NodeKey, dst: NodeKey) -> Result<RouteTrace, Rout
     let mut cur = t.node_of(src);
     let mut came_from: NodeIdx = NIL; // previous hop (child or parent)
     let mut hops = vec![cur];
+    // Intervals of the root → `cur` path, `cur`'s on top (rule 2), seeded
+    // by searching the source's key down from the root: the search
+    // property puts it in the slot of the next ancestor at every level.
+    let src_img = key_image(src);
+    let mut intervals = vec![(0, RoutingKey::MAX)];
+    let mut w = t.root();
+    while w != cur {
+        let j = t.elems(w).partition_point(|&e| e < src_img);
+        intervals.push(slot_gap(t, w, j, intervals[intervals.len() - 1]));
+        w = t.children(w)[j];
+        if w == NIL {
+            return Err(RoutingLoop); // search property violated
+        }
+    }
     let budget = 4 * t.n() as u64 + 16;
     for _ in 0..budget {
         if t.key_of(cur) == dst {
             return Ok(RouteTrace { hops });
         }
-        let (lo, hi) = t.bounds(cur);
+        let Some(&(lo, hi)) = intervals.last() else {
+            break; // fell off the root: an invariant violation
+        };
         let next = if target <= lo || target >= hi {
             // Rule 2: not under me.
+            intervals.pop();
             t.parent(cur)
         } else {
             // Rule 3: find the slot gap containing the target.
-            let es = t.elems(cur);
-            let j = es.partition_point(|&e| e < target);
+            let j = t.elems(cur).partition_point(|&e| e < target);
             debug_assert!(j < k);
             let child = t.children(cur)[j];
             if child == NIL || child == came_from {
+                intervals.pop();
                 t.parent(cur)
             } else {
+                intervals.push(slot_gap(t, cur, j, (lo, hi)));
                 child
             }
         };
@@ -83,6 +106,20 @@ pub fn route(t: &KstTree, src: NodeKey, dst: NodeKey) -> Result<RouteTrace, Rout
         hops.push(cur);
     }
     Err(RoutingLoop)
+}
+
+/// Interval of the child in slot `j` of `v`, whose own interval is
+/// `(lo, hi)`.
+fn slot_gap(
+    t: &KstTree,
+    v: NodeIdx,
+    j: usize,
+    (lo, hi): (RoutingKey, RoutingKey),
+) -> (RoutingKey, RoutingKey) {
+    let es = t.elems(v);
+    let glo = if j == 0 { lo } else { es[j - 1] };
+    let ghi = if j == es.len() { hi } else { es[j] };
+    (glo, ghi)
 }
 
 /// Convenience: greedy route length, panicking on loops (for tests/benches).

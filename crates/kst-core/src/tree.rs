@@ -8,12 +8,12 @@
 //!   elements ([`RoutingKey`]s, never key images);
 //! * `k` child slots, slot `j` holding a subtree whose keys embed strictly
 //!   between elements `j-1` and `j` (with the node's interval bounds at the
-//!   extremes);
-//! * its interval bounds `(lo, hi)` — the local knowledge a network node
-//!   needs for greedy routing (see `routing` module). The stored interval
-//!   always contains every key in the node's subtree; it is exact for nodes
-//!   touched by a rotation and may be a (safe) superset for nodes whose
-//!   enclosing gap widened.
+//!   extremes).
+//!
+//! A node's interval is not stored: it is the slot gap of its parent link
+//! in the parent's routing array (`(0, MAX)` at the root), so it is implied
+//! by the parent's elements and the slot the node hangs from. Greedy
+//! routing (see `routing` module) derives it along the path it walks.
 //!
 //! # Arena layout invariants
 //!
@@ -25,8 +25,7 @@
 //! * `elems[v * (k-1) .. (v+1) * (k-1)]` — the node's `k - 1` strictly
 //!   increasing routing elements (stride `k - 1`);
 //! * `children[v * k .. (v+1) * k]` — the node's `k` child slots (stride
-//!   `k`, `NIL` = empty slot);
-//! * `lo[v]` / `hi[v]` — stored interval bounds (stride 1).
+//!   `k`, `NIL` = empty slot).
 //!
 //! Strides are fixed at construction; node `v`'s state is always located by
 //! multiplication, never by pointer chasing, and rotations only ever
@@ -56,7 +55,7 @@
 use crate::key::{idx_to_key, key_image, key_to_idx, NodeIdx, NodeKey, RoutingKey, NIL};
 use crate::shape::ShapeTree;
 
-/// Node-arena size (parents, routing elements, child slots, bounds) from
+/// Node-arena size (parents, routing elements, child slots) from
 /// which rotations prefetch the rows they are about to touch. Smaller
 /// trees stay cache-resident, where the hints only cost instructions
 /// (measured with k = 2: 26% faster k-splay serves at 2¹⁸ nodes, 11%
@@ -69,17 +68,13 @@ pub struct KstTree {
     k: usize,
     n: usize,
     root: NodeIdx,
-    // The five node arenas are crate-visible so the restructure kernel can
+    // The three node arenas are crate-visible so the restructure kernel can
     // borrow them disjointly from the scratch arenas.
     pub(crate) parent: Vec<NodeIdx>,
     /// Flat `n × (k-1)` strictly-increasing routing elements.
     pub(crate) elems: Vec<RoutingKey>,
     /// Flat `n × k` child slots (`NIL` = empty).
     pub(crate) children: Vec<NodeIdx>,
-    /// Exclusive interval bounds per node; always a superset of the node's
-    /// subtree key images.
-    pub(crate) lo: Vec<RoutingKey>,
-    pub(crate) hi: Vec<RoutingKey>,
     /// Depth cache (root = 0), `u32` to keep the 10⁸-node footprint at
     /// 4 B/node. **Armed or disarmed as a whole**: when non-empty it holds
     /// the exact depth of *every* node and `distance_lca` skips its two
@@ -166,8 +161,6 @@ impl KstTree {
             parent: vec![NIL; n],
             elems: vec![0; n * (k - 1)],
             children: vec![NIL; n * k],
-            lo: vec![0; n],
-            hi: vec![0; n],
             depth: vec![0; n],
             scratch_elems: Vec::new(),
             scratch_slots: Vec::new(),
@@ -269,8 +262,6 @@ impl KstTree {
             vec![(shape.root, glo, ghi, base_depth)];
         while let Some((v, lo, hi, d)) = stack.pop() {
             let vi = key_to_idx(keys[v as usize]) as usize;
-            self.lo[vi] = lo;
-            self.hi[vi] = hi;
             if armed {
                 self.depth[vi] = d;
             }
@@ -585,10 +576,10 @@ impl KstTree {
     /// detached and the arena compacted. On a `Low` extraction the
     /// remaining keys are renumbered down by `hi` (key `κ` lives at index
     /// `κ − 1` forever, so renumbering is an arena shift) and every
-    /// routing element / stored bound is translated with it; remaining
-    /// elements *below* the first surviving key image — leading empty-slot
-    /// elements left behind by past rotations — are order-preservingly
-    /// compressed into `1, 2, …` so no transform can underflow.
+    /// routing element is translated with it; remaining elements *below*
+    /// the first surviving key image — leading empty-slot elements left
+    /// behind by past rotations — are order-preservingly compressed into
+    /// `1, 2, …` so no transform can underflow.
     ///
     /// The returned [`PatchStats`] counts the connector patch plus the
     /// detached anchor link; the fragment's internal links are charged by
@@ -741,8 +732,6 @@ impl KstTree {
             self.parent.truncate(new_n);
             self.elems.truncate(new_n * km1);
             self.children.truncate(new_n * k);
-            self.lo.truncate(new_n);
-            self.hi.truncate(new_n);
             self.depth.truncate(new_n);
         } else {
             // Low run: renumber keys down by f = hi. Remaining elements
@@ -778,19 +767,6 @@ impl KstTree {
                     let e = self.elems[(i + f) * km1 + j];
                     self.elems[i * km1 + j] = if e >= next_img { e - img_f } else { e };
                 }
-                // Stored bounds stay safe supersets: lo shrinks to 0 when
-                // it referenced the compressed region, hi widens to the
-                // first surviving image.
-                let slo = self.lo[i + f];
-                self.lo[i] = if slo >= next_img { slo - img_f } else { 0 };
-                let shi = self.hi[i + f];
-                self.hi[i] = if shi == RoutingKey::MAX {
-                    RoutingKey::MAX
-                } else if shi >= next_img {
-                    shi - img_f
-                } else {
-                    key_image(1)
-                };
             }
             // Renumbering is a pure index shift: survivor depths are
             // unchanged (no-op on a disarmed = empty cache).
@@ -800,8 +776,6 @@ impl KstTree {
             self.parent.truncate(new_n);
             self.elems.truncate(new_n * km1);
             self.children.truncate(new_n * k);
-            self.lo.truncate(new_n);
-            self.hi.truncate(new_n);
             self.depth.truncate(new_n);
             self.root -= f as NodeIdx;
         }
@@ -813,11 +787,11 @@ impl KstTree {
     /// the tree to `n + f` keys — the receiving half of a live-resharding
     /// hand-off (the donor side is [`KstTree::extract_range`]). `End::High`
     /// appends the fragment as keys `n+1..=n+f`; `End::Low` renumbers the
-    /// existing keys up by `f` (arena shift, elements and stored bounds
-    /// translated with the keys) and materializes the fragment as keys
-    /// `1..=f`. Either way the fragment is re-formed in the deepest
-    /// boundary gap via the same greedy element placement as a rebuild, so
-    /// all arena invariants hold afterwards.
+    /// existing keys up by `f` (arena shift, elements translated with the
+    /// keys) and materializes the fragment as keys `1..=f`. Either way the
+    /// fragment is re-formed in the deepest boundary gap via the same
+    /// greedy element placement as a rebuild, so all arena invariants hold
+    /// afterwards.
     ///
     /// Returns the attachment cost: the fragment's `f − 1` internal links
     /// plus its anchor link (the donor charged the detach separately).
@@ -840,8 +814,6 @@ impl KstTree {
         self.parent.resize(new_n, NIL);
         self.elems.resize(new_n * km1, 0);
         self.children.resize(new_n * k, NIL);
-        self.lo.resize(new_n, 0);
-        self.hi.resize(new_n, 0);
         let armed = !self.depth.is_empty();
         if armed {
             self.depth.resize(new_n, 0);
@@ -872,11 +844,9 @@ impl KstTree {
                 self.set_parent(root_frag, w);
             }
             End::Low => {
-                // Renumber existing keys up by f: shift arena windows,
-                // translate elements by image(f), keep left-spine stored
-                // lo at 0 (the exact bound there stays 0) and saturate hi
-                // so MAX stays MAX. Depths are untouched by renumbering —
-                // the cache shifts as a block.
+                // Renumber existing keys up by f: shift arena windows and
+                // translate elements by image(f). Depths are untouched by
+                // renumbering — the cache shifts as a block.
                 let img_f = key_image(f as NodeKey);
                 let add = |v: NodeIdx| if v == NIL { NIL } else { v + f as NodeIdx };
                 for i in (0..old_n).rev() {
@@ -888,9 +858,6 @@ impl KstTree {
                     for j in 0..km1 {
                         self.elems[ni * km1 + j] = self.elems[i * km1 + j] + img_f;
                     }
-                    let slo = self.lo[i];
-                    self.lo[ni] = if slo == 0 { 0 } else { slo + img_f };
-                    self.hi[ni] = self.hi[i].saturating_add(img_f);
                 }
                 if armed {
                     self.depth.copy_within(0..old_n, f);
@@ -982,31 +949,23 @@ impl KstTree {
         &mut self.children[b..b + self.k]
     }
 
-    /// Stored interval bounds of `v` (exclusive). Superset of the subtree's
-    /// key images.
-    #[inline]
-    pub fn bounds(&self, v: NodeIdx) -> (RoutingKey, RoutingKey) {
-        (self.lo[v as usize], self.hi[v as usize])
-    }
-
     /// Whether the node arenas are too large to stay cache-resident, so
     /// that rotations should prefetch what they will touch.
     #[inline]
     pub(crate) fn prefetch_rows(&self) -> bool {
-        // Per node: a parent and k slots of 4 B, k − 1 elements and two
-        // bounds of 8 B.
-        self.n * (4 * (1 + self.k) + 8 * (self.k + 1)) >= PREFETCH_MIN_ARENA_BYTES
+        let arenas = std::mem::size_of_val(&self.parent[..])
+            + std::mem::size_of_val(&self.elems[..])
+            + std::mem::size_of_val(&self.children[..]);
+        arenas >= PREFETCH_MIN_ARENA_BYTES
     }
 
-    /// Prefetch hints for node `v`'s routing elements, child slots and
-    /// bounds (no observable effect; see [`crate::prefetch`]).
+    /// Prefetch hints for node `v`'s routing elements and child slots (no
+    /// observable effect; see [`crate::prefetch`]).
     #[inline]
     pub(crate) fn prefetch_row(&self, v: NodeIdx) {
         let vi = v as usize;
         crate::prefetch::prefetch_read(&self.elems, vi * (self.k - 1));
         crate::prefetch::prefetch_read(&self.children, vi * self.k);
-        crate::prefetch::prefetch_read(&self.lo, vi);
-        crate::prefetch::prefetch_read(&self.hi, vi);
     }
 
     /// Permanent key of node `v`.
@@ -1410,6 +1369,12 @@ mod tests {
                 validate(&t).unwrap_or_else(|e| panic!("k={k} {end:?}: {e}"));
             }
         }
+    }
+
+    #[test]
+    fn prefetch_gate_follows_arena_bytes() {
+        assert!(KstTree::balanced(2, 1 << 18).prefetch_rows());
+        assert!(!KstTree::balanced(2, 1 << 10).prefetch_rows());
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn main() {
     );
     println!(
         "\nEvery packet was delivered using only local node state (routing\n\
-         array + interval bounds + incoming port) — no routing tables were\n\
-         updated during {} reconfigurations.",
+         array + interval of its parent link + incoming port) — no\n\
+         routing tables were updated during {} reconfigurations.",
         20_000
     );
 

@@ -63,7 +63,7 @@ fn random_traces_move_for_move() {
         (100, 1500, 3),
         (255, 800, 4),
         // Large enough that rotations prefetch the rows they touch.
-        (1 << 17, 60, 5),
+        (1 << 18, 60, 5),
     ] {
         let mut kst = KSplayNet::balanced(2, n);
         let mut classic = ClassicSplayNet::balanced(n);

@@ -13,7 +13,9 @@
 //!
 //! The harness fuzzes `KSplayNet` against the oracle **move for move** —
 //! identical routing costs, rotation counts, link-change counts, tree
-//! shapes, routing arrays, and stored interval bounds after every request —
+//! shapes and routing arrays after every request (a node's interval is the
+//! slot gap of its parent link, so equal shapes and arrays imply equal
+//! intervals) —
 //! for k ∈ {2, 3, 4, 5, 8, 9, 11}, every [`WindowPolicy`], and both the
 //! k-splay and k-semi-splay disciplines. The production kernel has its own
 //! compiled copy for k ∈ {2, 3, 4} and one runtime-k copy for every other
@@ -40,8 +42,6 @@ struct RefNode {
     elems: Vec<u64>,
     /// `k` child slots (`REF_NIL` = empty).
     children: Vec<u32>,
-    lo: u64,
-    hi: u64,
 }
 
 /// Naive reference k-ary search tree network.
@@ -57,15 +57,10 @@ impl RefKstTree {
     fn snapshot(t: &kst_core::KstTree) -> RefKstTree {
         let nodes = t
             .nodes()
-            .map(|v| {
-                let (lo, hi) = t.bounds(v);
-                RefNode {
-                    parent: t.parent(v),
-                    elems: t.elems(v).to_vec(),
-                    children: t.children(v).to_vec(),
-                    lo,
-                    hi,
-                }
+            .map(|v| RefNode {
+                parent: t.parent(v),
+                elems: t.elems(v).to_vec(),
+                children: t.children(v).to_vec(),
             })
             .collect();
         RefKstTree {
@@ -118,25 +113,17 @@ impl RefKstTree {
         edges
     }
 
-    /// Installs a node's routing array, child slots, and bounds; re-parents
-    /// the children and refreshes their stored intervals.
-    fn set_node(&mut self, node: u32, elems: Vec<u64>, slots: Vec<u32>, lo: u64, hi: u64) {
-        let k = slots.len();
-        for (j, &c) in slots.iter().enumerate() {
+    /// Installs a node's routing array and child slots; re-parents the
+    /// children.
+    fn set_node(&mut self, node: u32, elems: Vec<u64>, slots: Vec<u32>) {
+        for &c in &slots {
             if c != REF_NIL {
-                let clo = if j == 0 { lo } else { elems[j - 1] };
-                let chi = if j == k - 1 { hi } else { elems[j] };
-                let cn = &mut self.nodes[c as usize];
-                cn.parent = node;
-                cn.lo = clo;
-                cn.hi = chi;
+                self.nodes[c as usize].parent = node;
             }
         }
         let nd = &mut self.nodes[node as usize];
         nd.elems = elems;
         nd.children = slots;
-        nd.lo = lo;
-        nd.hi = hi;
     }
 
     /// The paper's generalized restructure on a downward path, transcribed
@@ -158,7 +145,6 @@ impl RefKstTree {
                 .position(|&c| c == top)
                 .unwrap()
         };
-        let (frag_lo, frag_hi) = (self.nodes[top as usize].lo, self.nodes[top as usize].hi);
 
         // Step 1: merge the d routing arrays and d(k-1)+1 hanging subtrees
         // into one virtual super-node, rebuilding the arrays from scratch at
@@ -194,7 +180,7 @@ impl RefKstTree {
             if i + 1 == d {
                 // Step 3: the last node takes everything that remains.
                 assert_eq!(m, km1);
-                self.set_node(node, elems.clone(), slots.clone(), frag_lo, frag_hi);
+                self.set_node(node, elems.clone(), slots.clone());
                 break;
             }
             let mut candidates: Vec<usize> = (gap.saturating_sub(km1)..=gap.min(m - km1)).collect();
@@ -225,18 +211,10 @@ impl RefKstTree {
                         .unwrap()
                 }
             };
-            let lo = if a == 0 { frag_lo } else { elems[a - 1] };
-            let hi = if a + km1 == m {
-                frag_hi
-            } else {
-                elems[a + km1]
-            };
             self.set_node(
                 node,
                 elems[a..a + km1].to_vec(),
                 slots[a..=a + km1].to_vec(),
-                lo,
-                hi,
             );
             let mut ne: Vec<u64> = elems[..a].to_vec();
             ne.extend_from_slice(&elems[a + km1..]);
@@ -334,7 +312,7 @@ impl RefKstTree {
 }
 
 /// Asserts the production tree and the oracle agree on every piece of
-/// per-node state: parent, child slots, routing elements, stored bounds.
+/// per-node state: parent, child slots, routing elements.
 fn assert_same_state(net: &KSplayNet, oracle: &RefKstTree, ctx: &str) {
     let t = net.tree();
     assert_eq!(t.root(), oracle.root, "{ctx}: roots differ");
@@ -351,12 +329,6 @@ fn assert_same_state(net: &KSplayNet, oracle: &RefKstTree, ctx: &str) {
             t.elems(v),
             &o.elems[..],
             "{ctx}: key {} routing elements differ",
-            v + 1
-        );
-        assert_eq!(
-            t.bounds(v),
-            (o.lo, o.hi),
-            "{ctx}: key {} stored bounds differ",
             v + 1
         );
     }

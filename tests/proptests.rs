@@ -3,9 +3,9 @@
 //! preserve every invariant; arbitrary shapes must materialize into valid
 //! trees; splaying must deliver its postconditions.
 
-use ksan::core::invariants::{exact_gaps, validate};
+use ksan::core::invariants::validate;
 use ksan::core::routing::route;
-use ksan::core::{End, KstTree, LazyKaryNet, ShapeTree};
+use ksan::core::{End, KstTree, LazyKaryNet, Reshardable, ShapeTree};
 use ksan::prelude::*;
 use proptest::prelude::*;
 
@@ -115,27 +115,6 @@ proptest! {
     }
 
     #[test]
-    fn stored_bounds_always_contain_exact_gaps(
-        k in 2usize..=6,
-        seed in 0u64..500,
-    ) {
-        let n = 60;
-        let mut net = KSplayNet::balanced(k, n);
-        let trace = gens::zipf(n, 150, 1.2, seed);
-        for &(u, v) in trace.requests() {
-            net.serve(u, v);
-        }
-        let t = net.tree();
-        let gaps = exact_gaps(t);
-        for v in t.nodes() {
-            let (lo, hi) = t.bounds(v);
-            let (glo, ghi) = gaps[v as usize];
-            prop_assert!(lo <= glo && ghi <= hi,
-                "stored bounds must contain the exact gap (node key {})", v + 1);
-        }
-    }
-
-    #[test]
     fn greedy_routing_terminates_and_delivers(
         k in 2usize..=6,
         seed in 0u64..500,
@@ -151,6 +130,42 @@ proptest! {
             let r = route(net.tree(), u, v).map_err(|_| TestCaseError::fail("routing loop"))?;
             prop_assert_eq!(*r.hops.last().unwrap(), net.tree().node_of(v));
             prop_assert!(r.len() >= net.distance(u, v));
+        }
+    }
+
+    #[test]
+    fn greedy_routing_delivers_after_resharding_surgery(
+        k in 2usize..=6,
+        seed in 0u64..500,
+        cut in 1usize..=12,
+    ) {
+        // Splayed trees hand boundary runs both ways (a's high run to b's
+        // low end, then b's low run to a's high end); greedy routing must
+        // still deliver on both, never shorter than the tree distance.
+        let n = 40;
+        let mut a = KSplayNet::balanced(k, n);
+        let mut b = KSplayNet::balanced(k, n);
+        for &(u, v) in gens::temporal(n, 100, 0.7, seed).requests() {
+            a.serve(u, v);
+        }
+        for &(u, v) in gens::zipf(n, 100, 1.1, seed).requests() {
+            b.serve(u, v);
+        }
+        let (frag, _) = a.extract_high(cut);
+        b.absorb_low(&frag);
+        let (frag, _) = b.extract_low(2 * cut);
+        a.absorb_high(&frag);
+        for net in [&a, &b] {
+            let t = net.tree();
+            validate(t).map_err(TestCaseError::fail)?;
+            let len = net.len() as u32;
+            for u in (1..=len).step_by(3) {
+                for v in (1..=len).step_by(5) {
+                    let r = route(t, u, v).map_err(|_| TestCaseError::fail("routing loop"))?;
+                    prop_assert_eq!(*r.hops.last().unwrap(), t.node_of(v));
+                    prop_assert!(r.len() >= net.distance(u, v));
+                }
+            }
         }
     }
 
@@ -209,12 +224,11 @@ proptest! {
     }
 
     #[test]
-    fn serve_sequences_preserve_multiset_bounds_and_symmetry(
+    fn serve_sequences_preserve_multiset_and_symmetry(
         k in 2usize..=8,
         seed in 0u64..400,
     ) {
-        // After ANY serve sequence: the element multiset is conserved, the
-        // stored lo/hi bounds contain every node's exact enclosing gap, and
+        // After ANY serve sequence: the element multiset is conserved and
         // parent/child links are symmetric with a single root.
         let n = 56;
         let mut net = KSplayNet::balanced(k, n);
@@ -240,12 +254,6 @@ proptest! {
             } else {
                 prop_assert!(t.children(p).contains(&v), "{} not a child of {}", v + 1, p + 1);
             }
-        }
-        let gaps = exact_gaps(t);
-        for v in t.nodes() {
-            let (lo, hi) = t.bounds(v);
-            let (glo, ghi) = gaps[v as usize];
-            prop_assert!(lo <= glo && ghi <= hi);
         }
     }
 

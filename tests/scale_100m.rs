@@ -22,16 +22,16 @@
 //! | parent      |          4 |    0.4 GB |
 //! | elems (k−1) |         24 |    2.4 GB |
 //! | children (k)|         16 |    1.6 GB |
-//! | lo + hi     |         16 |    1.6 GB |
 //! | depth cache |          4 |    0.4 GB |
-//! | **total**   |     **64** | **6.4 GB**|
+//! | **total**   |     **48** | **4.8 GB**|
 //!
-//! Steady state is 6.0 GB: each shard's depth cache is released at its
-//! first splay (k-splay nets disarm on serve). The peak is during
-//! construction: all 16 armed shard arenas (6.4 GB) plus up to
+//! No interval bounds are stored: a node's interval is the slot gap of
+//! its parent link. Steady state is 4.4 GB: each shard's depth cache is
+//! released at its first splay (k-splay nets disarm on serve). The peak
+//! is during construction: all 16 armed shard arenas (4.8 GB) plus up to
 //! `build_threads ≤ 4` overlapping `from_shape` transients (~0.6 GB per
 //! 6.25·10⁶-node shard: shape child lists, key ranges, traversal order)
-//! ≈ 8.8 GB worst case; the trace and report windows add a few MB. NUMA
+//! ≈ 7.2 GB worst case; the trace and report windows add a few MB. NUMA
 //! pinning and mmap-backed arenas remain out of scope (no libc/registry
 //! access) — recorded in the ROADMAP.
 
