@@ -90,7 +90,7 @@ fn steady_state_with_drift() -> (KstTree, DecayingDemand) {
     let mut tree = KstTree::balanced(K, N);
     let mut full = weight_balanced_rebuilder(K);
     let plan = full.plan(&tree, &demand.view());
-    full.apply(&mut tree, &plan);
+    plan.apply_to(&mut tree);
     demand.mark_planned(&plan.ranges());
     record_perturbation(&mut demand);
     demand.decay_merge();
@@ -101,8 +101,8 @@ fn steady_state_with_drift() -> (KstTree, DecayingDemand) {
 /// advanced, so every iteration replans the same drift.
 fn trigger<R: Rebuild>(tree: &mut KstTree, demand: &DecayingDemand, policy: &mut R) -> u64 {
     let plan = policy.plan(tree, &demand.view());
-    let stats = policy.apply(tree, &plan);
-    stats.patched_nodes
+    let stats = plan.apply_to(tree);
+    stats.rebuild_nodes
 }
 
 fn bench_rebuilds(c: &mut Criterion) {

@@ -17,7 +17,7 @@ use crate::key::{NodeIdx, NodeKey, NIL};
 use crate::net::{Network, ServeCost};
 use crate::restructure::WindowPolicy;
 use crate::shape::ShapeTree;
-use crate::splay::{SplayStats, SplayStrategy};
+use crate::splay::SplayStrategy;
 use crate::tree::KstTree;
 
 /// Subtree membership of a node.
@@ -194,10 +194,10 @@ impl KPlusOneSplayNet {
         &self.tree
     }
 
-    fn splay_to_subtree_root(&mut self, v: NodeIdx, sid: u16) -> SplayStats {
+    fn splay_to_subtree_root(&mut self, v: NodeIdx, sid: u16) -> ServeCost {
         let anchor = self.subtree_anchor[sid as usize];
         if self.tree.parent(v) == anchor {
-            return SplayStats::default();
+            return ServeCost::default();
         }
         self.tree.splay_until(v, anchor, self.strategy, self.policy)
     }
@@ -223,41 +223,29 @@ impl Network for KPlusOneSplayNet {
         let (routing, w) = self.tree.distance_lca(nu, nv);
         let mu = self.member[Self::member_slot(u)];
         let mv = self.member[Self::member_slot(v)];
-        let mut stats = SplayStats::default();
+        let mut cost = ServeCost {
+            routing,
+            ..ServeCost::default()
+        };
         if mu == mv && mu != M_C1 && mu != M_C2 {
             // Same subtree: exactly the k-ary SplayNet discipline, confined
             // to the subtree (the boundary chain never includes c1/c2
             // strictly below, so the centroids cannot move).
-            if w == nu {
-                stats += self.tree.splay_until(nv, nu, self.strategy, self.policy);
-            } else if w == nv {
-                stats += self.tree.splay_until(nu, nv, self.strategy, self.policy);
-            } else {
-                let boundary = self.tree.parent(w);
-                stats += self
-                    .tree
-                    .splay_until(nu, boundary, self.strategy, self.policy);
-                stats += self.tree.splay_until(nv, nu, self.strategy, self.policy);
-            }
+            cost += self.tree.splay_pair(nu, nv, w, self.strategy, self.policy);
         } else {
             // Different subtrees (or an endpoint is a centroid): splay each
             // non-centroid endpoint to its subtree root; the route then goes
             // u → c1 [→ c2] → v.
             if mu != M_C1 && mu != M_C2 {
-                stats += self.splay_to_subtree_root(nu, mu);
+                cost += self.splay_to_subtree_root(nu, mu);
             }
             if mv != M_C1 && mv != M_C2 {
-                stats += self.splay_to_subtree_root(nv, mv);
+                cost += self.splay_to_subtree_root(nv, mv);
             }
         }
         debug_assert_eq!(self.tree.parent(self.c2), self.c1);
         debug_assert_eq!(self.tree.parent(self.c1), NIL);
-        ServeCost {
-            routing,
-            rotations: stats.rotations,
-            links_changed: stats.links_changed,
-            ..ServeCost::default()
-        }
+        cost
     }
 
     fn label(&self) -> String {

@@ -9,13 +9,13 @@
 //! rotations replaced by the paper's k-ary ones, which by Theorem 12/13
 //! preserves SplayNet's entropy bound.
 
-use crate::key::{NodeIdx, NodeKey};
+use crate::key::NodeKey;
 use crate::net::{Network, ServeCost};
 use crate::reshard::Reshardable;
 use crate::restructure::WindowPolicy;
 use crate::shape::ShapeTree;
-use crate::splay::{SplayStats, SplayStrategy};
-use crate::tree::{End, KstTree, PatchStats};
+use crate::splay::SplayStrategy;
+use crate::tree::{End, KstTree};
 
 /// Online self-adjusting k-ary search tree network.
 #[derive(Clone)]
@@ -75,37 +75,16 @@ impl KSplayNet {
         self.tree.k()
     }
 
-    /// Adjusts the topology for `(u, v)` and returns splay statistics; the
-    /// endpoints are adjacent afterwards.
-    pub fn adjust(&mut self, u: NodeKey, v: NodeKey) -> SplayStats {
+    /// Adjusts the topology for `(u, v)` and returns its cost (`routing`
+    /// = 0); the endpoints are adjacent afterwards.
+    pub fn adjust(&mut self, u: NodeKey, v: NodeKey) -> ServeCost {
         let nu = self.tree.node_of(u);
         let nv = self.tree.node_of(v);
         if nu == nv {
-            return SplayStats::default();
+            return ServeCost::default();
         }
         let w = self.tree.lca(nu, nv);
-        self.adjust_at(nu, nv, w)
-    }
-
-    /// Adjustment with the LCA already in hand (one pointer chase shared
-    /// with the routing charge — see [`KstTree::distance_lca`]).
-    fn adjust_at(&mut self, nu: NodeIdx, nv: NodeIdx, w: NodeIdx) -> SplayStats {
-        let stats = if w == nu {
-            // u is an ancestor of v: splay v up to be u's child.
-            self.tree.splay_until(nv, nu, self.strategy, self.policy)
-        } else if w == nv {
-            self.tree.splay_until(nu, nv, self.strategy, self.policy)
-        } else {
-            let boundary = self.tree.parent(w);
-            let mut stats = self
-                .tree
-                .splay_until(nu, boundary, self.strategy, self.policy);
-            // v remained inside the subtree now rooted at u.
-            stats += self.tree.splay_until(nv, nu, self.strategy, self.policy);
-            stats
-        };
-        debug_assert_eq!(self.tree.distance(nu, nv), 1);
-        stats
+        self.tree.splay_pair(nu, nv, w, self.strategy, self.policy)
     }
 }
 
@@ -139,13 +118,8 @@ impl Network for KSplayNet {
         // target; the old distance-then-lca pattern walked the same access
         // paths up to nine times per request.
         let (routing, w) = self.tree.distance_lca(nu, nv);
-        let stats = self.adjust_at(nu, nv, w);
-        ServeCost {
-            routing,
-            rotations: stats.rotations,
-            links_changed: stats.links_changed,
-            ..ServeCost::default()
-        }
+        let adjust = self.tree.splay_pair(nu, nv, w, self.strategy, self.policy);
+        ServeCost { routing, ..adjust }
     }
 
     fn label(&self) -> String {
@@ -154,28 +128,22 @@ impl Network for KSplayNet {
 }
 
 impl Reshardable for KSplayNet {
-    fn extract_low(&mut self, count: usize) -> (ShapeTree, PatchStats) {
+    fn extract_low(&mut self, count: usize) -> (ShapeTree, ServeCost) {
         self.tree.extract_range(1, count as NodeKey)
     }
 
-    fn extract_high(&mut self, count: usize) -> (ShapeTree, PatchStats) {
+    fn extract_high(&mut self, count: usize) -> (ShapeTree, ServeCost) {
         let n = self.tree.n();
         self.tree
             .extract_range((n - count + 1) as NodeKey, n as NodeKey)
     }
 
-    fn absorb_low(&mut self, fragment: &ShapeTree) -> PatchStats {
-        let stats = self.tree.absorb_fragment(End::Low, fragment);
-        // The tree grew: keep the zero-allocation serve guarantee by
-        // re-sizing scratch for the strategy's span before serving resumes.
-        self.tree.reserve_scratch(self.strategy.span());
-        stats
+    fn absorb_low(&mut self, fragment: &ShapeTree) -> ServeCost {
+        self.tree.absorb_fragment(End::Low, fragment)
     }
 
-    fn absorb_high(&mut self, fragment: &ShapeTree) -> PatchStats {
-        let stats = self.tree.absorb_fragment(End::High, fragment);
-        self.tree.reserve_scratch(self.strategy.span());
-        stats
+    fn absorb_high(&mut self, fragment: &ShapeTree) -> ServeCost {
+        self.tree.absorb_fragment(End::High, fragment)
     }
 }
 

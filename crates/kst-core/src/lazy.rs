@@ -13,9 +13,11 @@
 //! **plans**: given the live tree and a [`DemandView`] of the demand
 //! ledger it produces a [`RebuildPlan`] — a set of disjoint
 //! [`SubtreePatch`]es, each replacing the subtree over one key range with
-//! a fresh shape fragment. Applying the plan re-forms **only** the patched
-//! ranges ([`KstTree::patch_subtree`]), with exact `links_changed`
-//! accounting via [`sym_diff`]. A whole-tree shape is the degenerate
+//! a fresh shape fragment. The net then **applies** it with
+//! [`RebuildPlan::apply_to`], which re-forms **only** the patched ranges
+//! ([`KstTree::patch_subtree`]) and returns their summed [`ServeCost`]:
+//! exact `links_changed` via [`sym_diff`], plus `rebuild_patches` and
+//! `rebuild_nodes`. A whole-tree shape is the degenerate
 //! single-patch plan ([`RebuildPlan::full`]), so classic full rebuilders —
 //! any `FnMut(&DemandView) -> ShapeTree` wrapped in [`FullRebuild`] — keep
 //! working unchanged, while [`IncrementalWeightBalanced`] patches only the
@@ -124,45 +126,25 @@ impl RebuildPlan {
         self.patches.iter().map(|p| (p.lo, p.hi)).collect()
     }
 
-    /// Applies every patch to `tree` via [`KstTree::patch_subtree`],
-    /// summing the exact adjustment cost.
-    pub fn apply_to(&self, tree: &mut KstTree) -> ApplyStats {
-        let mut stats = ApplyStats::default();
-        for p in &self.patches {
-            let ps = tree.patch_subtree(p.lo, p.hi, &p.shape);
-            stats.links_changed += ps.links_changed;
-            stats.patches += 1;
-            stats.patched_nodes += ps.nodes;
-        }
-        stats
+    /// Applies every patch to `tree` via [`KstTree::patch_subtree`] and
+    /// returns the sum of their costs (`links_changed`, `rebuild_patches`
+    /// and `rebuild_nodes`).
+    pub fn apply_to(&self, tree: &mut KstTree) -> ServeCost {
+        self.patches
+            .iter()
+            .map(|p| tree.patch_subtree(p.lo, p.hi, &p.shape))
+            .sum()
     }
 }
 
-/// Aggregate cost of applying a [`RebuildPlan`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ApplyStats {
-    /// Physical links added + removed across all patches.
-    pub links_changed: u64,
-    /// Patches applied.
-    pub patches: u64,
-    /// Nodes re-formed across all patches.
-    pub patched_nodes: u64,
-}
-
-/// A two-phase topology-rebuild policy: **plan** from the live tree and
-/// the demand view, **apply** the plan's subtree patches.
+/// A topology-rebuild policy: **plans** subtree patches from the live
+/// tree and the demand view; the net applies them with
+/// [`RebuildPlan::apply_to`].
 pub trait Rebuild {
     /// Produces the next rebuild's patches from the current topology and
     /// the demand observed since the last rebuild (`demand.dirty()` says
     /// where it changed).
     fn plan(&mut self, tree: &KstTree, demand: &DemandView<'_>) -> RebuildPlan;
-
-    /// Applies a plan to the tree. The default re-forms each patched
-    /// range in place; policies only override this to instrument or
-    /// stage the application differently.
-    fn apply(&mut self, tree: &mut KstTree, plan: &RebuildPlan) -> ApplyStats {
-        plan.apply_to(tree)
-    }
 }
 
 /// Adapter turning a classic whole-tree rebuilder — any
@@ -439,9 +421,10 @@ impl<R: Rebuild> Network for LazyKaryNet<R> {
             // ksan-allow: no-alloc ledger growth is bounded by distinct pairs and amortized; the runtime alloc probe tracks it
             self.demand.record(u, v);
         }
-        let mut links_changed = 0;
-        let mut rebuild_patches = 0;
-        let mut rebuild_nodes = 0;
+        let mut cost = ServeCost {
+            routing,
+            ..ServeCost::default()
+        };
         if self.since_rebuild >= self.alpha {
             // Epoch boundary: fold the epoch into the smoothed ledger,
             // plan against the live tree, apply the patches, then move
@@ -461,24 +444,15 @@ impl<R: Rebuild> Network for LazyKaryNet<R> {
                 (plan, view.into_key_weights())
             };
             // ksan-allow: no-alloc epoch-boundary patch application, amortized over α routing cost
-            let stats = self.rebuilder.apply(&mut self.tree, &plan);
+            cost += plan.apply_to(&mut self.tree);
             // ksan-allow: no-alloc epoch-boundary baseline advance, amortized over α routing cost
             self.demand.mark_planned_from(&key_weights, &plan.ranges());
-            links_changed = stats.links_changed;
-            rebuild_patches = stats.patches;
-            rebuild_nodes = stats.patched_nodes;
-            self.patches_applied += stats.patches;
-            self.nodes_patched += stats.patched_nodes;
+            self.patches_applied += cost.rebuild_patches;
+            self.nodes_patched += cost.rebuild_nodes;
             self.since_rebuild = 0;
             self.rebuilds += 1;
         }
-        ServeCost {
-            routing,
-            rotations: 0,
-            links_changed,
-            rebuild_patches,
-            rebuild_nodes,
-        }
+        cost
     }
 
     fn label(&self) -> String {
@@ -712,8 +686,8 @@ mod tests {
             let reference = KstTree::from_shape(k, &shape);
             let mut tree = KstTree::balanced(k, n);
             let stats = RebuildPlan::full(shape).apply_to(&mut tree);
-            assert_eq!(stats.patches, 1);
-            assert_eq!(stats.patched_nodes, n as u64);
+            assert_eq!(stats.rebuild_patches, 1);
+            assert_eq!(stats.rebuild_nodes, n as u64);
             validate(&tree).unwrap();
             for u in 1..=n as NodeKey {
                 for v in 1..=n as NodeKey {

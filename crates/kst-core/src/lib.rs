@@ -80,15 +80,15 @@ pub use key::{key_image, NodeIdx, NodeKey, RoutingKey, NIL};
 pub use ksplaynet::KSplayNet;
 pub use kst_workloads::{DecayingDemand, DemandView, DirtyIndex, SparseDemand};
 pub use lazy::{
-    incremental_weight_balanced_rebuilder, weight_balanced_rebuilder, ApplyStats, FullRebuild,
+    incremental_weight_balanced_rebuilder, weight_balanced_rebuilder, FullRebuild,
     IncrementalWeightBalanced, LazyKaryNet, Rebuild, RebuildPlan, SubtreePatch,
 };
 pub use net::{Network, ServeCost};
 pub use prefetch::prefetch_read;
 pub use pushdown::PushDownNet;
 pub use reshard::Reshardable;
-pub use restructure::{RestructureStats, WindowPolicy};
+pub use restructure::WindowPolicy;
 pub use rotor::RotorWalkNet;
 pub use shape::ShapeTree;
-pub use splay::{SplayStats, SplayStrategy};
-pub use tree::{End, KstTree, PatchStats};
+pub use splay::SplayStrategy;
+pub use tree::{End, KstTree};

@@ -12,7 +12,9 @@ use crate::key::NodeKey;
 use std::iter::Sum;
 use std::ops::AddAssign;
 
-/// Per-request cost breakdown.
+/// Cost breakdown of a request, or of any topology change below it: a
+/// rotation, a splay walk, a subtree patch, a rebuild plan or a reshard
+/// splice (those report `routing` = 0).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeCost {
     /// Path length between the endpoints in the topology before adjustment.
@@ -21,11 +23,13 @@ pub struct ServeCost {
     pub rotations: u64,
     /// Physical links added + removed while adjusting.
     pub links_changed: u64,
-    /// Subtree patches applied by a rebuild this request triggered (0 for
-    /// everything but lazy nets at an epoch boundary; a full rebuild is
-    /// one whole-tree patch). Telemetry for how *local* rebuilds are.
+    /// Subtree patches applied: by a rebuild this request triggered (0
+    /// for every serve but a lazy net's at an epoch boundary; a full
+    /// rebuild is one whole-tree patch), or by a reshard splice (a
+    /// connector patch on extract, the grafted fragment on absorb).
+    /// Telemetry for how *local* rebuilds are.
     pub rebuild_patches: u64,
-    /// Nodes re-formed by that rebuild (n for a full rebuild).
+    /// Nodes re-formed by those patches (n for a full rebuild).
     pub rebuild_nodes: u64,
 }
 

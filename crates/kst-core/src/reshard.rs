@@ -17,25 +17,24 @@
 //! [`KstTree::extract_range`]: crate::KstTree::extract_range
 //! [`KstTree::absorb_fragment`]: crate::KstTree::absorb_fragment
 
-use crate::net::Network;
+use crate::net::{Network, ServeCost};
 use crate::shape::ShapeTree;
-use crate::tree::PatchStats;
 
 /// A network that can donate and accept boundary key runs.
 pub trait Reshardable: Network {
     /// Splices the lowest `count` keys out, renumbering the survivors
     /// down. Returns the fragment's shape and the restructuring cost.
     /// Panics unless `1 <= count < len`.
-    fn extract_low(&mut self, count: usize) -> (ShapeTree, PatchStats);
+    fn extract_low(&mut self, count: usize) -> (ShapeTree, ServeCost);
 
     /// Splices the highest `count` keys out (survivors keep their
     /// numbers). Panics unless `1 <= count < len`.
-    fn extract_high(&mut self, count: usize) -> (ShapeTree, PatchStats);
+    fn extract_high(&mut self, count: usize) -> (ShapeTree, ServeCost);
 
     /// Grafts `fragment` in as the new lowest keys, renumbering the
     /// existing keys up by `fragment.len()`.
-    fn absorb_low(&mut self, fragment: &ShapeTree) -> PatchStats;
+    fn absorb_low(&mut self, fragment: &ShapeTree) -> ServeCost;
 
     /// Grafts `fragment` in as the new highest keys.
-    fn absorb_high(&mut self, fragment: &ShapeTree) -> PatchStats;
+    fn absorb_high(&mut self, fragment: &ShapeTree) -> ServeCost;
 }

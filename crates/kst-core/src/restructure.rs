@@ -28,6 +28,7 @@
 //! `splaynet-classic` verify. `Leftmost`/`Rightmost` are ablation variants.
 
 use crate::key::{idx_to_key, key_image, NodeIdx, NIL};
+use crate::net::ServeCost;
 use crate::prefetch::prefetch_read;
 use crate::tree::KstTree;
 
@@ -44,31 +45,16 @@ pub enum WindowPolicy {
     Rightmost,
 }
 
-/// Cost bookkeeping for one restructure, and the additive cost monoid of
-/// every splay walk built from restructures.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RestructureStats {
-    /// Links added plus links removed by this operation (the model's
-    /// adjustment cost in edges, Section 2).
-    pub links_changed: u64,
-    /// Elementary rotations: `d − 1` for a d-node restructure, so a
-    /// k-semi-splay counts 1 (≙ zig) and a k-splay counts 2 (≙
-    /// zig-zig/zig-zag) — directly comparable with classic splay-tree
-    /// rotation counts, which the k = 2 differential test relies on.
-    pub rotations: u64,
-}
-
-impl std::ops::AddAssign for RestructureStats {
-    fn add_assign(&mut self, other: RestructureStats) {
-        self.links_changed += other.links_changed;
-        self.rotations += other.rotations;
-    }
-}
-
 impl KstTree {
     /// Generalized k-splay on a downward path (`path[i+1]` must be a child
     /// of `path[i]`, `path.len() >= 2`). After the call `path.last()`
     /// occupies the old position of `path\[0\]`.
+    ///
+    /// Returns the cost with `routing` = 0: `rotations` = `d − 1` for a
+    /// d-node path, so a k-semi-splay counts 1 (≙ zig) and a k-splay 2
+    /// (≙ zig-zig/zig-zag) — directly comparable with classic splay-tree
+    /// rotation counts, which the k = 2 differential test relies on — and
+    /// `links_changed` = links added plus removed (Section 2).
     ///
     /// Hot-path implementation notes:
     ///
@@ -97,7 +83,7 @@ impl KstTree {
     ///   size, the merge hints the parent line of every subtree root it is
     ///   about to re-attach (and `splay_until` hints the rows of the whole
     ///   path up front); smaller trees skip the hints.
-    pub fn restructure(&mut self, path: &[NodeIdx], policy: WindowPolicy) -> RestructureStats {
+    pub fn restructure(&mut self, path: &[NodeIdx], policy: WindowPolicy) -> ServeCost {
         match self.k() {
             2 => self.restructure_k::<2>(path, policy),
             3 => self.restructure_k::<3>(path, policy),
@@ -112,7 +98,7 @@ impl KstTree {
         &mut self,
         path: &[NodeIdx],
         policy: WindowPolicy,
-    ) -> RestructureStats {
+    ) -> ServeCost {
         let d = path.len();
         assert!(d >= 2, "restructure needs at least two nodes");
         let k = if K == 0 { self.k() } else { K };
@@ -268,21 +254,22 @@ impl KstTree {
         } else {
             self.children_mut(anchor)[anchor_slot] = new_top;
         }
-        RestructureStats {
-            links_changed: 2 * changed,
+        ServeCost {
             rotations: (d - 1) as u64,
+            links_changed: 2 * changed,
+            ..ServeCost::default()
         }
     }
 
     /// k-semi-splay (Fig. 3): promote `child` over its parent.
-    pub fn k_semi_splay(&mut self, child: NodeIdx, policy: WindowPolicy) -> RestructureStats {
+    pub fn k_semi_splay(&mut self, child: NodeIdx, policy: WindowPolicy) -> ServeCost {
         let p = self.parent(child);
         assert!(p != NIL, "cannot semi-splay the root");
         self.restructure(&[p, child], policy)
     }
 
     /// k-splay (Figs. 4–6): promote `node` over its parent and grandparent.
-    pub fn k_splay(&mut self, node: NodeIdx, policy: WindowPolicy) -> RestructureStats {
+    pub fn k_splay(&mut self, node: NodeIdx, policy: WindowPolicy) -> ServeCost {
         let p = self.parent(node);
         assert!(p != NIL, "node has no parent");
         let g = self.parent(p);

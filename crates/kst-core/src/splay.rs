@@ -1,10 +1,15 @@
 //! Splaying discipline: move a node up to a boundary using k-splay double
 //! steps with a final k-semi-splay, exactly mirroring the classic splay-tree
 //! discipline (zig-zig/zig-zag doubles with a final zig) whose potential
-//! argument Theorem 12 transfers to the k-ary rotations.
+//! argument Theorem 12 transfers to the k-ary rotations
+//! ([`KstTree::splay_until`]); and, built from it, the SplayNet discipline
+//! that makes a request's two endpoints adjacent ([`KstTree::splay_pair`]).
+//! Both return the summed restructure cost as a [`ServeCost`] with
+//! `routing` = 0.
 
 use crate::key::{NodeIdx, NIL};
-use crate::restructure::{RestructureStats, WindowPolicy};
+use crate::net::ServeCost;
+use crate::restructure::WindowPolicy;
 use crate::tree::KstTree;
 
 /// How a node is moved toward its target position.
@@ -37,11 +42,6 @@ impl SplayStrategy {
     }
 }
 
-/// Aggregate cost of a splay walk: the restructure cost monoid summed
-/// over its steps (`rotations` in the unit-cost rotations of Section 5,
-/// the same units as classic splay-tree rotation counts).
-pub type SplayStats = RestructureStats;
-
 impl KstTree {
     /// Splays `z` upward until its parent is `boundary` (`NIL` splays to the
     /// root). All restructures happen strictly below `boundary`, which is
@@ -56,9 +56,9 @@ impl KstTree {
         boundary: NodeIdx,
         strategy: SplayStrategy,
         policy: WindowPolicy,
-    ) -> SplayStats {
+    ) -> ServeCost {
         let span = strategy.span();
-        let mut stats = SplayStats::default();
+        let mut stats = ServeCost::default();
         if self.scratch_path.len() < span {
             // Cold: a tree whose scratch was never reserved for this span.
             self.reserve_scratch(span);
@@ -96,6 +96,33 @@ impl KstTree {
             stats += self.restructure(&path[start..span], policy);
         }
         self.scratch_path = path;
+        stats
+    }
+
+    /// The SplayNet discipline for request `(nu, nv)` with `w` their LCA:
+    /// if one endpoint is the LCA, splays the other up to be its child;
+    /// otherwise splays `nu` into `w`'s position (strictly below
+    /// `parent(w)`) and then `nv` up to be a child of `nu`. The endpoints
+    /// are adjacent afterwards, and nothing at or above `parent(w)` moves.
+    pub fn splay_pair(
+        &mut self,
+        nu: NodeIdx,
+        nv: NodeIdx,
+        w: NodeIdx,
+        strategy: SplayStrategy,
+        policy: WindowPolicy,
+    ) -> ServeCost {
+        let stats = if w == nu {
+            self.splay_until(nv, nu, strategy, policy)
+        } else if w == nv {
+            self.splay_until(nu, nv, strategy, policy)
+        } else {
+            let mut stats = self.splay_until(nu, self.parent(w), strategy, policy);
+            // nv stayed inside the subtree now rooted at nu.
+            stats += self.splay_until(nv, nu, strategy, policy);
+            stats
+        };
+        debug_assert_eq!(self.distance(nu, nv), 1);
         stats
     }
 }

@@ -53,6 +53,7 @@
 //! [`splay_until`]: KstTree::splay_until
 
 use crate::key::{idx_to_key, key_image, key_to_idx, NodeIdx, NodeKey, RoutingKey, NIL};
+use crate::net::ServeCost;
 use crate::shape::ShapeTree;
 
 /// Node-arena size (parents, routing elements, child slots) from
@@ -104,24 +105,6 @@ pub struct KstTree {
     /// sym-diff link accounting (capacity persists across patches).
     pub(crate) scratch_edges_a: Vec<(NodeIdx, NodeIdx)>,
     pub(crate) scratch_edges_b: Vec<(NodeIdx, NodeIdx)>,
-}
-
-/// Cost breakdown of one [`KstTree::patch_subtree`] application.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PatchStats {
-    /// Physical links added + removed by the patch (exact, via
-    /// [`crate::lazy::sym_diff`] of the subtree's edge lists).
-    pub links_changed: u64,
-    /// Nodes re-formed (the patched range's size).
-    pub nodes: u64,
-}
-
-impl PatchStats {
-    /// Accumulates another patch's cost into this one.
-    pub fn absorb(&mut self, other: PatchStats) {
-        self.links_changed += other.links_changed;
-        self.nodes += other.nodes;
-    }
 }
 
 /// Which end of the keyspace a [`KstTree::absorb_fragment`] attaches to.
@@ -409,9 +392,12 @@ impl KstTree {
     /// rebuild path uses. Edge buffers live in persistent scratch, so
     /// repeated patches reuse their capacity.
     ///
+    /// Returns that cost as one patch: `links_changed`,
+    /// `rebuild_patches` = 1 and `rebuild_nodes` = the range's size.
+    ///
     /// Panics if the range is not a subtree or the fragment does not fit;
     /// the whole-tree range `[1, n]` degenerates to a full rebuild.
-    pub fn patch_subtree(&mut self, lo: NodeKey, hi: NodeKey, fragment: &ShapeTree) -> PatchStats {
+    pub fn patch_subtree(&mut self, lo: NodeKey, hi: NodeKey, fragment: &ShapeTree) -> ServeCost {
         let k = self.k;
         assert!(
             lo >= 1 && lo <= hi && hi as usize <= self.n,
@@ -521,9 +507,11 @@ impl KstTree {
         let links_changed = crate::lazy::sym_diff(&before, &after);
         self.scratch_edges_a = before;
         self.scratch_edges_b = after;
-        PatchStats {
+        ServeCost {
             links_changed,
-            nodes: size as u64,
+            rebuild_patches: 1,
+            rebuild_nodes: size as u64,
+            ..ServeCost::default()
         }
     }
 
@@ -581,13 +569,14 @@ impl KstTree {
     /// behind by past rotations — are order-preservingly compressed into
     /// `1, 2, …` so no transform can underflow.
     ///
-    /// The returned [`PatchStats`] counts the connector patch plus the
+    /// The returned cost counts the connector patch (its links, and one
+    /// patch of the connector's nodes when one was needed) plus the
     /// detached anchor link; the fragment's internal links are charged by
     /// the matching [`KstTree::absorb_fragment`] on the receiving tree.
     /// Cold-path: allocates freely (runs at migration boundaries only).
     ///
     /// Panics if the run is empty, covers the whole tree, or is interior.
-    pub fn extract_range(&mut self, lo: NodeKey, hi: NodeKey) -> (ShapeTree, PatchStats) {
+    pub fn extract_range(&mut self, lo: NodeKey, hi: NodeKey) -> (ShapeTree, ServeCost) {
         let k = self.k;
         let km1 = k - 1;
         let n = self.n;
@@ -603,7 +592,7 @@ impl KstTree {
         );
         let lo_img = key_image(lo);
         let hi_img = key_image(hi);
-        let mut stats = PatchStats::default();
+        let mut stats = ServeCost::default();
         // 1. Find the minimal subtree containing the run: descend while the
         //    node's key is outside [lo, hi] and both endpoints route into
         //    the same child slot.
@@ -700,7 +689,7 @@ impl KstTree {
             conn.children[root as usize] = kids;
             conn.key_gap[root as usize] = gap;
             conn.root = root;
-            stats.absorb(self.patch_subtree(a, b, &conn));
+            stats += self.patch_subtree(a, b, &conn);
         }
         // 3. Re-locate the (now exact) run subtree, keeping its anchor.
         let mut anchor = NIL;
@@ -793,10 +782,11 @@ impl KstTree {
     /// greedy element placement as a rebuild, so all arena invariants hold
     /// afterwards.
     ///
-    /// Returns the attachment cost: the fragment's `f − 1` internal links
-    /// plus its anchor link (the donor charged the detach separately).
+    /// Returns the attachment cost as one patch of `f` nodes:
+    /// `links_changed` = the fragment's `f − 1` internal links plus its
+    /// anchor link (the donor charged the detach separately).
     /// Cold-path: allocates freely (runs at migration boundaries only).
-    pub fn absorb_fragment(&mut self, end: End, fragment: &ShapeTree) -> PatchStats {
+    pub fn absorb_fragment(&mut self, end: End, fragment: &ShapeTree) -> ServeCost {
         let k = self.k;
         let km1 = k - 1;
         let f = fragment.len();
@@ -878,9 +868,11 @@ impl KstTree {
                 self.set_parent(root_frag, w);
             }
         }
-        PatchStats {
+        ServeCost {
             links_changed: f as u64,
-            nodes: f as u64,
+            rebuild_patches: 1,
+            rebuild_nodes: f as u64,
+            ..ServeCost::default()
         }
     }
 
@@ -1285,7 +1277,7 @@ mod tests {
                     let mut recv = KstTree::balanced(k, n);
                     let astats = recv.absorb_fragment(End::Low, &shape);
                     assert_eq!(recv.n(), n + cut);
-                    assert_eq!(astats.nodes, cut as u64);
+                    assert_eq!(astats.rebuild_nodes, cut as u64);
                     validate(&recv).unwrap_or_else(|e| panic!("recv k={k} n={n} cut={cut}: {e}"));
 
                     // Low run moves to a fresh receiver's high end.

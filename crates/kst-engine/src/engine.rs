@@ -68,7 +68,7 @@
 
 use crate::obs::{record_handoff, stamp, ObsMode, ObsReport};
 use crate::shard::ShardMap;
-use kst_core::{KSplayNet, Network, PatchStats, Reshardable, ServeCost, ShapeTree};
+use kst_core::{KSplayNet, Network, Reshardable, ServeCost, ShapeTree};
 use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
 use kst_sim::obs::ObsCollector;
 use kst_sim::Metrics;
@@ -537,10 +537,10 @@ fn book_router(
 /// [`ShardedEngine::with_resharding`], never demanded by the engine's
 /// own bounds).
 struct ReshardOps<N> {
-    extract_low: fn(&mut N, usize) -> (ShapeTree, PatchStats),
-    extract_high: fn(&mut N, usize) -> (ShapeTree, PatchStats),
-    absorb_low: fn(&mut N, &ShapeTree) -> PatchStats,
-    absorb_high: fn(&mut N, &ShapeTree) -> PatchStats,
+    extract_low: fn(&mut N, usize) -> (ShapeTree, ServeCost),
+    extract_high: fn(&mut N, usize) -> (ShapeTree, ServeCost),
+    absorb_low: fn(&mut N, &ShapeTree) -> ServeCost,
+    absorb_high: fn(&mut N, &ShapeTree) -> ServeCost,
 }
 
 impl<N> Clone for ReshardOps<N> {

@@ -6,7 +6,7 @@ use crate::metrics::Metrics;
 use crate::par::par_map;
 use crate::regret::{regret_eval_against, RegretReport};
 use crate::runner::run;
-use kst_core::{KPlusOneSplayNet, KSplayNet, Network, PushDownNet, RotorWalkNet};
+use kst_core::{KPlusOneSplayNet, KSplayNet, PushDownNet, RotorWalkNet};
 use kst_statics::{
     centroid_tree, full_kary, optimal_bst_knuth_slack, optimal_routing_based_tree,
     static_reference, DistTree, StaticNet,
@@ -413,11 +413,6 @@ pub fn static_lineup(trace: &Trace, k: usize, dp_limit: usize) -> Vec<(String, u
         out.push((format!("optimal {k}-ary tree (DP)"), t.cost_on_trace(trace)));
     }
     out
-}
-
-/// Convenience wrapper: run any network on a trace.
-pub fn run_network<N: Network>(mut net: N, trace: &Trace) -> Metrics {
-    run(&mut net, trace)
 }
 
 /// Rebuild policy for [`kst_core::LazyKaryNet`]: the optimal static

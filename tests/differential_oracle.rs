@@ -17,7 +17,10 @@
 //! slot gap of its parent link, so equal shapes and arrays imply equal
 //! intervals) —
 //! for k ∈ {2, 3, 4, 5, 8, 9, 11}, every [`WindowPolicy`], and both the
-//! k-splay and k-semi-splay disciplines. The production kernel has its own
+//! k-splay and k-semi-splay disciplines. It also fuzzes the centroid
+//! `KPlusOneSplayNet` for k ∈ {2, 3, 4, 5}: same-subtree requests take the
+//! oracle's SplayNet discipline, every other request splays each
+//! non-centroid endpoint up to its subtree's (fixed) centroid anchor. The production kernel has its own
 //! compiled copy for k ∈ {2, 3, 4} and one runtime-k copy for every other
 //! arity, so the list pins both kinds move for move. Because the oracle re-derives everything
 //! from scratch on every step while the production tree reuses scratch
@@ -27,7 +30,10 @@
 //! pre-refactor per-step-recollecting implementation to pin the behaviour
 //! before the rewrite.)
 
-use kst_core::{key_image, KSplayNet, Network, NodeKey, SplayStrategy, WindowPolicy};
+use kst_core::{
+    key_image, KPlusOneSplayNet, KSplayNet, KstTree, Membership, Network, NodeKey, SplayStrategy,
+    WindowPolicy,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,7 +60,7 @@ struct RefKstTree {
 impl RefKstTree {
     /// Copies the initial state of an arena tree (initial construction is
     /// not under test; the rotations are).
-    fn snapshot(t: &kst_core::KstTree) -> RefKstTree {
+    fn snapshot(t: &KstTree) -> RefKstTree {
         let nodes = t
             .nodes()
             .map(|v| RefNode {
@@ -313,8 +319,7 @@ impl RefKstTree {
 
 /// Asserts the production tree and the oracle agree on every piece of
 /// per-node state: parent, child slots, routing elements.
-fn assert_same_state(net: &KSplayNet, oracle: &RefKstTree, ctx: &str) {
-    let t = net.tree();
+fn assert_same_state(t: &KstTree, oracle: &RefKstTree, ctx: &str) {
     assert_eq!(t.root(), oracle.root, "{ctx}: roots differ");
     for v in t.nodes() {
         let o = &oracle.nodes[v as usize];
@@ -340,7 +345,7 @@ fn fuzz(k: usize, n: usize, m: usize, seed: u64, strategy: SplayStrategy, policy
         .with_strategy(strategy)
         .with_policy(policy);
     let mut oracle = RefKstTree::snapshot(net.tree());
-    assert_same_state(&net, &oracle, &format!("k={k} initial"));
+    assert_same_state(net.tree(), &oracle, &format!("k={k} initial"));
     let mut rng = StdRng::seed_from_u64(seed);
     for step in 0..m {
         let u = rng.gen_range(1..=n as NodeKey);
@@ -355,7 +360,7 @@ fn fuzz(k: usize, n: usize, m: usize, seed: u64, strategy: SplayStrategy, policy
         assert_eq!(c.rotations, rotations, "{ctx}: rotations differ");
         assert_eq!(c.links_changed, links, "{ctx}: links_changed differs");
         assert_eq!(c.total_unit(), routing + rotations, "{ctx}: total_unit");
-        assert_same_state(&net, &oracle, &ctx);
+        assert_same_state(net.tree(), &oracle, &ctx);
     }
 }
 
@@ -436,7 +441,7 @@ fn oracle_skewed_hot_pair_traces() {
                 assert_eq!(c.routing, routing, "{ctx}: routing differs");
                 assert_eq!(c.rotations, rotations, "{ctx}: rotations differ");
                 assert_eq!(c.links_changed, links, "{ctx}: links_changed differs");
-                assert_same_state(&net, &oracle, &ctx);
+                assert_same_state(net.tree(), &oracle, &ctx);
             }
         }
     }
@@ -454,5 +459,93 @@ fn oracle_deep_strategy_spot_check() {
             SplayStrategy::Deep(d),
             WindowPolicy::Paper,
         );
+    }
+}
+
+/// The (k+1)-SplayNet discipline (Section 4.2) on the oracle: membership
+/// comes from the production net, the anchor of a subtree node is its
+/// first centroid ancestor. Returns (routing, rotations, links changed).
+fn serve_centroid(
+    oracle: &mut RefKstTree,
+    member: &[Membership],
+    u: NodeKey,
+    v: NodeKey,
+    strategy: SplayStrategy,
+) -> (u64, u64, u64) {
+    let (mu, mv) = (member[u as usize - 1], member[v as usize - 1]);
+    let centroid = |m: Membership| matches!(m, Membership::C1 | Membership::C2);
+    if mu == mv && !centroid(mu) {
+        return oracle.serve(u, v, strategy, WindowPolicy::Paper);
+    }
+    let routing = oracle.distance(u - 1, v - 1);
+    let (mut rot, mut links) = (0, 0);
+    for (x, m) in [(u, mu), (v, mv)] {
+        if centroid(m) {
+            continue;
+        }
+        let anchor = *oracle
+            .ancestors(x - 1)
+            .iter()
+            .find(|&&a| centroid(member[a as usize]))
+            .expect("every subtree hangs below a centroid");
+        let (r, l) = oracle.splay_until(x - 1, anchor, strategy, WindowPolicy::Paper);
+        rot += r;
+        links += l;
+    }
+    (routing, rot, links)
+}
+
+#[test]
+fn oracle_centroid_net_mixed_requests() {
+    for (i, k) in (2usize..=5).enumerate() {
+        for strategy in [SplayStrategy::KSplay, SplayStrategy::SemiOnly] {
+            let n = 60;
+            let mut net = KPlusOneSplayNet::new(k, n).with_strategy(strategy);
+            let mut oracle = RefKstTree::snapshot(net.tree());
+            let member: Vec<Membership> = (1..=n as NodeKey).map(|x| net.membership(x)).collect();
+            let (c1, c2) = (net.c1_key(), net.c2_key());
+            let mut rng = StdRng::seed_from_u64(4000 + i as u64);
+            let (mut intra, mut cross, mut central) = (0, 0, 0);
+            for step in 0..400 {
+                let u = rng.gen_range(1..=n as NodeKey);
+                let v = match rng.gen_range(0..3u32) {
+                    // Same subtree as u (a centroid u pairs with anything).
+                    0 => {
+                        let peers: Vec<NodeKey> = (1..=n as NodeKey)
+                            .filter(|&x| member[x as usize - 1] == member[u as usize - 1])
+                            .collect();
+                        peers[rng.gen_range(0..peers.len())]
+                    }
+                    1 => rng.gen_range(1..=n as NodeKey),
+                    _ => [c1, c2][rng.gen_range(0..2usize)],
+                };
+                if u == v {
+                    continue;
+                }
+                let (mu, mv) = (member[u as usize - 1], member[v as usize - 1]);
+                if [mu, mv]
+                    .iter()
+                    .any(|m| matches!(m, Membership::C1 | Membership::C2))
+                {
+                    central += 1;
+                } else if mu == mv {
+                    intra += 1;
+                } else {
+                    cross += 1;
+                }
+                let c = net.serve(u, v);
+                let (routing, rotations, links) =
+                    serve_centroid(&mut oracle, &member, u, v, strategy);
+                let ctx = format!("k={k} {strategy:?} centroid step={step} req=({u},{v})");
+                assert_eq!(c.routing, routing, "{ctx}: routing differs");
+                assert_eq!(c.rotations, rotations, "{ctx}: rotations differ");
+                assert_eq!(c.links_changed, links, "{ctx}: links_changed differs");
+                assert_same_state(net.tree(), &oracle, &ctx);
+            }
+            assert!(
+                intra >= 50 && cross >= 50 && central >= 50,
+                "k={k}: request mix too thin ({intra} intra, {cross} cross, {central} centroid)"
+            );
+        }
     }
 }

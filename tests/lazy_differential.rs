@@ -18,9 +18,10 @@
 //! **Incremental plans preserve the invariants.** Partial patches have no
 //! oracle — they are *supposed* to diverge from full rebuilds — so the
 //! guard for them is structural: after every rebuild of an incremental
-//! run, the tree passes `kst_core::invariants::validate` and greedy
-//! routing still delivers every probed pair along a path at least as long
-//! as the tree distance.
+//! run, the tree passes `kst_core::invariants::validate`, greedy routing
+//! still delivers every probed pair along a path at least as long as the
+//! tree distance, and the serve's `links_changed` equals the symmetric
+//! difference of the whole tree's edge sets before and after it.
 
 use ksan::core::lazy::{incremental_weight_balanced_rebuilder, weight_balanced_rebuilder};
 use ksan::core::routing::route;
@@ -58,17 +59,6 @@ impl<F: FnMut(usize, &[u64]) -> ShapeTree> DenseLazyOracle<F> {
         }
     }
 
-    fn edge_set(t: &KstTree) -> BTreeSet<(u32, u32)> {
-        let mut edges = BTreeSet::new();
-        for v in t.nodes() {
-            let p = t.parent(v);
-            if p != ksan::core::NIL {
-                edges.insert((v.min(p), v.max(p)));
-            }
-        }
-        edges
-    }
-
     fn serve(&mut self, u: NodeKey, v: NodeKey) -> ServeCost {
         let n = self.tree.n();
         let routing = self.tree.distance_keys(u, v);
@@ -82,8 +72,8 @@ impl<F: FnMut(usize, &[u64]) -> ShapeTree> DenseLazyOracle<F> {
         if self.since_rebuild >= self.alpha {
             let shape = (self.rebuilder)(n, &self.epoch_demand);
             let new_tree = KstTree::from_shape(self.k, &shape);
-            let before = Self::edge_set(&self.tree);
-            let after = Self::edge_set(&new_tree);
+            let before = edge_set(&self.tree);
+            let after = edge_set(&new_tree);
             links_changed = before.symmetric_difference(&after).count() as u64;
             self.tree = new_tree;
             self.since_rebuild = 0;
@@ -100,6 +90,18 @@ impl<F: FnMut(usize, &[u64]) -> ShapeTree> DenseLazyOracle<F> {
             rebuild_nodes,
         }
     }
+}
+
+/// The whole tree's undirected edge set.
+fn edge_set(t: &KstTree) -> BTreeSet<(u32, u32)> {
+    let mut edges = BTreeSet::new();
+    for v in t.nodes() {
+        let p = t.parent(v);
+        if p != ksan::core::NIL {
+            edges.insert((v.min(p), v.max(p)));
+        }
+    }
+    edges
 }
 
 /// Observed per-key frequencies from a dense matrix — the dense twin of
@@ -252,6 +254,8 @@ fn incremental_plans_preserve_invariants_and_routing_agreement() {
         let trace = gens::phase_shift(n, 30_000, 1_500, 5, 4, 0.9, 40 + k as u64);
         let mut rebuilds_seen = 0;
         let mut partial_plans = 0;
+        // Lazy nets never rotate: the topology only changes at rebuilds.
+        let mut edges = edge_set(net.tree());
         for &(u, v) in trace.requests() {
             let before = net.rebuilds();
             let c = net.serve(u, v);
@@ -260,6 +264,15 @@ fn incremental_plans_preserve_invariants_and_routing_agreement() {
                 if c.rebuild_nodes > 0 && c.rebuild_nodes < n as u64 {
                     partial_plans += 1;
                 }
+                // Exact link accounting: disjoint patches sum to the whole
+                // tree's edge-set difference.
+                let after = edge_set(net.tree());
+                assert_eq!(
+                    c.links_changed,
+                    edges.symmetric_difference(&after).count() as u64,
+                    "k={k}: links_changed is not the edge-set difference"
+                );
+                edges = after;
                 // Invariants after every rebuild.
                 ksan::core::invariants::validate(net.tree())
                     .unwrap_or_else(|e| panic!("k={k}: invariants broken after rebuild: {e}"));
@@ -329,7 +342,7 @@ fn patch_subtree_on_rotated_trees_keeps_invariants() {
             let hot = vec![(1 + (size as u32 / 2), 1_000u64)];
             let frag = ShapeTree::weight_balanced(size, k, &hot);
             let stats = tree.patch_subtree(lo, hi, &frag);
-            assert_eq!(stats.nodes, size as u64);
+            assert_eq!(stats.rebuild_nodes, size as u64);
             ksan::core::invariants::validate(&tree)
                 .unwrap_or_else(|e| panic!("k={k} patch [{lo},{hi}]: {e}"));
             patched += 1;
