@@ -61,7 +61,7 @@ fn report_sharding_speedup() {
         engine.run_trace(&trace); // warm
         let mut best = f64::MAX;
         for _ in 0..3 {
-            let (report, elapsed) = kst_engine::timed_run(&mut engine, &trace);
+            let (report, elapsed) = kst_obs::timed(|| engine.run_trace(&trace));
             black_box(report.total().routing);
             best = best.min(elapsed.as_secs_f64());
         }

@@ -131,7 +131,9 @@ fn main() {
          {K}-ary SplayNet per shard, n={n}, m={m}; resharding epoch \
          {}, budget {} keys, donor floor {} keys.\n\n\
          ## Live resharding vs the static partition\n\n",
-        rc.epoch, rc.budget, rc.min_shard
+        rc.epoch,
+        rc.budget,
+        ReshardConfig::MIN_SHARD
     );
     report.push_str(&tab.to_markdown());
     report.push_str(

@@ -1,6 +1,6 @@
 //! Regenerates the table artifacts in one go, writing `results/*.md`:
-//! Tables 1–7 (as `table_kary` writes them) and Table 8 (as `table8`),
-//! plus the regret report (`results/regret.md`: every self-adjusting net
+//! Tables 1–7 (`table_kary_<workload>.md` each, and all seven in
+//! `tables_1_7.md`) and Table 8 (`table8.md`), plus the regret report (`results/regret.md`: every self-adjusting net
 //! vs the offline static optimum, windowed), the sharded-engine report
 //! (`results/engine.md`) and the observability artifacts below.
 //! `remark10`, `lemma9` and `entropy_check` are separate binaries and are
@@ -96,7 +96,7 @@ fn main() {
     let mut engine_rows = Vec::new();
     for (name, trace) in &traces {
         let mut engine = ShardedEngine::ksplay(4, trace.n(), ecfg.clone());
-        let (report, elapsed) = kst_engine::timed_run(&mut engine, trace);
+        let (report, elapsed) = kst_obs::timed(|| engine.run_trace(trace));
         eprintln!("[engine | {name}] served in {elapsed:.1?}");
         engine_rows.push(EngineRow {
             workload: name.to_string(),
@@ -115,6 +115,8 @@ fn main() {
     // for bit-reproducible artifacts); default here is wall-clock, the
     // point of the report.
     let mut ocfg = ecfg.clone();
+    // Lazy nets cannot reshard, so `KSAN_RESHARD=on` applies only above.
+    ocfg.reshard.enabled = false;
     if std::env::var_os("KSAN_OBS").is_none() {
         ocfg.obs = ObsMode::WallClock;
     }
@@ -129,7 +131,7 @@ fn main() {
         let alpha = (trace.requests().len() as u64 / ocfg.shards.max(1) as u64 / 8).max(64);
         let tau = (alpha / 4).max(16);
         let mut engine = ShardedEngine::lazy(4, trace.n(), alpha, tau, 8, ocfg.clone());
-        let (report, elapsed) = kst_engine::timed_run(&mut engine, trace);
+        let (report, elapsed) = kst_obs::timed(|| engine.run_trace(trace));
         eprintln!(
             "[obs | {name}] served in {elapsed:.1?} ({} rebuild pauses)",
             report.obs.total().rebuild_pause_us.count()

@@ -2,13 +2,13 @@
 //!
 //! One binary per paper artifact (the crate map in the workspace
 //! `README.md` lists them all):
-//! * `table_kary <workload>…` — Tables 1–7 (k-ary SplayNet vs static
-//!   trees, k ∈ \[2,10\]);
-//! * `table8` — Table 8 (3-SplayNet vs SplayNet vs static binary trees);
+//! * `run_all` — Tables 1–7 (k-ary SplayNet vs static trees,
+//!   k ∈ \[2,10\]), Table 8 (3-SplayNet vs SplayNet vs static binary
+//!   trees), the regret, engine and observability reports, writing
+//!   `results/*.md`;
 //! * `remark10` — centroid-tree optimality sweep (Remark 10/37);
 //! * `lemma9` — n² log_k n scaling of full & centroid trees (Lemma 9/36);
-//! * `entropy_check` — empirical Theorem 13 entropy bound;
-//! * `run_all` — everything above, writing `results/*.md`.
+//! * `entropy_check` — empirical Theorem 13 entropy bound.
 //!
 //! Scaling knobs come from the environment: `KSAN_REQUESTS` (default 10⁶),
 //! `KSAN_FACEBOOK_N` (default 10⁴), `KSAN_DP_LIMIT`, `KSAN_THREADS`,
@@ -404,7 +404,7 @@ mod tests {
             .with_obs(kst_engine::ObsMode::WallClock);
         let trace = kst_workloads::gens::temporal(128, 4_000, 0.9, 3);
         let mut engine = kst_engine::ShardedEngine::lazy(4, 128, 200, 50, 8, cfg.clone());
-        let (report, elapsed) = kst_engine::timed_run(&mut engine, &trace);
+        let (report, elapsed) = kst_obs::timed(|| engine.run_trace(&trace));
         assert!(report.obs.requests() > 0);
         let rows = vec![EngineRow {
             workload: "t09".to_string(),

@@ -125,6 +125,10 @@ impl Network for KSplayNet {
     fn label(&self) -> String {
         format!("{}-ary SplayNet", self.tree.k())
     }
+
+    fn reshardable(&mut self) -> Option<&mut dyn Reshardable> {
+        Some(self)
+    }
 }
 
 impl Reshardable for KSplayNet {

@@ -9,6 +9,7 @@
 //! Section 5 — and as physical links changed).
 
 use crate::key::NodeKey;
+use crate::reshard::Reshardable;
 use std::iter::Sum;
 use std::ops::AddAssign;
 
@@ -82,4 +83,12 @@ pub trait Network {
 
     /// Short human-readable description for reports.
     fn label(&self) -> String;
+
+    /// The net's boundary-run surgery, if it can donate and accept keys
+    /// at its ends ([`Reshardable`]); `None` by default. The engine's live
+    /// resharding reaches shard nets through this hook, so it runs on any
+    /// net type and reshards only those that return `Some`.
+    fn reshardable(&mut self) -> Option<&mut dyn Reshardable> {
+        None
+    }
 }

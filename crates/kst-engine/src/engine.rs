@@ -48,14 +48,17 @@
 //!    boundary, each direction, up to [`ReshardConfig::budget`] keys)
 //!    against the smoothed demand: a shift's gain is the demand it heals
 //!    (cross pairs made intra) minus the demand it breaks (intra pairs
-//!    made cross), subject to a donor floor ([`ReshardConfig::min_shard`])
-//!    and a receiver size cap ([`ReshardConfig::max_imbalance_pct`]).
+//!    made cross), subject to a donor floor ([`ReshardConfig::MIN_SHARD`])
+//!    and a receiver size cap ([`ReshardConfig::MAX_IMBALANCE_PCT`]).
 //! 2. **Apply** — if the best gain clears [`ReshardConfig::min_gain`],
-//!    splice the boundary run out of the donor shard's tree
-//!    ([`kst_core::Reshardable`]), absorb the fragment into the
-//!    neighbour, shift the [`ShardMap`] boundary and bump its version.
-//!    The fragment keeps its learned subtree shape, so migrated hot keys
-//!    stay hot-placed.
+//!    splice the boundary run out of the donor shard's tree, absorb the
+//!    fragment into the neighbour, shift the [`ShardMap`] boundary and
+//!    bump its version. The engine reaches the two trees through
+//!    [`Network::reshardable`], so only net types that return a
+//!    [`kst_core::Reshardable`] there (the k-ary SplayNet) can run with
+//!    resharding on; [`ShardedEngine::new`] rejects any other. The
+//!    fragment keeps its learned subtree shape, so migrated hot keys stay
+//!    hot-placed.
 //!
 //! Because shards are fully independent and the dispatcher enqueues
 //! operations in trace order — and resharding runs between epochs, on
@@ -68,7 +71,7 @@
 
 use crate::obs::{record_handoff, stamp, ObsMode, ObsReport};
 use crate::shard::ShardMap;
-use kst_core::{KSplayNet, Network, Reshardable, ServeCost, ShapeTree};
+use kst_core::{KSplayNet, Network, ServeCost};
 use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
 use kst_sim::obs::ObsCollector;
 use kst_sim::Metrics;
@@ -105,18 +108,11 @@ pub struct ReshardConfig {
     /// Requests per epoch: demand is folded and a migration considered
     /// at every epoch boundary.
     pub epoch: usize,
-    /// Half-life (in epochs) of the decaying cross-shard demand ledger.
-    pub half_life: u32,
     /// Maximum keys moved by one migration (one per epoch boundary).
     pub budget: usize,
     /// Minimum demand gain (healed minus broken pair weight) required to
     /// apply a migration.
     pub min_gain: u64,
-    /// Donor shards always keep at least this many keys.
-    pub min_shard: usize,
-    /// Receiver-size cap as a percentage of the mean shard size `n / S`
-    /// (e.g. 200 = a shard may grow to at most 2× the mean).
-    pub max_imbalance_pct: u64,
 }
 
 impl Default for ReshardConfig {
@@ -124,16 +120,21 @@ impl Default for ReshardConfig {
         ReshardConfig {
             enabled: false,
             epoch: 4096,
-            half_life: 4,
             budget: 256,
             min_gain: 1,
-            min_shard: 8,
-            max_imbalance_pct: 200,
         }
     }
 }
 
 impl ReshardConfig {
+    /// Half-life (in epochs) of the decaying cross-shard demand ledger.
+    pub const HALF_LIFE: u32 = 4;
+    /// Donor shards always keep at least this many keys.
+    pub const MIN_SHARD: usize = 8;
+    /// Receiver-size cap as a percentage of the mean shard size `n / S`
+    /// (200 = a shard may grow to at most 2× the mean).
+    pub const MAX_IMBALANCE_PCT: u64 = 200;
+
     /// The default knobs with the master switch on.
     pub fn on() -> ReshardConfig {
         ReshardConfig {
@@ -200,9 +201,11 @@ impl EngineConfig {
     /// `KSAN_THREADS`, `KSAN_BATCH`, `KSAN_BUILD_THREADS`,
     /// `KSAN_OBS` (`off`/`det`/`wall`),
     /// `KSAN_OBS_EVENTS`, `KSAN_SPINE` (`star`/`ksplay`), `KSAN_SPINE_K`,
-    /// `KSAN_RESHARD` (`on`/`off`), `KSAN_RESHARD_EPOCH`,
-    /// `KSAN_RESHARD_BUDGET`, and `KSAN_RESHARD_IMBALANCE` (the percent
-    /// of the mean shard size a receiver may grow to).
+    /// `KSAN_RESHARD` (`on`/`off`), `KSAN_RESHARD_EPOCH` and
+    /// `KSAN_RESHARD_BUDGET`. `KSAN_RESHARD=on` takes effect only on net
+    /// types whose [`Network::reshardable`] hook returns `Some`;
+    /// [`ShardedEngine::new`] rejects the others when there are two or
+    /// more shards.
     pub fn from_env() -> EngineConfig {
         let mut cfg = EngineConfig::default();
         let get = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok());
@@ -235,9 +238,6 @@ impl EngineConfig {
         }
         if let Some(v) = get("KSAN_RESHARD_BUDGET") {
             cfg.reshard.budget = v.max(1);
-        }
-        if let Some(v) = get("KSAN_RESHARD_IMBALANCE") {
-            cfg.reshard.max_imbalance_pct = (v as u64).max(100);
         }
         if let Some(m) = std::env::var("KSAN_OBS")
             .ok()
@@ -531,33 +531,6 @@ fn book_router(
     c
 }
 
-/// The reshard surgery entry points of the concrete net type, captured
-/// as plain function pointers so `ShardedEngine<N>` keeps working for
-/// net types that are not [`Reshardable`] (the capability is attached by
-/// [`ShardedEngine::with_resharding`], never demanded by the engine's
-/// own bounds).
-struct ReshardOps<N> {
-    extract_low: fn(&mut N, usize) -> (ShapeTree, ServeCost),
-    extract_high: fn(&mut N, usize) -> (ShapeTree, ServeCost),
-    absorb_low: fn(&mut N, &ShapeTree) -> ServeCost,
-    absorb_high: fn(&mut N, &ShapeTree) -> ServeCost,
-}
-
-impl<N> Clone for ReshardOps<N> {
-    fn clone(&self) -> ReshardOps<N> {
-        *self
-    }
-}
-
-impl<N> Copy for ReshardOps<N> {}
-
-/// Live-resharding state: the surgery ops plus the decaying cross-shard
-/// demand ledger migrations are planned from.
-struct ReshardState<N> {
-    ops: ReshardOps<N>,
-    demand: DecayingDemand,
-}
-
 /// A sharded serving engine: `S` independent shard networks plus the
 /// top-level router spine, replaying traces either sequentially or on a
 /// worker pool with batched per-shard queues, optionally rebalancing the
@@ -569,10 +542,10 @@ pub struct ShardedEngine<N> {
     /// (or with fewer than two shards), where the router is a constant
     /// charge instead of a network.
     spine: Option<KSplayNet>,
-    /// Present iff [`ShardedEngine::with_resharding`] attached the
-    /// surgery ops (the convenience constructors of reshardable net
-    /// types do it automatically).
-    reshard: Option<ReshardState<N>>,
+    /// The decaying cross-shard demand ledger migrations are planned
+    /// from; present iff live resharding runs ([`ReshardConfig::enabled`]
+    /// with two or more shards).
+    demand: Option<DecayingDemand>,
     cfg: EngineConfig,
     /// Run-origin clock, present iff [`EngineConfig::obs`] is
     /// [`ObsMode::WallClock`]: every wall-clock timestamp an observed run
@@ -595,6 +568,12 @@ impl<N: Network> ShardedEngine<N> {
     /// overlap replaces "never coexist", trading a T-bounded transient-RSS
     /// bump for a near-linear construction speedup. Shards are
     /// independent, so the built engine is bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// If a factory net's size differs from its shard's range, or if
+    /// live resharding is on with two or more shards and a shard net's
+    /// [`Network::reshardable`] hook returns `None`.
     pub fn new(
         n: usize,
         cfg: EngineConfig,
@@ -618,7 +597,7 @@ impl<N: Network> ShardedEngine<N> {
             net
         };
         let workers = cfg.build_threads.clamp(1, shards);
-        let nets: Vec<N> = if workers <= 1 {
+        let mut nets: Vec<N> = if workers <= 1 {
             (0..shards).map(build).collect()
         } else {
             // Static round-robin assignment (the [`deal`] layout): worker
@@ -638,17 +617,27 @@ impl<N: Network> ShardedEngine<N> {
                 interleave(built.collect())
             })
         };
-        let spine = match cfg.spine {
-            SpineMode::KSplay { k } if map.shards() >= 2 => {
-                Some(KSplayNet::balanced(k.max(2), map.shards()))
+        let demand = (cfg.reshard.enabled && shards >= 2).then(|| {
+            for net in &mut nets {
+                assert!(
+                    net.reshardable().is_some(),
+                    "resharding is enabled but {} cannot reshard: \
+                     use a reshardable net (e.g. ShardedEngine::ksplay) \
+                     or turn resharding off",
+                    net.label()
+                );
             }
+            DecayingDemand::new(n, ReshardConfig::HALF_LIFE)
+        });
+        let spine = match cfg.spine {
+            SpineMode::KSplay { k } if shards >= 2 => Some(KSplayNet::balanced(k.max(2), shards)),
             _ => None,
         };
         ShardedEngine {
             map,
             nets,
             spine,
-            reshard: None,
+            demand,
             clock: (cfg.obs == ObsMode::WallClock).then(Stopwatch::start),
             cfg,
         }
@@ -727,18 +716,17 @@ impl<N: Network> ShardedEngine<N> {
     /// deterministic given the trace and config, independent of the
     /// worker/batch layout.
     fn reshard_boundary(&mut self, chunk: &[(NodeKey, NodeKey)], report: &mut EngineReport) {
-        let Some(state) = self.reshard.as_mut() else {
+        let Some(demand) = self.demand.as_mut() else {
             return;
         };
         let shards = self.map.shards();
         for &(u, v) in chunk {
             if self.map.shard_of(u) != self.map.shard_of(v) {
-                state.demand.record(u, v);
+                demand.record(u, v);
             }
         }
-        state.demand.decay_merge();
-        let pairs = state.demand.pairs_sorted();
-        let ops = state.ops;
+        demand.decay_merge();
+        let pairs = demand.pairs_sorted();
         if report.obs.mode != ObsMode::Off {
             let mut load = vec![0u64; shards];
             for &(u, v, w) in &pairs {
@@ -758,7 +746,6 @@ impl<N: Network> ShardedEngine<N> {
             return;
         }
         let rc = self.cfg.reshard;
-        let min_shard = rc.min_shard.max(1);
         // Plan: the best of the 2(S−1) single-boundary shifts. Positive
         // delta grows shard b with the low end of b+1; negative donates
         // b's high end to b+1. Ties keep the first candidate in loop
@@ -769,13 +756,15 @@ impl<N: Network> ShardedEngine<N> {
             for dir in [1isize, -1] {
                 let (donor, receiver) = if dir > 0 { (b + 1, b) } else { (b, b + 1) };
                 let donor_range = self.map.range(donor);
-                let l = rc.budget.min(donor_range.len().saturating_sub(min_shard));
+                let l = rc
+                    .budget
+                    .min(donor_range.len().saturating_sub(ReshardConfig::MIN_SHARD));
                 if l == 0 {
                     continue;
                 }
                 let recv_len = self.map.range(receiver).len();
                 if (recv_len + l) as u64 * 100 * shards as u64
-                    > rc.max_imbalance_pct * self.map.n() as u64
+                    > ReshardConfig::MAX_IMBALANCE_PCT * self.map.n() as u64
                 {
                     continue;
                 }
@@ -812,16 +801,20 @@ impl<N: Network> ShardedEngine<N> {
         let l = delta.unsigned_abs();
         // Apply: splice the boundary run out of the donor tree and hand
         // the fragment (learned shape intact) to the neighbour, then
-        // shift the map boundary and bump its version.
-        let links = if delta > 0 {
-            let (frag, s1) = (ops.extract_low)(&mut self.nets[b + 1], l);
-            let s2 = (ops.absorb_high)(&mut self.nets[b], &frag);
-            s1.links_changed + s2.links_changed
-        } else {
-            let (frag, s1) = (ops.extract_high)(&mut self.nets[b], l);
-            let s2 = (ops.absorb_low)(&mut self.nets[b + 1], &frag);
-            s1.links_changed + s2.links_changed
+        // shift the map boundary and bump its version. `new` checked that
+        // every shard net is reshardable.
+        let (low, high) = self.nets.split_at_mut(b + 1);
+        let (Some(left), Some(right)) = (low[b].reshardable(), high[0].reshardable()) else {
+            return;
         };
+        let (extract, absorb) = if delta > 0 {
+            let (frag, extract) = right.extract_low(l);
+            (extract, left.absorb_high(&frag))
+        } else {
+            let (frag, extract) = left.extract_high(l);
+            (extract, right.absorb_low(&frag))
+        };
+        let links = extract.links_changed + absorb.links_changed;
         self.map.shift_boundary(b, delta);
         // ksan-allow: panic-surface the post-shift validate is the migration applier's own integrity gate; a failure means corrupted state that must not serve
         let check = self.map.validate();
@@ -845,25 +838,6 @@ impl<N: Network> ShardedEngine<N> {
     }
 }
 
-impl<N: Network + Reshardable> ShardedEngine<N> {
-    /// Attaches the live-resharding surgery ops (and a fresh demand
-    /// ledger) to the engine. Required before running with
-    /// [`ReshardConfig::enabled`]; an inert capability otherwise. The
-    /// reshardable convenience constructors call this automatically.
-    pub fn with_resharding(mut self) -> ShardedEngine<N> {
-        self.reshard = Some(ReshardState {
-            ops: ReshardOps {
-                extract_low: N::extract_low,
-                extract_high: N::extract_high,
-                absorb_low: N::absorb_low,
-                absorb_high: N::absorb_high,
-            },
-            demand: DecayingDemand::new(self.map.n(), self.cfg.reshard.half_life),
-        });
-        self
-    }
-}
-
 impl<N: Network + Send> ShardedEngine<N> {
     /// Replays the trace into one report. With live resharding on, the
     /// trace is served in epochs of [`ReshardConfig::epoch`] requests,
@@ -880,13 +854,7 @@ impl<N: Network + Send> ShardedEngine<N> {
         let shards = self.map.shards();
         let mut report = EngineReport::new(shards);
         report.obs = ObsReport::with_config(shards, self.cfg.obs, self.cfg.obs_events);
-        let resharding = self.cfg.reshard.enabled && shards >= 2;
-        assert!(
-            !resharding || self.reshard.is_some(),
-            "resharding is enabled but this engine has no reshard ops: \
-             construct via a reshardable net (e.g. ShardedEngine::ksplay) \
-             or call with_resharding()"
-        );
+        let resharding = self.demand.is_some();
         let epoch = if resharding {
             self.cfg.reshard.epoch.max(1)
         } else {
@@ -1062,14 +1030,13 @@ fn interleave<T>(lanes: Vec<Vec<T>>) -> Vec<T> {
 }
 
 impl ShardedEngine<kst_core::KSplayNet> {
-    /// Convenience constructor: one balanced k-ary SplayNet per shard,
-    /// with the live-resharding surgery ops attached (inert until
-    /// [`ReshardConfig::enabled`]).
+    /// Convenience constructor: one balanced k-ary SplayNet per shard.
+    /// The one reshardable net type, so it honours
+    /// [`ReshardConfig::enabled`].
     pub fn ksplay(k: usize, n: usize, cfg: EngineConfig) -> ShardedEngine<kst_core::KSplayNet> {
         ShardedEngine::new(n, cfg, |_, range| {
             kst_core::KSplayNet::balanced(k, range.len())
         })
-        .with_resharding()
     }
 }
 

@@ -13,7 +13,11 @@
 //! ([`SpineMode::KSplay`]) that pulls hot shard pairs adjacent. The
 //! partition itself is a **versioned range table** ([`ShardMap`]) that
 //! live resharding ([`ReshardConfig`]) rebalances between epochs by
-//! splicing boundary subtrees between neighbouring shard trees.
+//! splicing boundary subtrees between neighbouring shard trees. The
+//! engine reaches those trees through the [`kst_core::Network::reshardable`]
+//! hook, so resharding needs no extra bound on the net type: it runs on
+//! nets whose hook returns `Some` (the k-ary SplayNet), and
+//! [`ShardedEngine::new`] rejects resharding on any other.
 //!
 //! Guarantees, enforced by the workspace's differential tests:
 //!
@@ -63,16 +67,3 @@ pub use engine::{
 };
 pub use obs::{ObsMode, ObsReport};
 pub use shard::ShardMap;
-
-use kst_core::Network;
-use kst_workloads::Trace;
-
-/// Runs a trace through the engine and returns the report together with
-/// wall-clock elapsed time (the harness' throughput probe, on the
-/// workspace's audited clock surface — [`kst_obs::Stopwatch`]).
-pub fn timed_run<N: Network + Send>(
-    engine: &mut ShardedEngine<N>,
-    trace: &Trace,
-) -> (EngineReport, std::time::Duration) {
-    kst_obs::timed(|| engine.run_trace(trace))
-}

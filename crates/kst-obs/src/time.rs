@@ -4,8 +4,8 @@
 //! reads from cost-feeding code: wall clocks are the nondeterminism
 //! vector that would break the engine's threaded ≡ sequential
 //! bit-identity. Throughput and pause *measurements* still need a
-//! clock, so every probe in the workspace (`kst_engine::timed_run`, the
-//! `run_all`/`table_kary`/`table8` section timers, the engine's
+//! clock, so every probe in the workspace (the engine replay timers,
+//! the `run_all` section timers, the engine's
 //! rebuild-pause histograms) routes through this module — one place to
 //! audit, each read carrying its justified `ksan-allow`. Durations
 //! produced here must never feed `ServeCost` or `Metrics`; they go to
@@ -55,7 +55,7 @@ impl Stopwatch {
 }
 
 /// Runs `f`, returning its result together with wall-clock elapsed time
-/// — the closure-shaped probe behind `kst_engine::timed_run` and the
+/// — the closure-shaped probe behind the engine replay timers and the
 /// bench section timers.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let sw = Stopwatch::start();

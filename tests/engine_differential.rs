@@ -362,7 +362,7 @@ fn lazy_engine_rebuild_histograms_survive_threading() {
 }
 
 #[test]
-fn star_spine_with_resharding_off_is_bit_identical_to_the_default_engine() {
+fn star_spine_and_resharding_off_are_bit_identical_to_the_default_engine() {
     // The refactor gate: the demand-aware dispatch layer must be a
     // strict superset of the fixed-router, fixed-partition engine. With
     // an *explicit* star spine and resharding off (the defaults), every
