@@ -428,25 +428,20 @@ impl<R: Rebuild> Network for LazyKaryNet<R> {
         if self.since_rebuild >= self.alpha {
             // Epoch boundary: fold the epoch into the smoothed ledger,
             // plan against the live tree, apply the patches, then move
-            // the planned baselines for exactly the patched ranges —
-            // reusing the view's key weights so the trigger scans the
-            // ledger once, not twice. The whole block allocates by
-            // design: it runs once per α routing cost, so each call
-            // below is a documented no-alloc cut point.
+            // the planned baselines for exactly the patched ranges. The
+            // whole block allocates by design: it runs once per α
+            // routing cost, so each call below is a documented no-alloc
+            // cut point.
             // ksan-allow: no-alloc epoch-boundary ledger fold, amortized over α routing cost
             self.demand.decay_merge();
-            let (plan, key_weights) = {
-                // ksan-allow: no-alloc epoch-boundary demand snapshot, amortized over α routing cost
-                let view = self.demand.view();
-                // ksan-allow: no-alloc epoch-boundary rebuild planning, amortized over α routing cost
-                let plan = self.rebuilder.plan(&self.tree, &view);
-                // ksan-allow: no-alloc epoch-boundary weight handoff, amortized over α routing cost
-                (plan, view.into_key_weights())
-            };
+            // ksan-allow: no-alloc epoch-boundary demand snapshot, amortized over α routing cost
+            let view = self.demand.view();
+            // ksan-allow: no-alloc epoch-boundary rebuild planning, amortized over α routing cost
+            let plan = self.rebuilder.plan(&self.tree, &view);
             // ksan-allow: no-alloc epoch-boundary patch application, amortized over α routing cost
             cost += plan.apply_to(&mut self.tree);
             // ksan-allow: no-alloc epoch-boundary baseline advance, amortized over α routing cost
-            self.demand.mark_planned_from(&key_weights, &plan.ranges());
+            self.demand.mark_planned(&plan.ranges());
             self.patches_applied += cost.rebuild_patches;
             self.nodes_patched += cost.rebuild_nodes;
             self.since_rebuild = 0;

@@ -40,9 +40,10 @@
 //!
 //! With [`ReshardConfig::enabled`] the partition itself becomes
 //! demand-aware: the trace replays in epochs of [`ReshardConfig::epoch`]
-//! requests, a decaying ledger ([`kst_workloads::DecayingDemand`])
-//! accumulates cross-shard pair demand, and at every epoch boundary a
-//! two-phase **plan/apply** rebalance runs on the dispatcher thread:
+//! requests, a pair-only decaying ledger ([`kst_workloads::EwmaLedger`],
+//! no per-key arrays at any keyspace size) accumulates cross-shard pair
+//! demand, and at every epoch boundary a two-phase **plan/apply**
+//! rebalance runs on the dispatcher thread:
 //!
 //! 1. **Plan** — evaluate the `2(S − 1)` single-boundary shifts (each
 //!    boundary, each direction, up to [`ReshardConfig::budget`] keys)
@@ -75,7 +76,7 @@ use kst_core::{KSplayNet, Network, ServeCost};
 use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
 use kst_sim::obs::ObsCollector;
 use kst_sim::Metrics;
-use kst_workloads::{DecayingDemand, KeyRange, NodeKey, Trace};
+use kst_workloads::{EwmaLedger, KeyRange, NodeKey, Trace};
 use std::sync::mpsc;
 
 /// How many filled batches may queue per worker before the dispatcher
@@ -545,7 +546,7 @@ pub struct ShardedEngine<N> {
     /// The decaying cross-shard demand ledger migrations are planned
     /// from; present iff live resharding runs ([`ReshardConfig::enabled`]
     /// with two or more shards).
-    demand: Option<DecayingDemand>,
+    demand: Option<EwmaLedger>,
     cfg: EngineConfig,
     /// Run-origin clock, present iff [`EngineConfig::obs`] is
     /// [`ObsMode::WallClock`]: every wall-clock timestamp an observed run
@@ -627,7 +628,7 @@ impl<N: Network> ShardedEngine<N> {
                     net.label()
                 );
             }
-            DecayingDemand::new(n, ReshardConfig::HALF_LIFE)
+            EwmaLedger::new(n, ReshardConfig::HALF_LIFE)
         });
         let spine = match cfg.spine {
             SpineMode::KSplay { k } if shards >= 2 => Some(KSplayNet::balanced(k.max(2), shards)),

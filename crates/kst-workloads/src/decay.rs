@@ -4,9 +4,9 @@
 //! exactly wrong for the non-stationary traffic *Toward Demand-Aware
 //! Networking* argues real datacenter workloads exhibit: a lazy net that
 //! re-optimizes from single-epoch samples thrashes between unrelated
-//! optima. [`DecayingDemand`] keeps an **exponentially weighted moving
+//! optima. [`EwmaLedger`] keeps an **exponentially weighted moving
 //! average** of the per-pair demand across epochs: at every epoch boundary
-//! ([`DecayingDemand::decay_merge`]) the smoothed ledger is multiplied by
+//! ([`EwmaLedger::decay_merge`]) the smoothed ledger is multiplied by
 //! `λ = 2^(−1/half_life)` and the raw epoch counts are added, so demand
 //! observed `half_life` epochs ago contributes half of what fresh demand
 //! does. `half_life = 0` disables the memory entirely (λ = 0), reproducing
@@ -20,17 +20,29 @@
 //! output-sensitive. `tests/proptests.rs` pins the arithmetic against an
 //! f64 reference with a derived error bound.
 //!
-//! On top of the smoothed ledger sits the **dirty tracking** the two-phase
+//! **Memory.** The smoothed pairs live in one `Vec` sorted by packed
+//! `(u, v)`, plus a spare buffer of the same size the next merge writes
+//! into: 16 B per live pair per buffer, nothing per key. A merge is one
+//! merge-join of that `Vec` with the sorted epoch, which decays, prunes
+//! and totals in the same pass, so iteration is canonical without a sort.
+//! [`EwmaLedger`] is that ledger alone; the engine's reshard ledger spans
+//! the whole keyspace and uses it as is. [`DecayingDemand`], the lazy
+//! nets' ledger, wraps it with two dense per-key arrays, 16 B per key in
+//! all: the exact fixed-point per-key fold, which the merge pass fills,
+//! and the planned baselines. The allocation is zeroed, so its pages are
+//! mapped when the first merge touches them.
+//!
+//! On top of the per-key fold sits the **dirty tracking** the two-phase
 //! rebuild planner consumes: the ledger remembers the rounded per-key
 //! weights the last plan was built from ([`DecayingDemand::mark_planned`])
 //! and [`DecayingDemand::view`] exposes the absolute per-key weight change
 //! since then as a [`DirtyIndex`] — prefix-summed, so a planner can ask
 //! "how much did demand change inside key range `[a, b]`" in O(log)
 //! ("which subtree roots saw demand change ≥ τ since the last rebuild").
+//! The view is one linear scan over the keys: no hashing and no sort.
 
 use crate::demand::{pack, unpack, SparseDemand};
 use crate::trace::NodeKey;
-use std::collections::HashMap;
 
 /// Fractional bits of the fixed-point EWMA counts.
 pub const FRAC: u32 = 16;
@@ -67,41 +79,41 @@ fn lambda_fp(half_life: u32) -> u64 {
     ((lambda * (1u64 << FRAC) as f64).round() as u64).min((1u64 << FRAC) - 1)
 }
 
-/// EWMA-smoothed sparse demand ledger with per-key dirty tracking.
+/// EWMA-smoothed sparse pair ledger: O(live pairs) memory, nothing per
+/// key, so it serves any keyspace size.
 ///
 /// Owns the current epoch's raw [`SparseDemand`]; epoch boundaries fold it
-/// into the smoothed fixed-point ledger via [`DecayingDemand::decay_merge`].
+/// into the smoothed fixed-point ledger via [`EwmaLedger::decay_merge`].
 #[derive(Debug, Clone)]
-pub struct DecayingDemand {
+pub struct EwmaLedger {
     n: usize,
     half_life: u32,
     lambda_fp: u64,
     /// Raw demand of the current (not yet merged) epoch.
     epoch: SparseDemand,
-    /// Smoothed pair → fixed-point count; entries pruned at zero.
-    smoothed: HashMap<u64, u64>,
+    /// Smoothed `(pack(u, v), fixed-point count)` entries, sorted by
+    /// packed pair (row-major), every count nonzero.
+    smoothed: Vec<(u64, u64)>,
+    /// The merge's output buffer; holds the previous ledger's capacity
+    /// between merges so steady-state merges do not reallocate.
+    spare: Vec<(u64, u64)>,
     /// Exact sum of all `smoothed` entries.
     total_fp: u64,
-    /// Rounded per-key weight the last plan consumed, per key (absent =
-    /// planned at weight 0). Baselines update only for the key ranges a
-    /// plan actually patched, so drift in untouched regions keeps
-    /// accumulating until a patch covers it.
-    planned: HashMap<NodeKey, u64>,
 }
 
-impl DecayingDemand {
+impl EwmaLedger {
     /// An empty ledger over keys `1..=n` with the given half-life in
     /// epochs (`0` = no cross-epoch memory: each merge replaces the
     /// smoothed ledger with the epoch's raw counts).
-    pub fn new(n: usize, half_life: u32) -> DecayingDemand {
-        DecayingDemand {
+    pub fn new(n: usize, half_life: u32) -> EwmaLedger {
+        EwmaLedger {
             n,
             half_life,
             lambda_fp: lambda_fp(half_life),
             epoch: SparseDemand::new(n),
-            smoothed: HashMap::new(),
+            smoothed: Vec::new(),
+            spare: Vec::new(),
             total_fp: 0,
-            planned: HashMap::new(),
         }
     }
 
@@ -143,13 +155,16 @@ impl DecayingDemand {
     /// Smoothed demand from `u` to `v`, rounded to the nearest integer
     /// (excludes the current unmerged epoch).
     pub fn get(&self, u: NodeKey, v: NodeKey) -> u64 {
-        round_fp(self.smoothed.get(&pack(u, v)).copied().unwrap_or(0))
+        round_fp(self.get_fp(u, v))
     }
 
     /// Smoothed demand in raw fixed-point units (testing hook for the
-    /// EWMA arithmetic proptests).
+    /// EWMA arithmetic proptests); a binary search.
     pub fn get_fp(&self, u: NodeKey, v: NodeKey) -> u64 {
-        self.smoothed.get(&pack(u, v)).copied().unwrap_or(0)
+        let p = pack(u, v);
+        self.smoothed
+            .binary_search_by_key(&p, |e| e.0)
+            .map_or(0, |i| self.smoothed[i].1)
     }
 
     /// Total smoothed demand, rounded (excludes the unmerged epoch).
@@ -181,56 +196,150 @@ impl DecayingDemand {
     /// with `half_life = 0` the smoothed ledger equals the epoch's raw
     /// counts exactly.
     pub fn decay_merge(&mut self) {
+        self.merge_with(|_, _, _| {});
+    }
+
+    /// [`EwmaLedger::decay_merge`], calling `fold(u, v, fp)` once for
+    /// every entry of the merged ledger, in canonical order — the one
+    /// pass a wrapper derives per-key sums from.
+    fn merge_with(&mut self, mut fold: impl FnMut(NodeKey, NodeKey, u64)) {
         let lam = self.lambda_fp;
+        let epoch = self.epoch.pairs_sorted();
+        let mut out = std::mem::take(&mut self.spare);
+        out.clear();
+        out.reserve(self.smoothed.len() + epoch.len());
         let mut total = 0u64;
-        if lam == 0 {
-            self.smoothed.clear();
-        } else {
-            // ksan-allow: determinism per-entry decay plus a commutative total; visit order cannot change the result
-            self.smoothed.retain(|_, v| {
-                *v = ((*v as u128 * lam as u128) >> FRAC) as u64;
-                total += *v;
-                *v > 0
-            });
+        let mut keep = |p: u64, fp: u64| {
+            if fp > 0 {
+                out.push((p, fp));
+                total += fp;
+                let (u, v) = unpack(p);
+                fold(u, v, fp);
+            }
+        };
+        let mut fresh = epoch
+            .iter()
+            .map(|&(u, v, c)| (pack(u, v), c << FRAC))
+            .peekable();
+        for &(p, fp) in &self.smoothed {
+            while let Some(&(q, c)) = fresh.peek().filter(|e| e.0 < p) {
+                keep(q, c);
+                fresh.next();
+            }
+            let mut fp = ((fp as u128 * lam as u128) >> FRAC) as u64;
+            if let Some(&(_, c)) = fresh.peek().filter(|e| e.0 == p) {
+                fp += c;
+                fresh.next();
+            }
+            keep(p, fp);
         }
-        // Unsorted iteration is fine here: the fold is commutative, exact
-        // u64 addition, so the merged ledger is identical in any order —
-        // no need to pay the canonical sort.
-        for (u, v, c) in self.epoch.pairs_unsorted() {
-            let fp = c << FRAC;
-            *self.smoothed.entry(pack(u, v)).or_insert(0) += fp;
-            total += fp;
+        for (q, c) in fresh {
+            keep(q, c);
         }
+        self.spare = std::mem::replace(&mut self.smoothed, out);
         self.total_fp = total;
         self.epoch.clear();
     }
 
-    /// Forgets everything: smoothed ledger, current epoch, and planned
-    /// baselines (capacity retained).
+    /// Forgets everything: smoothed ledger and current epoch (capacity
+    /// retained).
     pub fn clear(&mut self) {
         self.smoothed.clear();
         self.total_fp = 0;
         self.epoch.clear();
-        self.planned.clear();
     }
 
     /// All smoothed `(u, v, count)` entries with nonzero rounded count, in
-    /// canonical row-major order.
+    /// canonical row-major order (the ledger's own order: no sort).
     pub fn pairs_sorted(&self) -> Vec<(NodeKey, NodeKey, u64)> {
-        let mut pairs: Vec<(NodeKey, NodeKey, u64)> = self
-            .smoothed
-            // ksan-allow: determinism collected fully and sorted canonically below
+        self.smoothed
             .iter()
-            .filter_map(|(&p, &fp)| {
+            .filter_map(|&(p, fp)| {
                 let c = round_fp(fp);
                 (c > 0).then(|| {
                     let (u, v) = unpack(p);
                     (u, v, c)
                 })
             })
-            .collect();
-        pairs.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        pairs
+            .collect()
+    }
+}
+
+/// The lazy nets' ledger: an [`EwmaLedger`] plus the dense per-key fold
+/// and planned baselines behind the planner's [`DemandView`].
+///
+/// Dereferences to the wrapped [`EwmaLedger`] for every read-only query;
+/// the mutating calls go through this type so the per-key arrays stay in
+/// step with the pairs.
+#[derive(Debug, Clone)]
+pub struct DecayingDemand {
+    ledger: EwmaLedger,
+    /// Exact fixed-point per-key fold of the smoothed ledger, indexed by
+    /// key (slot 0 unused): every entry credits both endpoints. Filled
+    /// by the merge pass.
+    key_fp: Vec<u64>,
+    /// Rounded per-key weight the last plan consumed, indexed by key
+    /// (0 = absent, planned at weight 0). Baselines update only for the
+    /// key ranges a plan actually patched, so drift in untouched regions
+    /// keeps accumulating until a patch covers it.
+    planned: Vec<u64>,
+}
+
+impl std::ops::Deref for DecayingDemand {
+    type Target = EwmaLedger;
+
+    fn deref(&self) -> &EwmaLedger {
+        &self.ledger
+    }
+}
+
+impl DecayingDemand {
+    /// An empty ledger over keys `1..=n` with the given half-life in
+    /// epochs (`0` = no cross-epoch memory: each merge replaces the
+    /// smoothed ledger with the epoch's raw counts).
+    pub fn new(n: usize, half_life: u32) -> DecayingDemand {
+        DecayingDemand {
+            ledger: EwmaLedger::new(n, half_life),
+            key_fp: vec![0; n + 1],
+            planned: vec![0; n + 1],
+        }
+    }
+
+    /// Records one `u → v` request into the current epoch.
+    #[inline]
+    pub fn record(&mut self, u: NodeKey, v: NodeKey) {
+        self.ledger.record(u, v);
+    }
+
+    /// Records `w` requests `u → v` into the current epoch.
+    #[inline]
+    pub fn record_many(&mut self, u: NodeKey, v: NodeKey, w: u64) {
+        self.ledger.record_many(u, v, w);
+    }
+
+    /// [`EwmaLedger::decay_merge`], refolding the per-key weights in the
+    /// same pass.
+    pub fn decay_merge(&mut self) {
+        let key_fp = &mut self.key_fp;
+        key_fp.fill(0);
+        self.ledger.merge_with(|u, v, fp| {
+            key_fp[u as usize] += fp;
+            key_fp[v as usize] += fp;
+        });
+    }
+
+    /// Forgets everything: smoothed ledger, current epoch, per-key fold
+    /// and planned baselines (capacity retained).
+    pub fn clear(&mut self) {
+        self.ledger.clear();
+        // Plain loops, not `fill`: kst-analyze resolves calls by name, and
+        // the hot-path graph reaches this `clear` through other `clear`s.
+        for w in &mut self.key_fp {
+            *w = 0;
+        }
+        for w in &mut self.planned {
+            *w = 0;
+        }
     }
 
     /// Rounded smoothed per-key weights (each pair credits both
@@ -238,28 +347,21 @@ impl DecayingDemand {
     /// fixed-point sums are rounded once per key, so with `half_life = 0`
     /// this equals `SparseDemand::key_weights` of the last epoch exactly.
     pub fn key_weights(&self) -> Vec<(NodeKey, u64)> {
-        let mut w: HashMap<NodeKey, u64> = HashMap::with_capacity(self.smoothed.len());
-        // ksan-allow: determinism commutative accumulation; the result is sorted by key below
-        for (&p, &fp) in &self.smoothed {
-            let (u, v) = unpack(p);
-            *w.entry(u).or_insert(0) += fp;
-            *w.entry(v).or_insert(0) += fp;
-        }
-        let mut out: Vec<(NodeKey, u64)> = w
-            // ksan-allow: determinism collected fully and sorted by key below
-            .into_iter()
-            .filter_map(|(key, fp)| {
-                let c = round_fp(fp);
-                (c > 0).then_some((key, c))
+        self.key_fp
+            .iter()
+            .enumerate()
+            .skip(1)
+            .filter_map(|(key, &fp)| {
+                let w = round_fp(fp);
+                (w > 0).then_some((key as NodeKey, w))
             })
-            .collect();
-        out.sort_unstable_by_key(|&(key, _)| key);
-        out
+            .collect()
     }
 
     /// Builds the planner-facing view of the smoothed ledger: rounded key
     /// weights plus the dirty index of per-key change since each key's
-    /// last planned baseline. Call after [`DecayingDemand::decay_merge`].
+    /// last planned baseline, both from one scan over the keys. Call
+    /// after [`DecayingDemand::decay_merge`].
     ///
     /// A key counts as **drifted** once its weight roughly doubled or
     /// halved relative to the baseline (or appeared/vanished); sub-octave
@@ -275,70 +377,43 @@ impl DecayingDemand {
     /// τ-thresholded range queries weigh a hot key's explosion far above
     /// a warm key's flicker.
     pub fn view(&self) -> DemandView<'_> {
-        let kw = self.key_weights();
-        let mut dirty: Vec<(NodeKey, u64)> = Vec::with_capacity(kw.len());
-        for &(key, w) in &kw {
-            let base = self.planned.get(&key).copied().unwrap_or(0);
+        let mut kw: Vec<(NodeKey, u64)> = Vec::new();
+        let mut dirty: Vec<(NodeKey, u64)> = Vec::new();
+        let keys = self.key_fp.iter().zip(&self.planned).enumerate().skip(1);
+        for (key, (&fp, &base)) in keys {
+            let w = round_fp(fp);
+            if w > 0 {
+                kw.push((key as NodeKey, w));
+            }
+            // A key decayed to zero passes with delta = base: a vanished
+            // key is as drifted as a doubled one.
             let delta = w.abs_diff(base);
             if delta > 0 && (w >= 2 * base || 2 * w <= base) && w.max(base) > 2 {
-                dirty.push((key, delta));
+                dirty.push((key as NodeKey, delta));
             }
         }
-        // Keys whose weight decayed all the way to zero still differ from
-        // a nonzero baseline (membership via binary search on the sorted
-        // weights — no per-trigger HashSet build).
-        // ksan-allow: determinism dirty keys are sorted immediately below, erasing visit order
-        for (&key, &base) in &self.planned {
-            if base > 2 && kw.binary_search_by_key(&key, |e| e.0).is_err() {
-                dirty.push((key, base));
-            }
-        }
-        dirty.sort_unstable_by_key(|&(key, _)| key);
         DemandView {
-            n: self.n,
+            n: self.n(),
             weights_pre: prefix_sums(&kw),
             key_weights: kw,
             dirty: DirtyIndex::new(dirty),
-            pairs: PairSource::Decaying(self),
+            pairs: PairSource::Decaying(&self.ledger),
         }
     }
 
-    /// Records the rounded key weights inside the given **sorted,
-    /// disjoint** key ranges as the new planned baseline — the ranges a
-    /// rebuild plan actually patched. Keys outside every range keep their
-    /// old baseline, so their drift keeps counting as dirty.
+    /// Records the current rounded key weights inside the given key
+    /// ranges as the new planned baseline — the ranges a rebuild plan
+    /// actually patched. Keys outside every range keep their old
+    /// baseline, so their drift keeps counting as dirty.
     pub fn mark_planned(&mut self, ranges: &[(NodeKey, NodeKey)]) {
-        if ranges.is_empty() {
-            return;
-        }
-        let kw = self.key_weights();
-        self.mark_planned_from(&kw, ranges);
-    }
-
-    /// [`DecayingDemand::mark_planned`] with the current rounded key
-    /// weights supplied by the caller — the lazy net already holds them
-    /// from the plan's [`DemandView`], so the rebuild trigger avoids a
-    /// second O(distinct pairs) ledger scan. `key_weights` must be this
-    /// ledger's weights as of the last merge
-    /// ([`DemandView::into_key_weights`]).
-    pub fn mark_planned_from(
-        &mut self,
-        key_weights: &[(NodeKey, u64)],
-        ranges: &[(NodeKey, NodeKey)],
-    ) {
-        if ranges.is_empty() {
-            return;
-        }
-        debug_assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0), "ranges overlap");
-        let in_ranges = |key: NodeKey| {
-            let i = ranges.partition_point(|&(_, hi)| hi < key);
-            i < ranges.len() && ranges[i].0 <= key
-        };
-        // ksan-allow: determinism per-key membership predicate; the surviving set is order-independent
-        self.planned.retain(|&key, _| !in_ranges(key));
-        for &(key, w) in key_weights {
-            if in_ranges(key) {
-                self.planned.insert(key, w);
+        for &(lo, hi) in ranges {
+            let span = lo as usize..=(hi as usize).min(self.n());
+            if let (Some(base), Some(fp)) =
+                (self.planned.get_mut(span.clone()), self.key_fp.get(span))
+            {
+                for (b, &f) in base.iter_mut().zip(fp) {
+                    *b = round_fp(f);
+                }
             }
         }
     }
@@ -372,7 +447,7 @@ fn prefix_sums(entries: &[(NodeKey, u64)]) -> Vec<u64> {
 
 enum PairSource<'a> {
     Sparse(&'a SparseDemand),
-    Decaying(&'a DecayingDemand),
+    Decaying(&'a EwmaLedger),
 }
 
 /// The demand snapshot a rebuild planner consumes: node count, rounded
@@ -451,13 +526,6 @@ impl<'a> DemandView<'a> {
     /// whether a range's demand profile has fundamentally changed.
     pub fn weight_mass(&self, a: NodeKey, b: NodeKey) -> u64 {
         range_mass_over(&self.key_weights, &self.weights_pre, a, b)
-    }
-
-    /// Consumes the view, handing back its key-weight vector — so a
-    /// rebuild trigger can feed [`DecayingDemand::mark_planned_from`]
-    /// without a second ledger scan.
-    pub fn into_key_weights(self) -> Vec<(NodeKey, u64)> {
-        self.key_weights
     }
 }
 
@@ -690,5 +758,45 @@ mod tests {
         let v = d.view();
         assert_eq!(v.key_weights_in(15, 35), &[(20, 1), (30, 2)]);
         assert_eq!(v.key_weights_in(41, 100), &[]);
+    }
+
+    #[test]
+    fn pair_ledger_holds_nothing_per_key_at_a_2_pow_30_keyspace() {
+        // The engine's reshard ledger spans the whole keyspace: its
+        // buffers must scale with live pairs, never with n.
+        let n = 1usize << 30;
+        let top = n as NodeKey;
+        let mut d = EwmaLedger::new(n, 8);
+        d.record_many(1, top, 3);
+        d.record_many(top, 1, 2);
+        d.record_many(12_345, 678, 1);
+        d.decay_merge();
+        d.record_many(1, top, 1);
+        d.decay_merge();
+        assert_eq!(d.distinct_pairs(), 3);
+        let pairs = d.pairs_sorted();
+        let keys: Vec<(NodeKey, NodeKey)> = pairs.iter().map(|&(u, v, _)| (u, v)).collect();
+        assert_eq!(keys, vec![(1, top), (12_345, 678), (top, 1)]);
+        let held = d.smoothed.capacity() + d.spare.capacity();
+        assert!(held <= 64, "pair ledger holds {held} entries for 3 pairs");
+    }
+
+    #[test]
+    fn merge_join_keeps_the_ledger_sorted_and_totals_exact() {
+        let mut d = DecayingDemand::new(40, 4);
+        for &(u, v, w) in &[(30u32, 2u32, 5u64), (1, 40, 2), (7, 8, 9)] {
+            d.record_many(u, v, w);
+        }
+        d.decay_merge();
+        // Interleave refreshed, new and decaying-only pairs.
+        for &(u, v, w) in &[(7u32, 8u32, 1u64), (2, 3, 4), (40, 1, 6)] {
+            d.record_many(u, v, w);
+        }
+        d.decay_merge();
+        assert!(d.smoothed.windows(2).all(|e| e[0].0 < e[1].0));
+        let sum: u64 = d.smoothed.iter().map(|e| e.1).sum();
+        assert_eq!(d.total_fp(), sum);
+        let folded: u64 = d.key_fp.iter().sum();
+        assert_eq!(folded, 2 * sum, "each pair credits both endpoints");
     }
 }

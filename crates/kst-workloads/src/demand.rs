@@ -18,9 +18,9 @@
 use crate::trace::NodeKey;
 use std::collections::HashMap;
 
-/// Packs a directed pair into one hash key (row-major order-preserving;
-/// shared with the decaying ledger, whose smoothed map must use the same
-/// encoding the epoch pairs fold in under).
+/// Packs a directed pair into one `u64` key that sorts in row-major
+/// order (shared with the decaying ledger, whose smoothed `Vec` is sorted
+/// by it and merge-joined with the epoch under the same encoding).
 #[inline]
 pub(crate) fn pack(u: NodeKey, v: NodeKey) -> u64 {
     ((u as u64) << 32) | v as u64
@@ -113,23 +113,19 @@ impl SparseDemand {
         self.total = 0;
     }
 
-    /// All `(u, v, count)` entries in **hash-map order** — for consumers
-    /// whose fold is commutative and exact (e.g. the decaying ledger's
-    /// epoch merge), where paying the canonical sort buys nothing.
-    /// Anything whose output depends on visit order must use
-    /// [`SparseDemand::pairs_sorted`] instead.
-    pub fn pairs_unsorted(&self) -> impl Iterator<Item = (NodeKey, NodeKey, u64)> + '_ {
-        // ksan-allow: determinism documented contract — commutative-fold consumers only; ordered consumers use pairs_sorted
-        self.counts.iter().map(|(&p, &c)| {
-            let (u, v) = unpack(p);
-            (u, v, c)
-        })
-    }
-
     /// All `(u, v, count)` entries in canonical row-major order — the
-    /// deterministic view rebuild policies consume.
+    /// deterministic view rebuild policies and the decaying ledger's
+    /// merge-join consume.
     pub fn pairs_sorted(&self) -> Vec<(NodeKey, NodeKey, u64)> {
-        let mut pairs: Vec<(NodeKey, NodeKey, u64)> = self.pairs_unsorted().collect();
+        let mut pairs: Vec<(NodeKey, NodeKey, u64)> = self
+            .counts
+            // ksan-allow: determinism collected fully and sorted canonically below
+            .iter()
+            .map(|(&p, &c)| {
+                let (u, v) = unpack(p);
+                (u, v, c)
+            })
+            .collect();
         pairs.sort_unstable_by_key(|&(u, v, _)| (u, v));
         pairs
     }

@@ -5,9 +5,10 @@
 //!   offline-demand abstractions of the model (Section 2);
 //! * [`demand::SparseDemand`] — the output-sensitive (O(distinct pairs))
 //!   epoch-demand ledger driving the lazy nets' rebuild policies;
-//! * [`decay::DecayingDemand`] — the fixed-point EWMA ledger smoothing
-//!   demand across epochs at a configurable half-life, with per-key dirty
-//!   tracking; [`decay::DemandView`] / [`decay::DirtyIndex`] are the
+//! * [`decay::EwmaLedger`] — the fixed-point EWMA pair ledger smoothing
+//!   demand across epochs at a configurable half-life, and
+//!   [`decay::DecayingDemand`], which adds the dense per-key fold and
+//!   dirty tracking the lazy nets plan from; [`decay::DemandView`] / [`decay::DirtyIndex`] are the
 //!   planner-facing snapshot the two-phase rebuild machinery consumes;
 //! * [`gens`] — seeded generators for the uniform and temporal-locality
 //!   synthetic workloads, plus simulated stand-ins for the three real
@@ -23,7 +24,7 @@ pub mod gens;
 pub mod stats;
 pub mod trace;
 
-pub use decay::{DecayingDemand, DemandView, DirtyIndex};
+pub use decay::{DecayingDemand, DemandView, DirtyIndex, EwmaLedger};
 pub use demand::SparseDemand;
 pub use stats::{entropy_bound_rhs, stats, TraceStats};
 pub use trace::{partition_keyspace, DemandMatrix, KeyRange, NodeKey, ShardView, Trace};

@@ -62,8 +62,8 @@ pub mod prelude {
     };
     pub use kst_workloads::gens;
     pub use kst_workloads::{
-        partition_keyspace, DecayingDemand, DemandMatrix, DemandView, DirtyIndex, KeyRange,
-        SparseDemand, Trace,
+        partition_keyspace, DecayingDemand, DemandMatrix, DemandView, DirtyIndex, EwmaLedger,
+        KeyRange, SparseDemand, Trace,
     };
     pub use splaynet_classic::ClassicSplayNet;
 }
