@@ -121,6 +121,23 @@ pub enum End {
     High,
 }
 
+/// Where [`KstTree::locate_range`]'s root-down descent toward `[lo, hi]`
+/// stopped: at the first node whose own key lies in `[lo, hi]`, at a node
+/// whose child slots split `lo` from `hi`, or at an empty slot (`root`
+/// is then `NIL`).
+struct RangeLoc {
+    root: NodeIdx,
+    /// Parent of `root` (`NIL` when the descent never left the root) and
+    /// the child slot of `anchor` that leads to `root`.
+    anchor: NodeIdx,
+    slot: usize,
+    /// The exact enclosing gap `(glo, ghi)` of `slot`.
+    glo: RoutingKey,
+    ghi: RoutingKey,
+    /// Descent steps, i.e. `root`'s depth.
+    depth: u32,
+}
+
 impl KstTree {
     /// Builds a tree realizing `shape` with keys assigned in-order and a
     /// valid routing-element layout. Panics if any shape node has more than
@@ -415,47 +432,19 @@ impl KstTree {
             .validate(k)
             // ksan-allow: panic-surface patch contract — an invalid fragment is a caller bug and validate carries the diagnostic
             .expect("fragment incompatible with requested arity");
-        // 1. Locate the range root by descending from the tree root while
-        //    maintaining the exact enclosing gap: as long as the current
-        //    node's own key lies outside [lo, hi], both range endpoints
-        //    must route into the same child slot.
-        let lo_img = key_image(lo);
-        let hi_img = key_image(hi);
-        let (mut glo, mut ghi) = (0u64, RoutingKey::MAX);
-        let mut anchor = NIL;
-        let mut anchor_slot = usize::MAX;
-        let mut r = self.root;
-        // Descent steps = the range root's depth, which seeds the depth
-        // cache for the re-formed fragment.
-        let mut rdepth = 0u32;
-        loop {
-            let rk = idx_to_key(r);
-            if lo <= rk && rk <= hi {
-                break;
-            }
-            let es = self.elems(r);
-            let j = es.partition_point(|&e| e < lo_img);
-            assert_eq!(
-                j,
-                es.partition_point(|&e| e < hi_img),
-                "[{lo},{hi}] splits across node key {rk}: not a subtree range"
-            );
-            if j > 0 {
-                glo = es[j - 1];
-            }
-            if j < k - 1 {
-                ghi = es[j];
-            }
-            let c = self.children(r)[j];
-            assert!(
-                c != NIL,
-                "[{lo},{hi}] routes into an empty slot: not a subtree range"
-            );
-            anchor = r;
-            anchor_slot = j;
-            r = c;
-            rdepth += 1;
-        }
+        // 1. Locate the range root; its depth seeds the depth cache for
+        //    the re-formed fragment.
+        let loc = self.locate_range(lo, hi);
+        let (r, anchor) = (loc.root, loc.anchor);
+        assert!(
+            r != NIL,
+            "[{lo},{hi}] routes into an empty slot: not a subtree range"
+        );
+        let rk = idx_to_key(r);
+        assert!(
+            lo <= rk && rk <= hi,
+            "[{lo},{hi}] splits across node key {rk}: not a subtree range"
+        );
         // 2. Verify the subtree under `r` is exactly the range, collecting
         //    its current edges (anchor edge included) for link accounting.
         let mut before = std::mem::take(&mut self.scratch_edges_a);
@@ -489,12 +478,12 @@ impl KstTree {
         }
         before.sort_unstable();
         // 3. Re-form the range in place and reattach.
-        let new_root = self.write_fragment(fragment, lo, glo, ghi, rdepth);
+        let new_root = self.write_fragment(fragment, lo, loc.glo, loc.ghi, loc.depth);
         self.set_parent(new_root, anchor);
         if anchor == NIL {
             self.set_root(new_root);
         } else {
-            self.children_mut(anchor)[anchor_slot] = new_root;
+            self.children_mut(anchor)[loc.slot] = new_root;
         }
         // 4. Exact links_changed via the shared sym-diff machinery.
         for idx in key_to_idx(lo)..=key_to_idx(hi) {
@@ -513,6 +502,62 @@ impl KstTree {
             rebuild_nodes: size as u64,
             ..ServeCost::default()
         }
+    }
+
+    /// Descends from the root toward the key range `[lo, hi]`, keeping
+    /// the exact enclosing gap: while the current node's own key lies
+    /// outside the range, both endpoints must route into the same child
+    /// slot. O(depth).
+    fn locate_range(&self, lo: NodeKey, hi: NodeKey) -> RangeLoc {
+        let (lo_img, hi_img) = (key_image(lo), key_image(hi));
+        let mut loc = RangeLoc {
+            root: self.root,
+            anchor: NIL,
+            slot: usize::MAX,
+            glo: 0,
+            ghi: RoutingKey::MAX,
+            depth: 0,
+        };
+        loop {
+            let r = loc.root;
+            let rk = idx_to_key(r);
+            if lo <= rk && rk <= hi {
+                return loc;
+            }
+            let es = self.elems(r);
+            let j = es.partition_point(|&e| e < lo_img);
+            if j != es.partition_point(|&e| e < hi_img) {
+                return loc;
+            }
+            if j > 0 {
+                loc.glo = es[j - 1];
+            }
+            if j < self.k - 1 {
+                loc.ghi = es[j];
+            }
+            loc.anchor = r;
+            loc.slot = j;
+            loc.root = self.children(r)[j];
+            if loc.root == NIL {
+                return loc;
+            }
+            loc.depth += 1;
+        }
+    }
+
+    /// The deepest node on the `end` boundary spine (always the first
+    /// child slot for `Low`, the last for `High`) and its depth.
+    fn boundary_spine(&self, end: End) -> (NodeIdx, u32) {
+        let slot = match end {
+            End::Low => 0,
+            End::High => self.k - 1,
+        };
+        let (mut w, mut depth) = (self.root, 0u32);
+        while self.children(w)[slot] != NIL {
+            w = self.children(w)[slot];
+            depth += 1;
+        }
+        (w, depth)
     }
 
     /// Captures the shape of the subtree rooted at `r` (child order and
@@ -590,27 +635,11 @@ impl KstTree {
             lo == 1 || hi as usize == n,
             "extract range [{lo},{hi}] must touch a keyspace boundary (n={n})"
         );
-        let lo_img = key_image(lo);
-        let hi_img = key_image(hi);
         let mut stats = ServeCost::default();
-        // 1. Find the minimal subtree containing the run: descend while the
-        //    node's key is outside [lo, hi] and both endpoints route into
-        //    the same child slot.
-        let mut r = self.root;
-        loop {
-            let rk = idx_to_key(r);
-            if lo <= rk && rk <= hi {
-                break;
-            }
-            let es = self.elems(r);
-            let j = es.partition_point(|&e| e < lo_img);
-            if j != es.partition_point(|&e| e < hi_img) {
-                break;
-            }
-            let c = self.children(r)[j];
-            debug_assert!(c != NIL, "boundary run routes into an empty slot");
-            r = c;
-        }
+        // 1. Find the minimal subtree containing the run: where the
+        //    descent stops, at a node inside [lo, hi] or one splitting it.
+        let mut r = self.locate_range(lo, hi).root;
+        debug_assert!(r != NIL, "boundary run routes into an empty slot");
         // 2. Grow the containing subtree until its key set is contiguous
         //    (a node's own image may sit inside a *child's* gap interval —
         //    a legal "shadow" state after rotations — so a subtree's key
@@ -692,26 +721,14 @@ impl KstTree {
             stats += self.patch_subtree(a, b, &conn);
         }
         // 3. Re-locate the (now exact) run subtree, keeping its anchor.
-        let mut anchor = NIL;
-        let mut anchor_slot = usize::MAX;
-        let mut r = self.root;
-        loop {
-            let rk = idx_to_key(r);
-            if lo <= rk && rk <= hi {
-                break;
-            }
-            let es = self.elems(r);
-            let j = es.partition_point(|&e| e < lo_img);
-            debug_assert_eq!(j, es.partition_point(|&e| e < hi_img));
-            anchor = r;
-            anchor_slot = j;
-            r = self.children(r)[j];
-        }
+        let loc = self.locate_range(lo, hi);
+        let (r, anchor) = (loc.root, loc.anchor);
+        debug_assert!(r != NIL && (lo..=hi).contains(&idx_to_key(r)));
         assert!(anchor != NIL, "boundary run of size < n cannot be the root");
         let shape = self.subtree_shape(r);
         debug_assert_eq!(shape.len(), size);
         // 4. Detach the run and compact the arena.
-        self.children_mut(anchor)[anchor_slot] = NIL;
+        self.children_mut(anchor)[loc.slot] = NIL;
         stats.links_changed += 1;
         let new_n = n - size;
         if hi as usize == n && lo > 1 {
@@ -813,14 +830,8 @@ impl KstTree {
             End::High => {
                 // Deepest right-boundary node; its last gap is (max
                 // element, MAX) and every new image lies above it. The
-                // walk's step count is `w`'s depth — the fragment hangs one
-                // level below it.
-                let mut w = self.root;
-                let mut dw = 0u32;
-                while self.children(w)[k - 1] != NIL {
-                    w = self.children(w)[k - 1];
-                    dw += 1;
-                }
+                // fragment hangs one level below it.
+                let (w, dw) = self.boundary_spine(End::High);
                 let glo = self.elems(w)[km1 - 1];
                 debug_assert!(glo < key_image((old_n + 1) as NodeKey));
                 let root_frag = self.write_fragment(
@@ -855,12 +866,7 @@ impl KstTree {
                 self.root += f as NodeIdx;
                 // Deepest left-boundary node; its first gap is (0, first
                 // element) and holds every new image with room to spare.
-                let mut w = self.root;
-                let mut dw = 0u32;
-                while self.children(w)[0] != NIL {
-                    w = self.children(w)[0];
-                    dw += 1;
-                }
+                let (w, dw) = self.boundary_spine(End::Low);
                 let ghi = self.elems(w)[0];
                 debug_assert!(ghi > img_f);
                 let root_frag = self.write_fragment(fragment, 1, 0, ghi, dw + 1);

@@ -70,7 +70,7 @@
 //! the same function, so the threaded run is bit-identical to the inline
 //! one, with or without resharding, which the differential tests assert.
 
-use crate::obs::{record_handoff, stamp, ObsMode, ObsReport};
+use crate::obs::{record_handoff, stamp, ObsMode, ObsReport, SPAN_EVENTS};
 use crate::shard::ShardMap;
 use kst_core::{KSplayNet, Network, ServeCost};
 use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
@@ -176,9 +176,6 @@ pub struct EngineConfig {
     /// [`ObsMode`]). Off by default — the serve path then carries no
     /// observability overhead at all.
     pub obs: ObsMode,
-    /// Span-ring capacity per tracer when observability is on (events
-    /// kept per shard / dispatcher / worker timeline).
-    pub obs_events: usize,
 }
 
 impl Default for EngineConfig {
@@ -192,7 +189,6 @@ impl Default for EngineConfig {
             spine: SpineMode::Star,
             reshard: ReshardConfig::default(),
             obs: ObsMode::Off,
-            obs_events: 4096,
         }
     }
 }
@@ -200,10 +196,9 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// Reads overrides from the environment: `KSAN_SHARDS`,
     /// `KSAN_THREADS`, `KSAN_BATCH`, `KSAN_BUILD_THREADS`,
-    /// `KSAN_OBS` (`off`/`det`/`wall`),
-    /// `KSAN_OBS_EVENTS`, `KSAN_SPINE` (`star`/`ksplay`), `KSAN_SPINE_K`,
-    /// `KSAN_RESHARD` (`on`/`off`), `KSAN_RESHARD_EPOCH` and
-    /// `KSAN_RESHARD_BUDGET`. `KSAN_RESHARD=on` takes effect only on net
+    /// `KSAN_OBS` (`off`/`det`/`wall`), `KSAN_SPINE` (`star`/`ksplay`),
+    /// `KSAN_SPINE_K`, `KSAN_RESHARD` (`on`/`off`), `KSAN_RESHARD_EPOCH`
+    /// and `KSAN_RESHARD_BUDGET`. `KSAN_RESHARD=on` takes effect only on net
     /// types whose [`Network::reshardable`] hook returns `Some`;
     /// [`ShardedEngine::new`] rejects the others when there are two or
     /// more shards.
@@ -245,9 +240,6 @@ impl EngineConfig {
             .and_then(|v| ObsMode::parse(&v))
         {
             cfg.obs = m;
-        }
-        if let Some(v) = get("KSAN_OBS_EVENTS") {
-            cfg.obs_events = v;
         }
         cfg
     }
@@ -291,12 +283,6 @@ impl EngineConfig {
     /// Builder-style observability mode override.
     pub fn with_obs(mut self, obs: ObsMode) -> EngineConfig {
         self.obs = obs;
-        self
-    }
-
-    /// Builder-style span-ring capacity override.
-    pub fn with_obs_events(mut self, events: usize) -> EngineConfig {
-        self.obs_events = events;
         self
     }
 }
@@ -564,8 +550,9 @@ impl<N: Network> ShardedEngine<N> {
     /// [`EngineConfig::build_threads`]` = 1` shards are built sequentially
     /// in shard order, so at most **one** shard's construction transients
     /// exist at a time (the historical "never coexist" guarantee). With
-    /// `build_threads = T > 1` shards are built on `T` scoped worker
-    /// threads and up to `T` construction transients overlap — bounded
+    /// `build_threads = T > 1`, `T` scoped workers claim shards in shard
+    /// order ([`kst_sim::par::par_map`]), each building one at a time, so
+    /// up to `T` construction transients overlap — bounded
     /// overlap replaces "never coexist", trading a T-bounded transient-RSS
     /// bump for a near-linear construction speedup. Shards are
     /// independent, so the built engine is bit-identical either way.
@@ -597,27 +584,7 @@ impl<N: Network> ShardedEngine<N> {
             );
             net
         };
-        let workers = cfg.build_threads.clamp(1, shards);
-        let mut nets: Vec<N> = if workers <= 1 {
-            (0..shards).map(build).collect()
-        } else {
-            // Static round-robin assignment (the [`deal`] layout): worker
-            // `w` builds shards `w, w + T, w + 2T, …`. Shard sizes differ
-            // by at most one key, so stealing buys nothing, and each
-            // worker holding one in-flight build caps transient overlap
-            // at `workers`.
-            std::thread::scope(|scope| {
-                let build = &build;
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| scope.spawn(move || (w..shards).step_by(workers).map(build).collect()))
-                    .collect();
-                let built = handles.into_iter().map(|h| {
-                    // ksan-allow: panic-surface a worker panic is a factory bug; re-raising it here preserves the factory's own diagnostic
-                    h.join().expect("shard build worker panicked")
-                });
-                interleave(built.collect())
-            })
-        };
+        let mut nets = kst_sim::par::par_map((0..shards).collect(), cfg.build_threads, build);
         let demand = (cfg.reshard.enabled && shards >= 2).then(|| {
             for net in &mut nets {
                 assert!(
@@ -854,7 +821,7 @@ impl<N: Network + Send> ShardedEngine<N> {
         assert_eq!(trace.n(), self.map.n(), "trace keyspace != engine keyspace");
         let shards = self.map.shards();
         let mut report = EngineReport::new(shards);
-        report.obs = ObsReport::with_config(shards, self.cfg.obs, self.cfg.obs_events);
+        report.obs = ObsReport::with_config(shards, self.cfg.obs);
         let resharding = self.demand.is_some();
         let epoch = if resharding {
             self.cfg.reshard.epoch.max(1)
@@ -896,7 +863,7 @@ impl<N: Network + Send> ShardedEngine<N> {
         if report.obs.mode != ObsMode::Off {
             let shards = self.map.shards();
             for w in report.obs.workers.len()..workers {
-                let tracer = Tracer::with_capacity((shards + 1 + w) as u32, self.cfg.obs_events);
+                let tracer = Tracer::with_capacity((shards + 1 + w) as u32, SPAN_EVENTS);
                 report.obs.workers.push(tracer);
             }
         }

@@ -31,6 +31,11 @@ use kst_obs::json::{histogram_json, trace_events_json};
 use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
 use kst_sim::obs::ObsCollector;
 
+/// Span-ring capacity of every tracer an observed run keeps (each
+/// shard's, the dispatcher's and each worker's timeline): the newest
+/// events survive, older ones are overwritten.
+pub const SPAN_EVENTS: usize = 4096;
+
 /// What the engine records while serving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsMode {
@@ -136,17 +141,18 @@ impl ObsReport {
     }
 
     /// A report ready to record for `shards` shards under `mode`,
-    /// keeping `events` spans per ring. Off mode returns [`ObsReport::off`].
-    pub fn with_config(shards: usize, mode: ObsMode, events: usize) -> ObsReport {
+    /// keeping [`SPAN_EVENTS`] spans per ring. Off mode returns
+    /// [`ObsReport::off`].
+    pub fn with_config(shards: usize, mode: ObsMode) -> ObsReport {
         if mode == ObsMode::Off {
             return ObsReport::off();
         }
         ObsReport {
             mode,
             per_shard: (0..shards)
-                .map(|s| ObsCollector::new(s as u32, events))
+                .map(|s| ObsCollector::new(s as u32, SPAN_EVENTS))
                 .collect(),
-            dispatcher: Tracer::with_capacity(shards as u32, events),
+            dispatcher: Tracer::with_capacity(shards as u32, SPAN_EVENTS),
             ..ObsReport::off()
         }
     }
@@ -306,8 +312,8 @@ mod tests {
 
     #[test]
     fn equality_ignores_wall_clock_surfaces() {
-        let mut a = ObsReport::with_config(2, ObsMode::WallClock, 8);
-        let mut b = ObsReport::with_config(2, ObsMode::WallClock, 8);
+        let mut a = ObsReport::with_config(2, ObsMode::WallClock);
+        let mut b = ObsReport::with_config(2, ObsMode::WallClock);
         let cost = ServeCost {
             routing: 3,
             rotations: 1,
@@ -329,7 +335,7 @@ mod tests {
             routing: 2,
             ..ServeCost::default()
         };
-        let mut a = ObsReport::with_config(1, ObsMode::Deterministic, 4);
+        let mut a = ObsReport::with_config(1, ObsMode::Deterministic);
         a.per_shard[0].observe(1, 2, cost);
         let snapshot = a.clone();
         a.merge(&ObsReport::off());
@@ -340,7 +346,7 @@ mod tests {
         assert_eq!(id, snapshot);
         assert_eq!(id.requests(), 1);
 
-        let mut b = ObsReport::with_config(1, ObsMode::Deterministic, 4);
+        let mut b = ObsReport::with_config(1, ObsMode::Deterministic);
         b.per_shard[0].observe(1, 2, cost);
         a.merge(&b);
         assert_eq!(a.requests(), 2);
@@ -349,7 +355,7 @@ mod tests {
 
     #[test]
     fn json_and_trace_exports_are_well_formed() {
-        let mut r = ObsReport::with_config(2, ObsMode::WallClock, 16);
+        let mut r = ObsReport::with_config(2, ObsMode::WallClock);
         let cost = ServeCost {
             routing: 4,
             rotations: 2,

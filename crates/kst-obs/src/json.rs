@@ -42,23 +42,6 @@ pub fn histogram_json(h: &Histogram) -> String {
     )
 }
 
-/// Serializes a labelled set of histograms as one JSON object
-/// (`{"label": {snapshot}, ...}`), preserving the given order.
-pub fn histograms_json(entries: &[(&str, &Histogram)]) -> String {
-    let mut out = String::from("{");
-    for (i, (label, h)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(label);
-        out.push_str("\":");
-        out.push_str(&histogram_json(h));
-    }
-    out.push('}');
-    out
-}
-
 /// Dumps event rings in chrome://tracing Trace Event Format.
 ///
 /// Each tracer becomes one track (`tid` = the tracer's track id) named
@@ -130,9 +113,6 @@ mod tests {
         }
         assert!(js.contains("\"count\":3"));
         assert!(js.contains("\"mean\":2.0"));
-        let multi = histograms_json(&[("a", &h), ("b", &h)]);
-        assert!(multi.starts_with("{\"a\":{"));
-        assert!(multi.contains(",\"b\":{"));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   (routing, rotations, links changed, total unit cost), built purely
 //!   from `ServeCost` units.
 //! * [`Tracer`] / [`SpanEvent`] — a fixed-capacity ring-buffer span
-//!   tracer for typed events (serve, rebuild plan/apply, subtree patch,
-//!   shard dispatch, batch handoff). Logical sequence numbers are always
+//!   tracer for typed events (serve, rebuild apply, shard dispatch,
+//!   batch handoff, migration). Logical sequence numbers are always
 //!   assigned; wall-clock timestamps are only filled in by the
 //!   engine/bench layer via [`Tracer::record_timed`].
 //! * [`Stopwatch`] / [`timed`] — the workspace's **one audited

@@ -13,12 +13,8 @@
 pub enum EventKind {
     /// One served request (args: the local endpoint keys).
     Serve,
-    /// A rebuild plan was computed (args: patches planned).
-    RebuildPlan,
     /// A rebuild plan was applied (args: nodes re-formed, patches).
     RebuildApply,
-    /// Subtree patching inside a rebuild (args: patches, nodes).
-    SubtreePatch,
     /// A worker processed one dispatched batch (args: ops in batch).
     ShardDispatch,
     /// The dispatcher handed a batch to a worker queue (args: worker,
@@ -34,9 +30,7 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Serve => "serve",
-            EventKind::RebuildPlan => "rebuild_plan",
             EventKind::RebuildApply => "rebuild_apply",
-            EventKind::SubtreePatch => "subtree_patch",
             EventKind::ShardDispatch => "shard_dispatch",
             EventKind::BatchHandoff => "batch_handoff",
             EventKind::Migration => "migration",

@@ -8,8 +8,7 @@ use crate::regret::{regret_eval_against, RegretReport};
 use crate::runner::run;
 use kst_core::{KPlusOneSplayNet, KSplayNet, PushDownNet, RotorWalkNet};
 use kst_statics::{
-    centroid_tree, full_kary, optimal_bst_knuth_slack, optimal_routing_based_tree,
-    static_reference, DistTree, StaticNet,
+    full_kary, optimal_bst_knuth_slack, optimal_routing_based_tree, static_reference,
 };
 use kst_workloads::{gens, stats, DemandMatrix, Trace, TraceStats};
 use splaynet_classic::ClassicSplayNet;
@@ -393,28 +392,6 @@ pub fn regret_suite_on(
     }
 }
 
-/// Builds every static structure for one workload and returns
-/// (label, total routing cost) pairs — used by examples.
-pub fn static_lineup(trace: &Trace, k: usize, dp_limit: usize) -> Vec<(String, u64)> {
-    let n = trace.n();
-    let demand = DemandMatrix::from_trace(trace);
-    let mut out = vec![
-        (
-            format!("full {k}-ary tree"),
-            full_kary(n, k).cost_on_trace(trace),
-        ),
-        (
-            format!("centroid {k}-ary tree"),
-            centroid_tree(n, k).cost_on_trace(trace),
-        ),
-    ];
-    if n <= dp_limit {
-        let (t, _) = optimal_routing_based_tree(&demand, k);
-        out.push((format!("optimal {k}-ary tree (DP)"), t.cost_on_trace(trace)));
-    }
-    out
-}
-
 /// Rebuild policy for [`kst_core::LazyKaryNet`]: the optimal static
 /// routing-based tree (Theorem 2's DP) on the ledger's smoothed demand,
 /// planned as the degenerate whole-tree patch. The DP wants a dense
@@ -442,11 +419,6 @@ pub fn centroid_rebuilder(k: usize) -> impl kst_core::Rebuild {
 /// frequencies, and its incremental variant patching only drifted
 /// subtrees.
 pub use kst_core::lazy::{incremental_weight_balanced_rebuilder, weight_balanced_rebuilder};
-
-/// Adapter making a static `DistTree` a servable network.
-pub fn static_net(tree: DistTree, name: &str) -> StaticNet {
-    StaticNet::new(tree, name)
-}
 
 #[cfg(test)]
 mod tests {

@@ -91,27 +91,11 @@ impl ObsCollector {
             Histogram::record(&mut self.rebuild_patches, c.rebuild_patches);
             Tracer::record_timed(
                 &mut self.tracer,
-                EventKind::RebuildPlan,
-                c.rebuild_patches,
-                0,
-                ts_us,
-                0,
-            );
-            Tracer::record_timed(
-                &mut self.tracer,
                 EventKind::RebuildApply,
                 c.rebuild_nodes,
                 c.rebuild_patches,
                 ts_us,
                 dur_us,
-            );
-            Tracer::record_timed(
-                &mut self.tracer,
-                EventKind::SubtreePatch,
-                c.rebuild_patches,
-                c.rebuild_nodes,
-                ts_us,
-                0,
             );
         }
     }

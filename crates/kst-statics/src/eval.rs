@@ -48,11 +48,6 @@ impl DistTree {
         self.depth.iter().copied().max().unwrap_or(0)
     }
 
-    /// Average node depth.
-    pub fn avg_depth(&self) -> f64 {
-        self.depth.iter().map(|&d| d as u64).sum::<u64>() as f64 / self.n as f64
-    }
-
     /// Distance between keys.
     pub fn distance(&self, u: NodeKey, v: NodeKey) -> u64 {
         if u == v {

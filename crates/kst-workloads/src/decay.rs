@@ -397,7 +397,7 @@ impl DecayingDemand {
             weights_pre: prefix_sums(&kw),
             key_weights: kw,
             dirty: DirtyIndex::new(dirty),
-            pairs: PairSource::Decaying(&self.ledger),
+            ledger: &self.ledger,
         }
     }
 
@@ -445,41 +445,22 @@ fn prefix_sums(entries: &[(NodeKey, u64)]) -> Vec<u64> {
     pre
 }
 
-enum PairSource<'a> {
-    Sparse(&'a SparseDemand),
-    Decaying(&'a EwmaLedger),
-}
-
 /// The demand snapshot a rebuild planner consumes: node count, rounded
 /// per-key weights, canonical-order pair counts, and the dirty index of
 /// demand change since the last plan.
 ///
 /// Constructed by [`DecayingDemand::view`] (smoothed, dirty vs planned
-/// baselines) or [`DemandView::from_sparse`] (raw single-epoch ledger,
-/// everything dirty).
+/// baselines).
 pub struct DemandView<'a> {
     n: usize,
     key_weights: Vec<(NodeKey, u64)>,
     /// Prefix sums over `key_weights` backing [`DemandView::weight_mass`].
     weights_pre: Vec<u64>,
     dirty: DirtyIndex,
-    pairs: PairSource<'a>,
+    ledger: &'a EwmaLedger,
 }
 
 impl<'a> DemandView<'a> {
-    /// Views a raw single-epoch ledger: weights are the ledger's key
-    /// weights and the whole ledger counts as dirty (no baseline).
-    pub fn from_sparse(demand: &'a SparseDemand) -> DemandView<'a> {
-        let kw = demand.key_weights();
-        DemandView {
-            n: demand.n(),
-            weights_pre: prefix_sums(&kw),
-            dirty: DirtyIndex::new(kw.clone()),
-            key_weights: kw,
-            pairs: PairSource::Sparse(demand),
-        }
-    }
-
     /// Number of nodes in the keyspace.
     pub fn n(&self) -> usize {
         self.n
@@ -501,18 +482,12 @@ impl<'a> DemandView<'a> {
     /// All `(u, v, count)` pair entries in canonical row-major order
     /// (materialized on demand — only the dense-DP policies need pairs).
     pub fn pairs_sorted(&self) -> Vec<(NodeKey, NodeKey, u64)> {
-        match self.pairs {
-            PairSource::Sparse(d) => d.pairs_sorted(),
-            PairSource::Decaying(d) => d.pairs_sorted(),
-        }
+        self.ledger.pairs_sorted()
     }
 
-    /// Total demand (sum of all pair counts, rounded for smoothed views).
+    /// Total smoothed demand (sum of all pair counts, rounded).
     pub fn total(&self) -> u64 {
-        match self.pairs {
-            PairSource::Sparse(d) => d.total(),
-            PairSource::Decaying(d) => d.total(),
-        }
+        self.ledger.total()
     }
 
     /// The dirty index: per-key absolute weight change since the last
@@ -726,17 +701,6 @@ mod tests {
         d.decay_merge();
         let v = d.view();
         assert_eq!(v.dirty().range_mass(7, 8), 10);
-    }
-
-    #[test]
-    fn sparse_view_marks_everything_dirty() {
-        let mut s = SparseDemand::new(30);
-        s.record_many(1, 2, 3);
-        let v = DemandView::from_sparse(&s);
-        assert_eq!(v.n(), 30);
-        assert_eq!(v.key_weights(), &[(1, 3), (2, 3)]);
-        assert_eq!(v.dirty().total(), 6);
-        assert_eq!(v.pairs_sorted(), vec![(1, 2, 3)]);
     }
 
     #[test]

@@ -27,4 +27,4 @@ pub mod trace;
 pub use decay::{DecayingDemand, DemandView, DirtyIndex, EwmaLedger};
 pub use demand::SparseDemand;
 pub use stats::{entropy_bound_rhs, stats, TraceStats};
-pub use trace::{partition_keyspace, DemandMatrix, KeyRange, NodeKey, ShardView, Trace};
+pub use trace::{partition_keyspace, DemandMatrix, KeyRange, NodeKey, Trace};

@@ -96,25 +96,6 @@ impl Trace {
         }
         parser.finish()
     }
-
-    /// A borrowing view of this trace's intra-shard traffic for one key
-    /// range (no request copying; see [`ShardView`]).
-    pub fn shard_view(&self, range: KeyRange) -> ShardView<'_> {
-        assert!(
-            range.lo >= 1 && range.hi as usize <= self.n && range.lo <= range.hi,
-            "shard range {range:?} outside keyspace 1..={}",
-            self.n
-        );
-        ShardView {
-            range,
-            reqs: &self.reqs,
-        }
-    }
-
-    /// One [`ShardView`] per range (typically from [`partition_keyspace`]).
-    pub fn shard_views(&self, ranges: &[KeyRange]) -> Vec<ShardView<'_>> {
-        ranges.iter().map(|&r| self.shard_view(r)).collect()
-    }
 }
 
 /// Incremental parser for the `# n=<n>` + `u,v` CSV trace format, shared
@@ -280,52 +261,6 @@ pub fn partition_keyspace(n: usize, shards: usize) -> Vec<KeyRange> {
     ranges
 }
 
-/// A zero-copy view of one shard's intra-shard traffic: borrows the
-/// trace's request slice and filters/remaps on the fly, so partitioning a
-/// 10⁶-request trace into S shards allocates nothing per request.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardView<'a> {
-    range: KeyRange,
-    reqs: &'a [(NodeKey, NodeKey)],
-}
-
-impl<'a> ShardView<'a> {
-    /// The key range this view covers.
-    pub fn range(&self) -> KeyRange {
-        self.range
-    }
-
-    /// Shard-local node count (the range length).
-    pub fn n(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Intra-shard requests in trace order, endpoints remapped to the
-    /// shard-local keyspace `1..=n()`.
-    pub fn local_requests(&self) -> impl Iterator<Item = (NodeKey, NodeKey)> + 'a {
-        let range = self.range;
-        self.reqs
-            .iter()
-            .filter(move |&&(u, v)| range.contains(u) && range.contains(v))
-            .map(move |&(u, v)| (range.to_local(u), range.to_local(v)))
-    }
-
-    /// Number of intra-shard requests (one filtering pass, no allocation).
-    pub fn count(&self) -> usize {
-        let range = self.range;
-        self.reqs
-            .iter()
-            .filter(|&&(u, v)| range.contains(u) && range.contains(v))
-            .count()
-    }
-
-    /// Materializes the view as a standalone shard-local [`Trace`] (the
-    /// only copying entry point; tests use it to build reference nets).
-    pub fn to_trace(&self) -> Trace {
-        Trace::new(self.n(), self.local_requests().collect())
-    }
-}
-
 /// The n×n demand matrix D of the offline problem: `D[u][v]` counts
 /// requests from `u` to `v` (diagonal is zero by construction).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -372,13 +307,6 @@ impl DemandMatrix {
             assert_eq!(counts[u * n + u], 0, "diagonal must be zero");
         }
         DemandMatrix { n, d: counts }
-    }
-
-    /// Densifies a sparse epoch ledger (the O(n²) allocation is the DP
-    /// consumers' requirement, not a copy of caller-held counts — only the
-    /// ledger's distinct pairs are written).
-    pub fn from_sparse(sparse: &crate::demand::SparseDemand) -> DemandMatrix {
-        DemandMatrix::from_pairs(sparse.n(), &sparse.pairs_sorted())
     }
 
     /// Densifies canonical-order `(u, v, count)` pair entries (as produced
@@ -552,19 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn from_sparse_matches_from_trace() {
-        let t = Trace::new(6, vec![(1, 2), (1, 2), (6, 3), (2, 1)]);
-        let mut sparse = crate::demand::SparseDemand::new(6);
-        for &(u, v) in t.requests() {
-            sparse.record(u, v);
-        }
-        assert_eq!(
-            DemandMatrix::from_sparse(&sparse),
-            DemandMatrix::from_trace(&t)
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "self-demand (2,2)")]
     fn from_sparse_rejects_self_demand() {
         // In debug builds record_many's debug_assert trips first; in
@@ -572,7 +487,7 @@ mod tests {
         // self-pair. Both messages name the offending pair.
         let mut sparse = crate::demand::SparseDemand::new(3);
         sparse.record_many(2, 2, 1);
-        DemandMatrix::from_sparse(&sparse);
+        DemandMatrix::from_pairs(3, &sparse.pairs_sorted());
     }
 
     #[test]
@@ -606,22 +521,6 @@ mod tests {
             assert!((1..=10).contains(&local));
             assert_eq!(r.to_global(local), key);
         }
-    }
-
-    #[test]
-    fn shard_views_partition_intra_shard_traffic_without_copying() {
-        let t = Trace::new(10, vec![(1, 5), (6, 10), (2, 9), (3, 4), (7, 6)]);
-        let ranges = partition_keyspace(10, 2);
-        let views = t.shard_views(&ranges);
-        // (2,9) is cross-shard and belongs to neither view.
-        let lo: Vec<_> = views[0].local_requests().collect();
-        let hi: Vec<_> = views[1].local_requests().collect();
-        assert_eq!(lo, vec![(1, 5), (3, 4)]);
-        assert_eq!(hi, vec![(1, 5), (2, 1)]);
-        assert_eq!(views[0].count() + views[1].count(), 4);
-        let sub = views[1].to_trace();
-        assert_eq!(sub.n(), 5);
-        assert_eq!(sub.requests(), &[(1, 5), (2, 1)]);
     }
 
     #[cfg(feature = "trace-files")]

@@ -109,14 +109,16 @@ fn multi_shard_intra_traffic_matches_standalone_nets_move_for_move() {
     assert_eq!(report.cross.requests, 0, "workload must stay intra-shard");
 
     // Standalone nets over each shard's keyspace, serving the shard's
-    // zero-copy view of the trace.
+    // intra-shard requests in shard-local keys.
     let ranges = partition_keyspace(n, shards);
     let mut merged = Metrics::default();
-    for (s, view) in trace.shard_views(&ranges).iter().enumerate() {
-        let mut standalone = KSplayNet::balanced(3, view.n());
+    for (s, range) in ranges.iter().enumerate() {
+        let mut standalone = KSplayNet::balanced(3, range.len());
         let mut m = Metrics::default();
-        for (u, v) in view.local_requests() {
-            m.absorb(standalone.serve(u, v));
+        for &(u, v) in trace.requests() {
+            if range.contains(u) && range.contains(v) {
+                m.absorb(standalone.serve(range.to_local(u), range.to_local(v)));
+            }
         }
         assert_eq!(
             report.per_shard[s], m,
@@ -271,7 +273,6 @@ fn observed_cost_histograms_are_bit_identical_across_configs() {
             .with_threads(threads)
             .with_batch(batch)
             .with_obs(ObsMode::Deterministic)
-            .with_obs_events(256)
     };
     let reference = ShardedEngine::ksplay(3, n, obs_cfg(1, 1024)).run_trace(&trace);
     let cost = reference.obs.total().cost;
@@ -313,8 +314,7 @@ fn one_shard_observed_engine_matches_run_observed() {
     let cfg = EngineConfig::default()
         .with_shards(1)
         .with_threads(1)
-        .with_obs(ObsMode::Deterministic)
-        .with_obs_events(128);
+        .with_obs(ObsMode::Deterministic);
     let mut engine = ShardedEngine::ksplay(3, n, cfg);
     let report = engine.run_trace(&trace);
 
@@ -341,8 +341,7 @@ fn lazy_engine_rebuild_histograms_survive_threading() {
             .with_shards(4)
             .with_threads(threads)
             .with_batch(64)
-            .with_obs(ObsMode::Deterministic)
-            .with_obs_events(64);
+            .with_obs(ObsMode::Deterministic);
         ShardedEngine::lazy(4, n, 600, 150, 8, cfg).run_trace(&trace)
     };
     let seq = lazy(1);
@@ -381,8 +380,7 @@ fn star_spine_and_resharding_off_are_bit_identical_to_the_default_engine() {
             .with_shards(shards)
             .with_threads(threads)
             .with_batch(batch)
-            .with_obs(ObsMode::Deterministic)
-            .with_obs_events(128);
+            .with_obs(ObsMode::Deterministic);
         let gated = base.clone().with_spine(legacy).with_reshard(off);
         let label = format!("shards={shards} threads={threads} batch={batch}");
         let a = ShardedEngine::ksplay(2, n, base.clone()).run_trace(&trace);
@@ -440,7 +438,6 @@ fn spine_and_resharding_runs_are_bit_identical_across_thread_counts() {
             .with_spine(SpineMode::KSplay { k: 2 })
             .with_reshard(rc)
             .with_obs(ObsMode::Deterministic)
-            .with_obs_events(128)
     };
     let reference = ShardedEngine::ksplay(2, n, cfg(1, 1024)).run_trace(&trace);
     assert!(

@@ -353,3 +353,66 @@ fn patch_subtree_on_rotated_trees_keeps_invariants() {
         assert!(patched >= 4, "k={k}: too few patchable subtrees probed");
     }
 }
+
+/// The key sets `lo..=hi` that some node's subtree holds exactly (a
+/// subtree whose key span has holes matches no range).
+fn subtree_ranges(tree: &KstTree) -> BTreeSet<(NodeKey, NodeKey)> {
+    tree.nodes()
+        .filter_map(|v| {
+            let (mut lo, mut hi, mut count) = (NodeKey::MAX, 0, 0usize);
+            let mut stack = vec![v];
+            while let Some(w) = stack.pop() {
+                lo = lo.min(tree.key_of(w));
+                hi = hi.max(tree.key_of(w));
+                count += 1;
+                stack.extend(tree.children(w).iter().filter(|&&c| c != ksan::core::NIL));
+            }
+            (count == (hi - lo + 1) as usize).then_some((lo, hi))
+        })
+        .collect()
+}
+
+/// `patch_subtree` accepts exactly the subtree ranges: on balanced and on
+/// k-splayed trees, every `[lo, hi]` is tried, and the patch must succeed
+/// (leaving a valid tree) iff some node's subtree holds exactly the keys
+/// `lo..=hi`, and panic otherwise.
+#[test]
+fn patch_subtree_accepts_exactly_the_subtree_ranges() {
+    for k in [2usize, 3, 4] {
+        for n in [1usize, 2, 7, 19, 40] {
+            let mut splayed = KSplayNet::balanced(k, n);
+            if n >= 2 {
+                for &(u, v) in gens::zipf(n, 300, 1.1, 40 + k as u64).requests() {
+                    splayed.serve(u, v);
+                }
+            }
+            for (label, tree) in [
+                ("balanced", KstTree::balanced(k, n)),
+                ("splayed", splayed.tree().clone()),
+            ] {
+                let subtrees = subtree_ranges(&tree);
+                for lo in 1..=n as NodeKey {
+                    for hi in lo..=n as NodeKey {
+                        let frag = ShapeTree::balanced_kary((hi - lo + 1) as usize, k);
+                        let mut t = tree.clone();
+                        let patched =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                t.patch_subtree(lo, hi, &frag)
+                            }))
+                            .is_ok();
+                        assert_eq!(
+                            patched,
+                            subtrees.contains(&(lo, hi)),
+                            "{label} k={k} n={n}: patch [{lo},{hi}] accepted = {patched}"
+                        );
+                        if patched {
+                            ksan::core::invariants::validate(&t).unwrap_or_else(|e| {
+                                panic!("{label} k={k} n={n} patch [{lo},{hi}]: {e}")
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
