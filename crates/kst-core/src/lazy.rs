@@ -16,7 +16,8 @@
 //! a fresh shape fragment. The net then **applies** it with
 //! [`RebuildPlan::apply_to`], which re-forms **only** the patched ranges
 //! ([`KstTree::patch_subtree`]) and returns their summed [`ServeCost`]:
-//! exact `links_changed` via [`sym_diff`], plus `rebuild_patches` and
+//! exact `links_changed`, counted in one pass over each range's parent
+//! pointers before and after, plus `rebuild_patches` and
 //! `rebuild_nodes`. A whole-tree shape is the degenerate
 //! single-patch plan ([`RebuildPlan::full`]), so classic full rebuilders —
 //! any `FnMut(&DemandView) -> ShapeTree` wrapped in [`FullRebuild`] — keep
@@ -457,8 +458,8 @@ impl<R: Rebuild> Network for LazyKaryNet<R> {
 
 /// Size of the symmetric difference of two **sorted, duplicate-free**
 /// edge lists — the number of links that differ between two topologies
-/// (the exact adjustment-cost accounting shared by `patch_subtree` and the
-/// link-accounting differential tests).
+/// (the exact adjustment-cost accounting of
+/// [`crate::complete::CompleteTopology::links_changed`]).
 pub fn sym_diff(a: &[(NodeIdx, NodeIdx)], b: &[(NodeIdx, NodeIdx)]) -> u64 {
     let (mut i, mut j, mut d) = (0, 0, 0u64);
     while i < a.len() && j < b.len() {

@@ -14,6 +14,11 @@
 
 use crate::key::NodeKey;
 
+/// Largest supported arity: a node's own-key position
+/// ([`ShapeTree::key_gap`]) is a `u8`, so a node may have at most 255
+/// children.
+pub const MAX_ARITY: usize = 255;
+
 /// An ordered rooted tree shape with a per-node in-order position for the
 /// node's own key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +51,7 @@ impl ShapeTree {
     /// near the subtree median.
     pub fn balanced_kary(n: usize, k: usize) -> ShapeTree {
         assert!(k >= 2, "arity must be at least 2");
+        assert!(k <= MAX_ARITY, "arity {k} exceeds MAX_ARITY = {MAX_ARITY}");
         let mut shape = ShapeTree {
             children: Vec::with_capacity(n),
             key_gap: Vec::with_capacity(n),
@@ -70,16 +76,17 @@ impl ShapeTree {
     /// Hot keys therefore sit near the root (weighted depth is
     /// logarithmic in total weight), while regions with **no** observed
     /// demand degrade to the complete balanced subtree — with an empty
-    /// `hot` the result is exactly [`ShapeTree::balanced_kary`]. Split
-    /// decisions cost O(log) binary searches over the hot prefix sums and
-    /// are only paid on ranges containing hot keys, so a rebuild is
-    /// O(n) shape materialization plus O(touched · log) decision work —
-    /// no O(n³)-ish DP, which is what makes lazy rebuilds viable at
-    /// 10⁶–10⁷ nodes.
+    /// `hot` the result is exactly [`ShapeTree::balanced_kary`]. A dense
+    /// prefix array over the keys makes every range weight O(1), so the
+    /// build costs O(n) for the prefix and the shape plus O(k · log size)
+    /// binary-search probes per node of a range holding hot keys — no
+    /// O(n³)-ish DP, which is what makes lazy rebuilds viable at 10⁶–10⁷
+    /// nodes.
     ///
     /// Fully deterministic: same `n`, `k`, `hot` → same shape.
     pub fn weight_balanced(n: usize, k: usize, hot: &[(NodeKey, u64)]) -> ShapeTree {
         assert!(k >= 2, "arity must be at least 2");
+        assert!(k <= MAX_ARITY, "arity {k} exceeds MAX_ARITY = {MAX_ARITY}");
         debug_assert!(
             hot.windows(2).all(|w| w[0].0 < w[1].0),
             "hot keys must be strictly sorted"
@@ -99,7 +106,7 @@ impl ShapeTree {
         if n == 0 {
             return shape;
         }
-        let wb = WeightIndex::new(hot);
+        let wb = WeightIndex::new(n, hot);
 
         // Explicit work stack (DFS preorder): a pathological weight profile
         // must not be able to overflow the call stack at 10⁶ nodes. Jobs
@@ -109,7 +116,7 @@ impl ShapeTree {
         let mut stack: Vec<(NodeKey, NodeKey, u32)> = vec![(1, n as NodeKey, NO_PARENT)];
         let mut ranges: Vec<(NodeKey, NodeKey)> = Vec::with_capacity(2 * k);
         while let Some((a, b, parent)) = stack.pop() {
-            let id = if wb.hot_weight(a, b) == 0 {
+            let id = if wb.weight(a, b) == (b - a + 1) as u64 {
                 // Cold range: no observed demand — fall back to the
                 // complete balanced subtree (O(size), no searches).
                 shape.push_balanced_subtree((b - a + 1) as usize, k)
@@ -198,7 +205,10 @@ impl ShapeTree {
 
     /// Checks structural sanity: every node except the root has exactly one
     /// parent, children counts are within `k`, and `key_gap` is in range.
+    ///
+    /// Panics if `k` exceeds [`MAX_ARITY`].
     pub fn validate(&self, k: usize) -> Result<(), String> {
+        assert!(k <= MAX_ARITY, "arity {k} exceeds MAX_ARITY = {MAX_ARITY}");
         let n = self.len();
         let mut seen = vec![false; n];
         let mut stack = vec![self.root];
@@ -264,38 +274,32 @@ impl ShapeTree {
     }
 }
 
-/// Prefix-sum index over the sorted hot-key frequencies backing
-/// [`ShapeTree::weight_balanced`]: every range weight is two binary
-/// searches over the hot keys plus closed-form base weight, so split
-/// decisions never scan the keyspace.
-struct WeightIndex<'a> {
-    hot: &'a [(NodeKey, u64)],
-    /// `pre[i]` = sum of the first `i` hot frequencies.
+/// Dense prefix-weight index over keys `1..=n` backing
+/// [`ShapeTree::weight_balanced`]: every range weight is one subtraction,
+/// so each probe of the split searches is O(1). 8 B per key while the
+/// build runs.
+struct WeightIndex {
+    /// `pre[i]` = weight of keys `1..=i`: `i` plus their hot frequencies.
     pre: Vec<u64>,
 }
 
-impl<'a> WeightIndex<'a> {
-    fn new(hot: &'a [(NodeKey, u64)]) -> WeightIndex<'a> {
-        let mut pre = Vec::with_capacity(hot.len() + 1);
-        let mut acc = 0u64;
-        pre.push(0);
-        for &(_, w) in hot {
-            acc += w;
-            pre.push(acc);
+impl WeightIndex {
+    fn new(n: usize, hot: &[(NodeKey, u64)]) -> WeightIndex {
+        let mut pre = vec![1u64; n + 1];
+        pre[0] = 0;
+        for &(key, w) in hot {
+            pre[key as usize] += w;
         }
-        WeightIndex { hot, pre }
-    }
-
-    /// Sum of hot frequencies for keys in `[a, b]`.
-    fn hot_weight(&self, a: NodeKey, b: NodeKey) -> u64 {
-        let lo = self.hot.partition_point(|&(key, _)| key < a);
-        let hi = self.hot.partition_point(|&(key, _)| key <= b);
-        self.pre[hi] - self.pre[lo]
+        for i in 1..=n {
+            pre[i] += pre[i - 1];
+        }
+        WeightIndex { pre }
     }
 
     /// Weight of key range `[a, b]`: base 1 per key plus hot frequencies.
     fn weight(&self, a: NodeKey, b: NodeKey) -> u64 {
-        (b - a + 1) as u64 + self.hot_weight(a, b)
+        let before = (a - 1) as usize;
+        self.pre[b as usize] - self.pre[before]
     }
 
     /// Smallest `m` in `[a, b]` whose prefix `[a, m]` holds at least half
@@ -586,6 +590,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn max_arity_hot_key_sits_at_the_root() {
+        let s = ShapeTree::weight_balanced(600, MAX_ARITY, &[(600, 1_000_000)]);
+        s.validate(MAX_ARITY).unwrap();
+        assert_eq!(s.children[s.root as usize].len(), MAX_ARITY);
+        assert_eq!(s.assign_keys(1)[s.root as usize], 600);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_ARITY")]
+    fn weight_balanced_rejects_arity_past_max() {
+        ShapeTree::weight_balanced(600, MAX_ARITY + 1, &[(600, 1_000_000)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_ARITY")]
+    fn balanced_kary_rejects_arity_past_max() {
+        ShapeTree::balanced_kary(600, MAX_ARITY + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_ARITY")]
+    fn validate_rejects_arity_past_max() {
+        let _ = ShapeTree::balanced_kary(10, 2).validate(MAX_ARITY + 1);
     }
 
     #[test]

@@ -101,10 +101,10 @@ pub struct KstTree {
     /// … and per-path-node key-gap positions, maintained incrementally
     /// across the re-form steps of one restructure.
     pub(crate) scratch_gaps: Vec<usize>,
-    /// Before/after edge buffers reused by [`KstTree::patch_subtree`]'s
-    /// sym-diff link accounting (capacity persists across patches).
-    pub(crate) scratch_edges_a: Vec<(NodeIdx, NodeIdx)>,
-    pub(crate) scratch_edges_b: Vec<(NodeIdx, NodeIdx)>,
+    /// The patched range's parent pointers before the patch, kept by
+    /// [`KstTree::patch_subtree`]'s link accounting (capacity persists
+    /// across patches).
+    pub(crate) scratch_parents: Vec<NodeIdx>,
 }
 
 /// Which end of the keyspace a [`KstTree::absorb_fragment`] attaches to.
@@ -167,8 +167,7 @@ impl KstTree {
             scratch_path: Vec::new(),
             scratch_pos: Vec::new(),
             scratch_gaps: Vec::new(),
-            scratch_edges_a: Vec::new(),
-            scratch_edges_b: Vec::new(),
+            scratch_parents: Vec::new(),
         };
         let root = t.write_fragment(shape, 1, 0, RoutingKey::MAX, 0);
         t.root = root;
@@ -402,12 +401,13 @@ impl KstTree {
     /// carry exactly the keys `lo..=hi` (every subtree of a k-ary search
     /// tree owns a contiguous key range, so this is the natural patch
     /// unit; the planner derives candidate ranges from the live tree).
-    /// Locating the range root is O(depth), verification plus re-forming
-    /// is O(subtree), and the exact adjustment cost comes from
-    /// [`crate::lazy::sym_diff`] over the subtree's before/after edge
-    /// lists (anchor edge included) — the same accounting the full
-    /// rebuild path uses. Edge buffers live in persistent scratch, so
-    /// repeated patches reuse their capacity.
+    /// Locating the range root is O(depth), and verification, re-forming
+    /// and link accounting are each O(subtree). Every link the patch can
+    /// change, anchor link included, has its child endpoint in the range,
+    /// so the exact adjustment cost compares the range's parent pointers
+    /// before and after: a link survives iff its child keeps its parent
+    /// or the two endpoints swap roles. The old pointers live in
+    /// persistent scratch, so repeated patches reuse its capacity.
     ///
     /// Returns that cost as one patch: `links_changed`,
     /// `rebuild_patches` = 1 and `rebuild_nodes` = the range's size.
@@ -445,12 +445,7 @@ impl KstTree {
             lo <= rk && rk <= hi,
             "[{lo},{hi}] splits across node key {rk}: not a subtree range"
         );
-        // 2. Verify the subtree under `r` is exactly the range, collecting
-        //    its current edges (anchor edge included) for link accounting.
-        let mut before = std::mem::take(&mut self.scratch_edges_a);
-        let mut after = std::mem::take(&mut self.scratch_edges_b);
-        before.clear();
-        after.clear();
+        // 2. Verify the subtree under `r` is exactly the range.
         let mut count = 0usize;
         let mut stack: Vec<NodeIdx> = vec![r];
         while let Some(v) = stack.pop() {
@@ -462,7 +457,6 @@ impl KstTree {
             );
             for &c in self.children(v) {
                 if c != NIL {
-                    before.push((v.min(c), v.max(c)));
                     stack.push(c);
                 }
             }
@@ -473,11 +467,12 @@ impl KstTree {
             "subtree under key {} holds {count} nodes, range [{lo},{hi}] needs {size}",
             idx_to_key(r)
         );
-        if anchor != NIL {
-            before.push((r.min(anchor), r.max(anchor)));
-        }
-        before.sort_unstable();
-        // 3. Re-form the range in place and reattach.
+        // 3. Keep the range's parent pointers, re-form the range in place
+        //    and reattach.
+        let (base, last) = (key_to_idx(lo), key_to_idx(hi));
+        let mut old = std::mem::take(&mut self.scratch_parents);
+        old.clear();
+        old.extend_from_slice(&self.parent[base as usize..=last as usize]);
         let new_root = self.write_fragment(fragment, lo, loc.glo, loc.ghi, loc.depth);
         self.set_parent(new_root, anchor);
         if anchor == NIL {
@@ -485,17 +480,19 @@ impl KstTree {
         } else {
             self.children_mut(anchor)[loc.slot] = new_root;
         }
-        // 4. Exact links_changed via the shared sym-diff machinery.
-        for idx in key_to_idx(lo)..=key_to_idx(hi) {
-            let p = self.parent(idx);
-            if p != NIL {
-                after.push((idx.min(p), idx.max(p)));
+        // 4. Exact links_changed: when v's parent changes, its old link
+        //    {v, p} survives only if p now hangs under v, and its new link
+        //    only if the new parent used to hang under v.
+        let mut links_changed = 0u64;
+        for (v, &p_old) in (base..=last).zip(&old) {
+            let p_new = self.parent(v);
+            if p_new != p_old {
+                let p_new_was_under = old.get(p_new.wrapping_sub(base) as usize);
+                links_changed += u64::from(p_old != NIL && self.parent(p_old) != v);
+                links_changed += u64::from(p_new != NIL && p_new_was_under != Some(&v));
             }
         }
-        after.sort_unstable();
-        let links_changed = crate::lazy::sym_diff(&before, &after);
-        self.scratch_edges_a = before;
-        self.scratch_edges_b = after;
+        self.scratch_parents = old;
         ServeCost {
             links_changed,
             rebuild_patches: 1,

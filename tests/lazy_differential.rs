@@ -416,3 +416,81 @@ fn patch_subtree_accepts_exactly_the_subtree_ranges() {
         }
     }
 }
+
+/// `patch_subtree`'s `links_changed` is exactly the symmetric difference
+/// of the whole tree's edge sets before and after the patch, for every
+/// subtree range of balanced and k-splayed trees and for fragments that
+/// rebuild the range (balanced, hot at either end), keep it (its own
+/// `subtree_shape`: 0 links when every subtree in the range is gap-free),
+/// or, on 2-node ranges, swap parent and child (the inner link stays, only
+/// the anchor link moves).
+#[test]
+fn patch_subtree_links_changed_equals_whole_tree_edge_difference() {
+    for k in [2usize, 3, 4, 5] {
+        for n in [1usize, 2, 3, 7, 19, 40, 60] {
+            let mut splayed = KSplayNet::balanced(k, n);
+            if n >= 2 {
+                for &(u, v) in gens::zipf(n, 300, 1.1, 70 + k as u64).requests() {
+                    splayed.serve(u, v);
+                }
+            }
+            for (label, tree) in [
+                ("balanced", KstTree::balanced(k, n)),
+                ("splayed", splayed.tree().clone()),
+            ] {
+                let before = edge_set(&tree);
+                let subtrees = subtree_ranges(&tree);
+                for &(lo, hi) in &subtrees {
+                    let size = (hi - lo + 1) as usize;
+                    // `subtree_shape` reproduces the range only when every
+                    // node in it roots a gap-free subtree (k-splaying can
+                    // park a key between a child's keys).
+                    let gap_free = subtrees
+                        .iter()
+                        .filter(|&&(a, b)| lo <= a && b <= hi)
+                        .count();
+                    let in_range = |v| (lo..=hi).contains(&tree.key_of(v));
+                    let r = tree
+                        .nodes()
+                        .find(|&v| {
+                            let p = tree.parent(v);
+                            in_range(v) && (p == ksan::core::NIL || !in_range(p))
+                        })
+                        .expect("a subtree range has a root");
+                    let own = tree.subtree_shape(r);
+                    let mut frags = vec![
+                        ("balanced_kary", ShapeTree::balanced_kary(size, k), None),
+                        (
+                            "hot_low",
+                            ShapeTree::weight_balanced(size, k, &[(1, 1_000)]),
+                            None,
+                        ),
+                        (
+                            "hot_high",
+                            ShapeTree::weight_balanced(size, k, &[(size as NodeKey, 1_000)]),
+                            None,
+                        ),
+                        ("own", own.clone(), (gap_free == size).then_some(0)),
+                    ];
+                    if size == 2 {
+                        let mut swap = own.clone();
+                        let root = swap.root as usize;
+                        swap.key_gap[root] = 1 - swap.key_gap[root];
+                        let anchored = tree.parent(r) != ksan::core::NIL;
+                        frags.push(("swap", swap, Some(2 * u64::from(anchored))));
+                    }
+                    for (frag_label, frag, want) in frags {
+                        let mut t = tree.clone();
+                        let cost = t.patch_subtree(lo, hi, &frag);
+                        let diff = before.symmetric_difference(&edge_set(&t)).count() as u64;
+                        let ctx = format!("{label} k={k} n={n} [{lo},{hi}] {frag_label}");
+                        assert_eq!(cost.links_changed, diff, "{ctx}");
+                        if let Some(want) = want {
+                            assert_eq!(cost.links_changed, want, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
