@@ -22,7 +22,7 @@
 
 use kst_bench::write_report;
 use kst_core::shape::ShapeTree;
-use kst_core::{KSplayNet, KstTree};
+use kst_core::{KSplayNet, KstTree, NIL};
 use kst_sim::run;
 use kst_sim::table::Table;
 use kst_statics::centroid_shape;
@@ -30,16 +30,14 @@ use kst_workloads::gens;
 
 /// A degenerate single-path shape (worst-case height).
 fn path_shape(n: usize) -> ShapeTree {
-    let mut s = ShapeTree {
-        children: vec![Vec::new(); n],
-        key_gap: vec![0; n],
+    // Key i + 1 hangs below key i: own key first, child holds the
+    // larger keys.
+    ShapeTree {
+        parent: (0..n as u32)
+            .map(|i| if i == 0 { NIL } else { i - 1 })
+            .collect(),
         root: 0,
-    };
-    for i in 0..n - 1 {
-        s.children[i] = vec![(i + 1) as u32];
-        s.key_gap[i] = 0; // own key first, child holds the larger keys
     }
-    s
 }
 
 fn main() {

@@ -72,34 +72,27 @@ impl KPlusOneSplayNet {
         for i in 0..k - 1 {
             a_sizes.push(q + usize::from(i < r));
         }
-        // Assemble the shape: c1 root = [A_1 … A_{k-1}, c2], c2 = [B_1 … B_k].
+        // Assemble the shape on the key layout [A… | c1 | c2 | B…]: c1 is
+        // the root over the A subtrees and c2, c2 holds the B subtrees.
+        let c1 = a_total as u32;
+        let c2 = c1 + 1;
         let mut shape = ShapeTree {
-            children: Vec::with_capacity(n),
-            key_gap: Vec::with_capacity(n),
-            root: 0,
+            parent: vec![NIL; n],
+            root: c1,
         };
-        let c1_shape = shape.push_leaf();
-        let mut c1_children = Vec::new();
-        for &s in &a_sizes {
-            if s > 0 {
-                c1_children.push(shape.push_balanced_subtree(s, k));
-            }
+        shape.parent[c2 as usize] = c1;
+        let mut next = 0;
+        for &s in a_sizes.iter().filter(|&&s| s > 0) {
+            shape.fill_balanced(next, s, k, c1);
+            next += s as u32;
         }
-        let c2_shape = shape.push_leaf();
-        let mut c2_children = Vec::new();
+        next = c2 + 1;
         for _ in 0..k {
             if b > 0 {
-                c2_children.push(shape.push_balanced_subtree(b, k));
+                shape.fill_balanced(next, b, k, c2);
+                next += b as u32;
             }
         }
-        // c1's own key sits between the A subtrees and c2's range; c2's own
-        // key precedes all B subtrees (layout [A… | c1 | c2 | B…]).
-        shape.key_gap[c1_shape as usize] = c1_children.len() as u8;
-        shape.key_gap[c2_shape as usize] = 0;
-        shape.children[c2_shape as usize] = c2_children.clone();
-        c1_children.push(c2_shape);
-        shape.children[c1_shape as usize] = c1_children.clone();
-        shape.root = c1_shape;
 
         let mut tree = KstTree::from_shape(k, &shape);
         // Serve-path operations must not allocate, from the first request on.

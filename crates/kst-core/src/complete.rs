@@ -32,7 +32,6 @@
 //! [`touch`]: CompleteTopology::touch
 
 use crate::key::{NodeIdx, NIL};
-use crate::lazy::sym_diff;
 
 /// Items (node indices) arranged on the fixed complete k-ary position tree,
 /// plus the pre-reserved scratch for exact link-churn accounting.
@@ -318,6 +317,31 @@ impl CompleteTopology {
         }
         Ok(())
     }
+}
+
+/// Size of the symmetric difference of two **sorted, duplicate-free**
+/// edge lists — the number of links that differ between two topologies
+/// (the exact adjustment-cost accounting of
+/// [`CompleteTopology::links_changed`]).
+pub fn sym_diff(a: &[(NodeIdx, NodeIdx)], b: &[(NodeIdx, NodeIdx)]) -> u64 {
+    let (mut i, mut j, mut d) = (0, 0, 0u64);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Less => {
+                d += 1;
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                d += 1;
+                j += 1;
+            }
+        }
+    }
+    d + (a.len() - i) as u64 + (b.len() - j) as u64
 }
 
 #[cfg(test)]

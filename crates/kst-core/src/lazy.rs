@@ -47,7 +47,7 @@ use kst_workloads::{DecayingDemand, DemandView, SparseDemand};
 
 /// One subtree replacement of a [`RebuildPlan`]: the subtree whose key set
 /// is exactly `[lo, hi]` is re-formed as `shape` (a fragment on
-/// `hi − lo + 1` nodes; keys assigned `lo..=hi` in-order).
+/// `hi − lo + 1` nodes; fragment offset `i` becomes key `lo + i`).
 #[derive(Debug, Clone)]
 pub struct SubtreePatch {
     /// First key of the patched range.
@@ -454,31 +454,6 @@ impl<R: Rebuild> Network for LazyKaryNet<R> {
     fn label(&self) -> String {
         format!("lazy {}-ary net (α={})", self.k, self.alpha)
     }
-}
-
-/// Size of the symmetric difference of two **sorted, duplicate-free**
-/// edge lists — the number of links that differ between two topologies
-/// (the exact adjustment-cost accounting of
-/// [`crate::complete::CompleteTopology::links_changed`]).
-pub fn sym_diff(a: &[(NodeIdx, NodeIdx)], b: &[(NodeIdx, NodeIdx)]) -> u64 {
-    let (mut i, mut j, mut d) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                d += 1;
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                d += 1;
-                j += 1;
-            }
-        }
-    }
-    d + (a.len() - i) as u64 + (b.len() - j) as u64
 }
 
 #[cfg(test)]

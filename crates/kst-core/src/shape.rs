@@ -1,75 +1,107 @@
-//! Rooted ordered tree *shapes* with in-order key assignment.
+//! Rooted search-tree *shapes* over a contiguous key range.
 //!
 //! Several constructions in the paper fix a tree shape first and distribute
 //! keys afterwards so that the search property holds (Section 3.2: "we can
 //! first fix the tree structure and then distribute the keys"). A
-//! [`ShapeTree`] is such a shape: an ordered rooted tree where each node has
-//! a list of ordered children plus a `key_gap` saying between which children
-//! the node's *own* key falls in the in-order sequence of its subtree.
+//! [`ShapeTree`] stores the result of that distribution directly: shape
+//! node `i` is the `i`-th key of the range the shape is materialized on
+//! (its *offset*), and the shape records each node's parent. Children are
+//! ordered by key, and a node's own key sits between its children with
+//! smaller and with larger keys, so neither a child order nor an own-key
+//! position is stored. [`ShapeTree::validate`] checks that every subtree
+//! holds a contiguous run of offsets, which is what makes a shape a search
+//! tree.
 //!
-//! Shapes are produced by the balanced builder here, by the dynamic programs
-//! in `kst-statics`, and by the centroid construction; they are consumed by
-//! the arena-tree builder (`KstTree::from_shape`) and by the static distance
-//! evaluator.
+//! Shapes are produced by the balanced and weight-balanced builders here,
+//! by the dynamic programs and the centroid construction in `kst-statics`,
+//! and by subtree capture ([`crate::KstTree::subtree_shape`]); they are
+//! consumed by the arena-tree builder (`KstTree::from_shape`) and by the
+//! static distance evaluator.
 
-use crate::key::NodeKey;
+use crate::key::{NodeKey, NIL};
 
-/// Largest supported arity: a node's own-key position
-/// ([`ShapeTree::key_gap`]) is a `u8`, so a node may have at most 255
-/// children.
-pub const MAX_ARITY: usize = 255;
-
-/// An ordered rooted tree shape with a per-node in-order position for the
-/// node's own key.
+/// A rooted search-tree shape on offsets `0..len()`, stored as the parent
+/// of each offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeTree {
-    /// `children[v]` lists the ordered children of shape node `v`.
-    pub children: Vec<Vec<u32>>,
-    /// The node's own key precedes child `key_gap[v]` in its in-order
-    /// sequence (so `key_gap[v] == children[v].len()` puts it last).
-    pub key_gap: Vec<u8>,
-    /// Root shape node.
+    /// `parent[i]` is the offset of node `i`'s parent, [`NIL`] at the root.
+    pub parent: Vec<u32>,
+    /// Offset of the root.
     pub root: u32,
+}
+
+/// A validated shape's children, ordered by key, and the offset span of
+/// every subtree: what materializing the shape reads.
+pub(crate) struct Layout {
+    /// The children of `v` are `kids[start[v]..start[v + 1]]`.
+    start: Vec<u32>,
+    kids: Vec<u32>,
+    /// `(first, last)` offset of each node's subtree.
+    pub(crate) span: Vec<(u32, u32)>,
+}
+
+impl Layout {
+    /// The children of `v` in ascending key order.
+    pub(crate) fn children(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        &self.kids[self.start[v] as usize..self.start[v + 1] as usize]
+    }
 }
 
 impl ShapeTree {
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.children.len()
+        self.parent.len()
     }
 
     /// True when the shape has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
+        self.parent.is_empty()
     }
 
     /// Builds the complete ("full" in the paper's terminology, Section 5)
     /// k-ary tree shape on `n` nodes: every level fully filled except the
     /// last, whose nodes are grouped to the left.
     ///
-    /// The own-key gap is placed at the middle child to keep in-order keys
-    /// near the subtree median.
+    /// Each node's own key follows its first `⌈c/2⌉` of `c` children, to
+    /// keep it near the subtree median.
     pub fn balanced_kary(n: usize, k: usize) -> ShapeTree {
         assert!(k >= 2, "arity must be at least 2");
-        assert!(k <= MAX_ARITY, "arity {k} exceeds MAX_ARITY = {MAX_ARITY}");
         let mut shape = ShapeTree {
-            children: Vec::with_capacity(n),
-            key_gap: Vec::with_capacity(n),
+            parent: vec![NIL; n],
             root: 0,
         };
-        if n == 0 {
-            return shape;
+        if n > 0 {
+            shape.root = shape.fill_balanced(0, n, k, NIL);
         }
-        let root = build_complete(&mut shape, n, k);
-        shape.root = root;
         shape
+    }
+
+    /// Writes the complete k-ary subtree of [`ShapeTree::balanced_kary`]
+    /// over the `n >= 1` offsets `first..first + n`, hangs its root under
+    /// `parent` ([`NIL`] for none) and returns the root's offset (used to
+    /// assemble composite topologies such as the centroid (k+1)-SplayNet).
+    pub fn fill_balanced(&mut self, first: u32, n: usize, k: usize, parent: u32) -> u32 {
+        let sizes = complete_child_sizes(n, k);
+        let gap = sizes.len().div_ceil(2);
+        let own = first + sizes[..gap].iter().sum::<usize>() as u32;
+        self.parent[own as usize] = parent;
+        let mut next = first;
+        for (i, &s) in sizes.iter().enumerate() {
+            if i == gap {
+                next += 1;
+            }
+            self.fill_balanced(next, s, k, own);
+            next += s as u32;
+        }
+        own
     }
 
     /// Builds a **weight-balanced** k-ary search tree shape on keys
     /// `1..=n` from observed per-key frequencies: every key gets a base
     /// weight of 1 plus its observed frequency from `hot` (a by-key sorted
     /// `(key, frequency)` list, keys in `1..=n`, typically
-    /// `SparseDemand::key_weights`), and each node takes the weighted
+    /// `DemandView::key_weights`), and each node takes the weighted
     /// median of its key range as its own key, splitting the remainder
     /// into up to `k` child ranges of roughly equal weight.
     ///
@@ -86,7 +118,6 @@ impl ShapeTree {
     /// Fully deterministic: same `n`, `k`, `hot` → same shape.
     pub fn weight_balanced(n: usize, k: usize, hot: &[(NodeKey, u64)]) -> ShapeTree {
         assert!(k >= 2, "arity must be at least 2");
-        assert!(k <= MAX_ARITY, "arity {k} exceeds MAX_ARITY = {MAX_ARITY}");
         debug_assert!(
             hot.windows(2).all(|w| w[0].0 < w[1].0),
             "hot keys must be strictly sorted"
@@ -99,178 +130,134 @@ impl ShapeTree {
             return ShapeTree::balanced_kary(n, k);
         }
         let mut shape = ShapeTree {
-            children: Vec::with_capacity(n),
-            key_gap: Vec::with_capacity(n),
+            parent: vec![NIL; n],
             root: 0,
         };
-        if n == 0 {
-            return shape;
-        }
         let wb = WeightIndex::new(n, hot);
 
-        // Explicit work stack (DFS preorder): a pathological weight profile
-        // must not be able to overflow the call stack at 10⁶ nodes. Jobs
-        // pop in left-to-right order, so appending each new node to its
-        // parent's child list as it pops preserves child order.
-        const NO_PARENT: u32 = u32::MAX;
-        let mut stack: Vec<(NodeKey, NodeKey, u32)> = vec![(1, n as NodeKey, NO_PARENT)];
+        // Explicit work stack of (key range, parent offset): a
+        // pathological weight profile must not be able to overflow the
+        // call stack at 10⁶ nodes.
+        let mut stack: Vec<(NodeKey, NodeKey, u32)> = vec![(1, n as NodeKey, NIL)];
         let mut ranges: Vec<(NodeKey, NodeKey)> = Vec::with_capacity(2 * k);
         while let Some((a, b, parent)) = stack.pop() {
             let id = if wb.weight(a, b) == (b - a + 1) as u64 {
                 // Cold range: no observed demand — fall back to the
                 // complete balanced subtree (O(size), no searches).
-                shape.push_balanced_subtree((b - a + 1) as usize, k)
+                shape.fill_balanced(a - 1, (b - a + 1) as usize, k, parent)
             } else {
-                let id = shape.push_leaf();
                 let m = wb.weighted_median(a, b);
+                let id = m - 1;
+                shape.parent[id as usize] = parent;
                 ranges.clear();
-                let cl = wb.split_around(a, b, m, k, &mut ranges);
-                shape.key_gap[id as usize] = cl as u8;
-                for &(ca, cb) in ranges.iter().rev() {
-                    stack.push((ca, cb, id));
-                }
+                wb.split_around(a, b, m, k, &mut ranges);
+                stack.extend(ranges.iter().map(|&(ca, cb)| (ca, cb, id)));
                 id
             };
-            if parent == NO_PARENT {
+            if parent == NIL {
                 shape.root = id;
-            } else {
-                shape.children[parent as usize].push(id);
             }
         }
-        debug_assert_eq!(shape.len(), n);
         shape
     }
 
-    /// Subtree sizes (number of shape nodes, including the node itself).
-    pub fn subtree_sizes(&self) -> Vec<usize> {
-        let n = self.len();
-        let mut sizes = vec![0usize; n];
-        // Iterative post-order to avoid recursion depth limits on long paths.
-        let mut stack: Vec<(u32, usize)> = vec![(self.root, 0)];
-        while let Some(&(v, ci)) = stack.last() {
-            if ci < self.children[v as usize].len() {
-                // ksan-allow: panic-surface the while-let guard just yielded this top-of-stack entry
-                stack.last_mut().unwrap().1 += 1;
-                stack.push((self.children[v as usize][ci], 0));
-            } else {
-                stack.pop();
-                let mut s = 1usize;
-                for &c in &self.children[v as usize] {
-                    s += sizes[c as usize];
-                }
-                sizes[v as usize] = s;
-            }
-        }
-        sizes
-    }
-
-    /// Assigns keys `first_key..first_key + n` to shape nodes by an in-order
-    /// walk that respects each node's `key_gap`. Returns the key per shape
-    /// node.
-    pub fn assign_keys(&self, first_key: NodeKey) -> Vec<NodeKey> {
-        let n = self.len();
-        let mut keys = vec![0 as NodeKey; n];
-        if n == 0 {
-            return keys;
-        }
-        // Iterative in-order: state = (node, next child position to visit).
-        let mut next = first_key;
-        let mut stack: Vec<(u32, usize)> = vec![(self.root, 0)];
-        while let Some(&(v, pos)) = stack.last() {
-            let cs = &self.children[v as usize];
-            let gap = self.key_gap[v as usize] as usize;
-            if pos == gap && keys[v as usize] == 0 {
-                keys[v as usize] = next;
-                next += 1;
-                if pos == cs.len() {
-                    stack.pop();
-                    continue;
-                }
-            }
-            if pos < cs.len() {
-                // ksan-allow: panic-surface the while-let guard just yielded this top-of-stack entry
-                stack.last_mut().unwrap().1 += 1;
-                stack.push((cs[pos], 0));
-            } else {
-                if keys[v as usize] == 0 {
-                    keys[v as usize] = next;
-                    next += 1;
-                }
-                stack.pop();
-            }
-        }
-        debug_assert_eq!(next, first_key + n as NodeKey);
-        keys
-    }
-
-    /// Checks structural sanity: every node except the root has exactly one
-    /// parent, children counts are within `k`, and `key_gap` is in range.
-    ///
-    /// Panics if `k` exceeds [`MAX_ARITY`].
+    /// Checks that the shape is a search tree of arity `k`: one root,
+    /// every parent in range, at most `k` children per node, every node
+    /// reachable from the root (so no cycle), and every subtree holding a
+    /// contiguous run of offsets. Never panics.
     pub fn validate(&self, k: usize) -> Result<(), String> {
-        assert!(k <= MAX_ARITY, "arity {k} exceeds MAX_ARITY = {MAX_ARITY}");
+        self.layout(k).map(|_| ())
+    }
+
+    /// [`ShapeTree::validate`], keeping the children and subtree spans it
+    /// derives. O(n): one counting pass buckets the children by parent
+    /// (in ascending key order, since nodes are visited by offset), a
+    /// breadth-first order from the root checks reachability, and the
+    /// reverse of that order folds subtree sizes and spans.
+    pub(crate) fn layout(&self, k: usize) -> Result<Layout, String> {
         let n = self.len();
-        let mut seen = vec![false; n];
-        let mut stack = vec![self.root];
-        let mut visited = 0usize;
-        while let Some(v) = stack.pop() {
-            let v = v as usize;
-            if seen[v] {
-                return Err(format!("shape node {v} reached twice"));
+        let root = self.root as usize;
+        if n == 0 {
+            return Ok(Layout {
+                start: vec![0],
+                kids: Vec::new(),
+                span: Vec::new(),
+            });
+        }
+        if root >= n {
+            return Err(format!("shape root {root} lies outside 0..{n}"));
+        }
+        if self.parent[root] != NIL {
+            return Err(format!("shape root {root} has a parent"));
+        }
+        // `start[p + 1]` counts p's children, then becomes a prefix sum.
+        let mut start = vec![0u32; n + 1];
+        for (v, &p) in self.parent.iter().enumerate() {
+            if p == NIL {
+                if v != root {
+                    return Err(format!("shape nodes {root} and {v} are both roots"));
+                }
+            } else if p as usize >= n {
+                return Err(format!("shape node {v} has parent {p} outside 0..{n}"));
+            } else {
+                let slot = p as usize + 1;
+                start[slot] += 1;
             }
-            seen[v] = true;
-            visited += 1;
-            if self.children[v].len() > k {
+        }
+        for v in 0..n {
+            let c = start[v + 1];
+            if c as usize > k {
+                return Err(format!("shape node {v} has {c} > k = {k} children"));
+            }
+            start[v + 1] = c + start[v];
+        }
+        // Bucket by parent, using start[p] as p's fill cursor; afterwards
+        // start[p] has reached p's end, so shift it back by one node.
+        let mut kids = vec![0u32; n - 1];
+        for (v, &p) in self.parent.iter().enumerate() {
+            if p != NIL {
+                kids[start[p as usize] as usize] = v as u32;
+                start[p as usize] += 1;
+            }
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        let mut layout = Layout {
+            start,
+            kids,
+            span: (0..n as u32).map(|v| (v, v)).collect(),
+        };
+        // Every node sits in exactly one bucket, so the breadth-first
+        // order visits each node at most once and misses every cycle.
+        let mut order = Vec::with_capacity(n);
+        order.push(self.root);
+        let mut i = 0;
+        while i < order.len() {
+            order.extend_from_slice(layout.children(order[i]));
+            i += 1;
+        }
+        if order.len() != n {
+            return Err(format!(
+                "only {} of {n} shape nodes are reachable from the root",
+                order.len()
+            ));
+        }
+        let mut size = vec![1u32; n];
+        for &v in order.iter().rev() {
+            let (s, (lo, hi)) = (size[v as usize], layout.span[v as usize]);
+            if hi - lo + 1 != s {
                 return Err(format!(
-                    "shape node {v} has {} > k = {k} children",
-                    self.children[v].len()
+                    "shape subtree of node {v} spans offsets {lo}..={hi} but holds {s} nodes"
                 ));
             }
-            if (self.key_gap[v] as usize) > self.children[v].len() {
-                return Err(format!("shape node {v} key_gap out of range"));
-            }
-            for &c in &self.children[v] {
-                stack.push(c);
-            }
-        }
-        if visited != n {
-            return Err(format!("only {visited} of {n} shape nodes reachable"));
-        }
-        Ok(())
-    }
-
-    /// Appends a complete k-ary subtree shape on `n >= 1` nodes into this
-    /// arena and returns its root shape id (used to assemble composite
-    /// topologies such as the centroid (k+1)-SplayNet).
-    pub fn push_balanced_subtree(&mut self, n: usize, k: usize) -> u32 {
-        assert!(n >= 1);
-        build_complete(self, n, k)
-    }
-
-    /// Appends a single childless shape node and returns its id.
-    pub fn push_leaf(&mut self) -> u32 {
-        let id = self.children.len() as u32;
-        self.children.push(Vec::new());
-        self.key_gap.push(0);
-        id
-    }
-
-    /// Depth of every node (root = 0).
-    pub fn depths(&self) -> Vec<u32> {
-        let mut d = vec![0u32; self.len()];
-        let mut stack = vec![self.root];
-        while let Some(v) = stack.pop() {
-            for &c in &self.children[v as usize] {
-                d[c as usize] = d[v as usize] + 1;
-                stack.push(c);
+            let p = self.parent[v as usize];
+            if p != NIL {
+                size[p as usize] += s;
+                let ps = &mut layout.span[p as usize];
+                *ps = (ps.0.min(lo), ps.1.max(hi));
             }
         }
-        d
-    }
-
-    /// Height (max depth) of the shape; 0 for a single node.
-    pub fn height(&self) -> u32 {
-        self.depths().into_iter().max().unwrap_or(0)
+        Ok(layout)
     }
 }
 
@@ -347,8 +334,7 @@ impl WeightIndex {
     /// Child ranges around own key `m` inside `[a, b]`: the left remainder
     /// `[a, m-1]` and right remainder `[m+1, b]` are each quantile-split,
     /// with the child budget `k` apportioned by weight. Appends the ranges
-    /// in order and returns the number of left-side children (the node's
-    /// `key_gap`).
+    /// in order.
     fn split_around(
         &self,
         a: NodeKey,
@@ -356,11 +342,11 @@ impl WeightIndex {
         m: NodeKey,
         k: usize,
         out: &mut Vec<(NodeKey, NodeKey)>,
-    ) -> usize {
+    ) {
         let sl = (m - a) as usize;
         let sr = (b - m) as usize;
         if sl == 0 && sr == 0 {
-            return 0;
+            return;
         }
         let wl = if sl > 0 { self.weight(a, m - 1) } else { 0 };
         let wr = if sr > 0 { self.weight(m + 1, b) } else { 0 };
@@ -379,7 +365,6 @@ impl WeightIndex {
         if sr > 0 {
             self.quantiles(m + 1, b, cr, out);
         }
-        cl
     }
 }
 
@@ -431,24 +416,28 @@ pub fn complete_child_sizes(n: usize, k: usize) -> Vec<usize> {
     sizes
 }
 
-fn build_complete(shape: &mut ShapeTree, n: usize, k: usize) -> u32 {
-    let id = shape.children.len() as u32;
-    shape.children.push(Vec::new());
-    shape.key_gap.push(0);
-    let sizes = complete_child_sizes(n, k);
-    let mut kids = Vec::with_capacity(sizes.len());
-    for s in &sizes {
-        kids.push(build_complete(shape, *s, k));
-    }
-    let gap = kids.len().div_ceil(2);
-    shape.children[id as usize] = kids;
-    shape.key_gap[id as usize] = gap as u8;
-    id
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::KstTree;
+
+    /// Depth of every node (root = 0).
+    fn depths(s: &ShapeTree) -> Vec<u32> {
+        (0..s.len())
+            .map(|mut v| {
+                let mut d = 0;
+                while s.parent[v] != NIL {
+                    v = s.parent[v] as usize;
+                    d += 1;
+                }
+                d
+            })
+            .collect()
+    }
+
+    fn height(s: &ShapeTree) -> u32 {
+        depths(s).into_iter().max().unwrap_or(0)
+    }
 
     #[test]
     fn complete_sizes_sum() {
@@ -477,7 +466,7 @@ mod tests {
                     cap += lvl;
                     h += 1;
                 }
-                assert_eq!(s.height(), h, "n={n} k={k}");
+                assert_eq!(height(&s), h, "n={n} k={k}");
             }
         }
     }
@@ -488,9 +477,8 @@ mod tests {
         for k in 2..=5usize {
             for n in [7usize, 13, 40, 121] {
                 let s = ShapeTree::balanced_kary(n, k);
-                let depths = s.depths();
-                let h = s.height();
-                for lvl in 0..h {
+                let depths = depths(&s);
+                for lvl in 0..height(&s) {
                     let cnt = depths.iter().filter(|&&d| d == lvl).count();
                     assert_eq!(cnt, k.pow(lvl), "level {lvl} of n={n} k={k}");
                 }
@@ -499,41 +487,61 @@ mod tests {
     }
 
     #[test]
-    fn push_subtree_and_leaf_compose() {
-        let mut s = ShapeTree {
-            children: Vec::new(),
-            key_gap: Vec::new(),
-            root: 0,
-        };
-        let root = s.push_leaf();
-        let a = s.push_balanced_subtree(7, 3);
-        let b = s.push_balanced_subtree(4, 3);
-        s.children[root as usize] = vec![a, b];
-        s.key_gap[root as usize] = 1;
-        s.root = root;
-        assert_eq!(s.len(), 12);
-        s.validate(3).unwrap();
-        let mut keys = s.assign_keys(1);
-        keys.sort_unstable();
-        assert_eq!(keys, (1..=12).collect::<Vec<_>>());
+    fn balanced_own_key_follows_half_the_children() {
+        for (n, k) in [(37usize, 3usize), (100, 5), (64, 2)] {
+            let s = ShapeTree::balanced_kary(n, k);
+            for v in 0..n as u32 {
+                let kids: Vec<u32> = (0..n as u32)
+                    .filter(|&c| s.parent[c as usize] == v)
+                    .collect();
+                let below = kids.iter().filter(|&&c| c < v).count();
+                assert_eq!(below, kids.len().div_ceil(2), "node {v} of n={n} k={k}");
+            }
+        }
     }
 
     #[test]
-    fn validate_rejects_overfull_nodes() {
+    fn fill_balanced_composes() {
+        // [7 keys] | root | [4 keys]
         let mut s = ShapeTree {
-            children: Vec::new(),
-            key_gap: Vec::new(),
-            root: 0,
+            parent: vec![NIL; 12],
+            root: 7,
         };
-        let root = s.push_leaf();
-        let kids: Vec<u32> = (0..4).map(|_| s.push_leaf()).collect();
-        s.children[root as usize] = kids;
-        s.root = root;
-        assert!(
-            s.validate(3).is_err(),
-            "4 children must not validate at k=3"
-        );
-        assert!(s.validate(4).is_ok());
+        let a = s.fill_balanced(0, 7, 3, 7);
+        let b = s.fill_balanced(8, 4, 3, 7);
+        s.validate(3).unwrap();
+        assert_eq!((s.parent[a as usize], s.parent[b as usize]), (7, 7));
+        let mut left = ShapeTree {
+            parent: s.parent[..7].to_vec(),
+            root: a,
+        };
+        left.parent[a as usize] = NIL;
+        assert_eq!(left, ShapeTree::balanced_kary(7, 3));
+    }
+
+    #[test]
+    fn validate_rejects_each_malformed_shape() {
+        let shape = |parent: Vec<u32>, root: u32| ShapeTree { parent, root };
+        for (label, s, k, want) in [
+            ("two roots", shape(vec![NIL, NIL, 1], 0), 2, "both roots"),
+            ("cycle", shape(vec![NIL, 2, 1], 0), 2, "reachable"),
+            ("parent out of range", shape(vec![NIL, 5], 0), 2, "outside"),
+            ("root out of range", shape(vec![NIL], 3), 2, "outside"),
+            ("parented root", shape(vec![1, 0], 0), 2, "has a parent"),
+            ("over-full node", shape(vec![NIL, 0, 0, 0], 0), 2, "> k = 2"),
+            // Keys {1, 3, 4} under key 4, key 2 at the root.
+            (
+                "key hole",
+                shape(vec![3, NIL, 3, 1], 1),
+                3,
+                "spans offsets 0..=3 but holds 3",
+            ),
+        ] {
+            let err = s.validate(k).expect_err(label);
+            assert!(err.contains(want), "{label}: {err}");
+        }
+        assert!(shape(vec![NIL, 0, 0, 0], 0).validate(3).is_ok());
+        assert!(shape(Vec::new(), 0).validate(2).is_ok());
     }
 
     #[test]
@@ -550,7 +558,7 @@ mod tests {
     }
 
     #[test]
-    fn weight_balanced_is_valid_and_keys_are_a_permutation() {
+    fn weight_balanced_is_valid() {
         let hots: Vec<Vec<(NodeKey, u64)>> = vec![
             vec![(1, 1000)],
             vec![(50, 7), (51, 9000), (99, 3)],
@@ -565,9 +573,6 @@ mod tests {
                     let s = ShapeTree::weight_balanced(n, k, hot);
                     assert_eq!(s.len(), n, "n={n} k={k}");
                     s.validate(k).unwrap();
-                    let mut keys = s.assign_keys(1);
-                    keys.sort_unstable();
-                    assert_eq!(keys, (1..=n as NodeKey).collect::<Vec<_>>());
                 }
             }
         }
@@ -580,42 +585,25 @@ mod tests {
             for hot_key in [1 as NodeKey, 2000, 4096] {
                 let s = ShapeTree::weight_balanced(n, k, &[(hot_key, 1_000_000)]);
                 s.validate(k).unwrap();
-                let keys = s.assign_keys(1);
-                let depths = s.depths();
-                let node = keys.iter().position(|&key| key == hot_key).unwrap();
+                let depth = depths(&s)[hot_key as usize - 1];
                 assert!(
-                    depths[node] <= 1,
-                    "key {hot_key} with dominant weight sits at depth {} (k={k})",
-                    depths[node]
+                    depth <= 1,
+                    "key {hot_key} with dominant weight sits at depth {depth} (k={k})"
                 );
             }
         }
     }
 
     #[test]
-    fn max_arity_hot_key_sits_at_the_root() {
-        let s = ShapeTree::weight_balanced(600, MAX_ARITY, &[(600, 1_000_000)]);
-        s.validate(MAX_ARITY).unwrap();
-        assert_eq!(s.children[s.root as usize].len(), MAX_ARITY);
-        assert_eq!(s.assign_keys(1)[s.root as usize], 600);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds MAX_ARITY")]
-    fn weight_balanced_rejects_arity_past_max() {
-        ShapeTree::weight_balanced(600, MAX_ARITY + 1, &[(600, 1_000_000)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds MAX_ARITY")]
-    fn balanced_kary_rejects_arity_past_max() {
-        ShapeTree::balanced_kary(600, MAX_ARITY + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds MAX_ARITY")]
-    fn validate_rejects_arity_past_max() {
-        let _ = ShapeTree::balanced_kary(10, 2).validate(MAX_ARITY + 1);
+    fn arity_256_builds_validates_and_materializes() {
+        let k = 256;
+        let s = ShapeTree::weight_balanced(600, k, &[(600, 1_000_000)]);
+        s.validate(k).unwrap();
+        assert_eq!(s.root, 599);
+        assert_eq!(s.parent.iter().filter(|&&p| p == s.root).count(), k);
+        let t = KstTree::from_shape(k, &s);
+        crate::invariants::validate(&t).unwrap();
+        assert_eq!(t.key_of(t.root()), 600);
     }
 
     #[test]
@@ -629,9 +617,9 @@ mod tests {
             s.validate(k).unwrap();
             let bound = 4 * ((n as f64).log2() / (k as f64).log2()).ceil() as u32 + 8;
             assert!(
-                s.height() <= bound,
+                height(&s) <= bound,
                 "height {} exceeds {bound} (k={k})",
-                s.height()
+                height(&s)
             );
         }
     }
@@ -642,55 +630,5 @@ mod tests {
         let a = ShapeTree::weight_balanced(1000, 3, &hot);
         let b = ShapeTree::weight_balanced(1000, 3, &hot);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn keys_are_a_permutation() {
-        for k in 2..=6 {
-            for n in [1usize, 5, 37, 100] {
-                let s = ShapeTree::balanced_kary(n, k);
-                let mut keys = s.assign_keys(1);
-                keys.sort_unstable();
-                let want: Vec<NodeKey> = (1..=n as NodeKey).collect();
-                assert_eq!(keys, want, "n={n} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn inorder_keys_respect_child_order() {
-        // For every node: keys of child i are all smaller than keys of
-        // child i+1, and the own key sits in gap `key_gap`.
-        for (n, k) in [(37usize, 3usize), (100, 5), (64, 2)] {
-            let s = ShapeTree::balanced_kary(n, k);
-            let keys = s.assign_keys(1);
-            let sizes = s.subtree_sizes();
-            fn min_max(s: &ShapeTree, keys: &[NodeKey], v: u32) -> (NodeKey, NodeKey) {
-                let mut lo = keys[v as usize];
-                let mut hi = keys[v as usize];
-                for &c in &s.children[v as usize] {
-                    let (a, b) = min_max(s, keys, c);
-                    lo = lo.min(a);
-                    hi = hi.max(b);
-                }
-                (lo, hi)
-            }
-            for v in 0..n as u32 {
-                let cs = &s.children[v as usize];
-                let mut prev_hi = 0;
-                for (i, &c) in cs.iter().enumerate() {
-                    let (lo, hi) = min_max(&s, &keys, c);
-                    assert!(lo > prev_hi);
-                    if i == s.key_gap[v as usize] as usize {
-                        assert!(keys[v as usize] < lo);
-                    }
-                    if i + 1 == s.key_gap[v as usize] as usize {
-                        assert!(keys[v as usize] > hi);
-                    }
-                    prev_hi = hi;
-                }
-            }
-            let _ = sizes;
-        }
     }
 }

@@ -54,7 +54,7 @@
 
 use crate::key::{idx_to_key, key_image, key_to_idx, NodeIdx, NodeKey, RoutingKey, NIL};
 use crate::net::ServeCost;
-use crate::shape::ShapeTree;
+use crate::shape::{Layout, ShapeTree};
 
 /// Node-arena size (parents, routing elements, child slots) from
 /// which rotations prefetch the rows they are about to touch. Smaller
@@ -139,9 +139,9 @@ struct RangeLoc {
 }
 
 impl KstTree {
-    /// Builds a tree realizing `shape` with keys assigned in-order and a
-    /// valid routing-element layout. Panics if any shape node has more than
-    /// `k` children.
+    /// Builds a tree realizing `shape` (shape offset `i` becomes key
+    /// `i + 1`) with a valid routing-element layout. Panics if the shape
+    /// fails [`ShapeTree::validate`] at arity `k`.
     pub fn from_shape(k: usize, shape: &ShapeTree) -> KstTree {
         assert!(k >= 2, "arity must be at least 2");
         let n = shape.len();
@@ -150,8 +150,8 @@ impl KstTree {
             (n as u64) < (u32::MAX as u64),
             "node count must fit in u32 keys"
         );
-        shape
-            .validate(k)
+        let layout = shape
+            .layout(k)
             // ksan-allow: panic-surface constructor contract — an invalid shape is a caller bug and validate carries the diagnostic
             .expect("shape incompatible with requested arity");
         let mut t = KstTree {
@@ -169,17 +169,19 @@ impl KstTree {
             scratch_gaps: Vec::new(),
             scratch_parents: Vec::new(),
         };
-        let root = t.write_fragment(shape, 1, 0, RoutingKey::MAX, 0);
+        let root = t.write_fragment(shape, &layout, 1, 0, RoutingKey::MAX, 0);
         t.root = root;
         t
     }
 
     /// Materializes `shape` **in place** over the contiguous key range
-    /// starting at `first_key`, with every routing element drawn strictly
-    /// from the enclosing gap `(glo, ghi)`. Overwrites exactly the arena
-    /// entries of keys `first_key .. first_key + shape.len()` and returns
-    /// the fragment's root index; the caller attaches the root (parent
-    /// pointer / child slot / tree root).
+    /// starting at `first_key` (shape offset `i` becomes key
+    /// `first_key + i`), with every routing element drawn strictly from
+    /// the enclosing gap `(glo, ghi)`. `layout` is the shape's validated
+    /// children and subtree spans ([`ShapeTree::validate`]). Overwrites
+    /// exactly the arena entries of keys `first_key .. first_key +
+    /// shape.len()` and returns the fragment's root index; the caller
+    /// attaches the root (parent pointer / child slot / tree root).
     ///
     /// This is `from_shape`'s materialization loop, factored out so
     /// [`KstTree::patch_subtree`] can re-form a single subtree without
@@ -215,6 +217,7 @@ impl KstTree {
     fn write_fragment(
         &mut self,
         shape: &ShapeTree,
+        layout: &Layout,
         first_key: NodeKey,
         glo: RoutingKey,
         ghi: RoutingKey,
@@ -222,27 +225,7 @@ impl KstTree {
     ) -> NodeIdx {
         let k = self.k;
         let km1 = k - 1;
-        let keys = shape.assign_keys(first_key);
-        // Key range (min, max key) of every shape subtree, for element
-        // placement and capacity reservation (subtree keys are contiguous,
-        // so the subtree size is `max − min + 1`).
-        let mut min_key = keys.clone();
-        let mut max_key = keys.clone();
-        // post-order fill
-        let mut order: Vec<u32> = Vec::with_capacity(shape.len());
-        let mut stack = vec![shape.root];
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            for &c in &shape.children[v as usize] {
-                stack.push(c);
-            }
-        }
-        for &v in order.iter().rev() {
-            for &c in &shape.children[v as usize] {
-                min_key[v as usize] = min_key[v as usize].min(min_key[c as usize]);
-                max_key[v as usize] = max_key[v as usize].max(max_key[c as usize]);
-            }
-        }
+        let first = key_to_idx(first_key);
         // Pre-order: materialize each node given its interval. The working
         // vectors are hoisted out of the loop and reused per node, so the
         // build allocates O(1) times past the initial arena reservation.
@@ -260,13 +243,14 @@ impl KstTree {
         let mut stack: Vec<(u32, RoutingKey, RoutingKey, u32)> =
             vec![(shape.root, glo, ghi, base_depth)];
         while let Some((v, lo, hi, d)) = stack.pop() {
-            let vi = key_to_idx(keys[v as usize]) as usize;
+            let vi = (first + v) as usize;
             if armed {
                 self.depth[vi] = d;
             }
-            let cs = &shape.children[v as usize];
-            let gap = shape.key_gap[v as usize] as usize;
-            let own = key_image(keys[v as usize]);
+            // Children by key; the own key follows those below it.
+            let cs = layout.children(v);
+            let gap = cs.partition_point(|&c| c < v);
+            let own = key_image(first_key + v);
             // Items in order: chunks (children) with the own key at `gap`.
             let c = cs.len();
             elems.clear();
@@ -282,12 +266,13 @@ impl KstTree {
                         chunk: usize::MAX,
                     });
                 }
+                let (a, b) = layout.span[ch as usize];
                 items.push(Item {
-                    lo_img: key_image(min_key[ch as usize]),
-                    hi_img: key_image(max_key[ch as usize]),
+                    lo_img: key_image(first_key + a),
+                    hi_img: key_image(first_key + b),
                     chunk: i,
                 });
-                chunk_size.push((max_key[ch as usize] - min_key[ch as usize] + 1) as u64);
+                chunk_size.push((b - a + 1) as u64);
             }
             if gap == c {
                 items.push(Item {
@@ -380,7 +365,7 @@ impl KstTree {
             self.children[base_c..base_c + k].fill(NIL);
             for (i, &ch) in cs.iter().enumerate() {
                 let slot = slot_of_chunk[i];
-                let ci = key_to_idx(keys[ch as usize]);
+                let ci = first + ch;
                 self.children[base_c + slot] = ci;
                 self.parent[ci as usize] = vi as NodeIdx;
                 let slo = if slot == 0 { lo } else { elems[slot - 1] };
@@ -388,21 +373,25 @@ impl KstTree {
                 stack.push((ch, slo, shi, d + 1));
             }
         }
-        key_to_idx(keys[shape.root as usize])
+        first + shape.root
     }
 
     /// Replaces the subtree whose key set is exactly `[lo, hi]` with a
     /// freshly materialized `fragment` (a shape on `hi − lo + 1` nodes;
-    /// keys are assigned `lo..=hi` in-order), re-forming **only** the
+    /// fragment offset `i` becomes key `lo + i`), re-forming **only** the
     /// arena entries of that range — the incremental counterpart of a full
     /// `from_shape` rebuild, O(subtree) instead of O(n).
     ///
     /// The range must currently be a subtree: some node's descendants
-    /// carry exactly the keys `lo..=hi` (every subtree of a k-ary search
-    /// tree owns a contiguous key range, so this is the natural patch
-    /// unit; the planner derives candidate ranges from the live tree).
-    /// Locating the range root is O(depth), and verification, re-forming
-    /// and link accounting are each O(subtree). Every link the patch can
+    /// carry exactly the keys `lo..=hi`. Not every subtree qualifies: a
+    /// rotation can leave a node's own key inside a child's slot gap, so
+    /// after k-splaying a subtree's key set can have holes (held by its
+    /// ancestors). Trees that never rotate keep every subtree contiguous,
+    /// and the lazy planner derives its ranges from the live tree.
+    /// Locating the range root is O(depth); verification is one pass over
+    /// the range's arena rows (no child leaves the range, and only the
+    /// located root hangs from outside it); re-forming and link accounting
+    /// are each O(subtree). Every link the patch can
     /// change, anchor link included, has its child endpoint in the range,
     /// so the exact adjustment cost compares the range's parent pointers
     /// before and after: a link survives iff its child keeps its parent
@@ -428,8 +417,8 @@ impl KstTree {
             "fragment has {} nodes, range [{lo},{hi}] needs {size}",
             fragment.len()
         );
-        fragment
-            .validate(k)
+        let layout = fragment
+            .layout(k)
             // ksan-allow: panic-surface patch contract — an invalid fragment is a caller bug and validate carries the diagnostic
             .expect("fragment incompatible with requested arity");
         // 1. Locate the range root; its depth seeds the depth cache for
@@ -445,35 +434,32 @@ impl KstTree {
             lo <= rk && rk <= hi,
             "[{lo},{hi}] splits across node key {rk}: not a subtree range"
         );
-        // 2. Verify the subtree under `r` is exactly the range.
-        let mut count = 0usize;
-        let mut stack: Vec<NodeIdx> = vec![r];
-        while let Some(v) = stack.pop() {
-            count += 1;
-            let vk = idx_to_key(v);
-            assert!(
-                lo <= vk && vk <= hi,
-                "key {vk} under range root violates [{lo},{hi}]: not a subtree range"
-            );
+        // 2. Verify the subtree under `r` is exactly the range: the range
+        //    is closed under children, and every node but `r` has its
+        //    parent inside it, so climbing from any range node reaches `r`.
+        let (base, last) = (key_to_idx(lo), key_to_idx(hi));
+        for v in base..=last {
             for &c in self.children(v) {
-                if c != NIL {
-                    stack.push(c);
-                }
+                assert!(
+                    c == NIL || (base <= c && c <= last),
+                    "key {} under key {} violates [{lo},{hi}]: not a subtree range",
+                    idx_to_key(c),
+                    idx_to_key(v)
+                );
             }
+            let p = self.parent(v);
+            assert!(
+                v == r || (base <= p && p <= last),
+                "key {} hangs from outside [{lo},{hi}] besides range root {rk}: not a subtree range",
+                idx_to_key(v)
+            );
         }
-        assert_eq!(
-            count,
-            size,
-            "subtree under key {} holds {count} nodes, range [{lo},{hi}] needs {size}",
-            idx_to_key(r)
-        );
         // 3. Keep the range's parent pointers, re-form the range in place
         //    and reattach.
-        let (base, last) = (key_to_idx(lo), key_to_idx(hi));
         let mut old = std::mem::take(&mut self.scratch_parents);
         old.clear();
         old.extend_from_slice(&self.parent[base as usize..=last as usize]);
-        let new_root = self.write_fragment(fragment, lo, loc.glo, loc.ghi, loc.depth);
+        let new_root = self.write_fragment(fragment, &layout, lo, loc.glo, loc.ghi, loc.depth);
         self.set_parent(new_root, anchor);
         if anchor == NIL {
             self.set_root(new_root);
@@ -557,44 +543,67 @@ impl KstTree {
         (w, depth)
     }
 
-    /// Captures the shape of the subtree rooted at `r` (child order and
-    /// own-key gaps), so the subtree can be re-materialized elsewhere with
-    /// [`KstTree::patch_subtree`] / [`KstTree::absorb_fragment`]. O(subtree).
+    /// Captures the shape of the subtree rooted at `r`, so the subtree can
+    /// be re-materialized elsewhere with [`KstTree::patch_subtree`] /
+    /// [`KstTree::absorb_fragment`]. O(subtree + depth).
+    ///
+    /// Each node's offset is its in-order rank: children in slot order,
+    /// the own key after the children whose keys are smaller. That is the
+    /// subtree's key order only when every subtree inside it holds a
+    /// contiguous key range. After k-splaying a node's own key can sit
+    /// inside a child's slot gap, leaving that child's subtree with a key
+    /// hole; such a subtree re-materializes with different links (the
+    /// ranks move the own key out of the child's range).
     pub fn subtree_shape(&self, r: NodeIdx) -> ShapeTree {
-        let mut shape = ShapeTree {
-            children: Vec::new(),
-            key_gap: Vec::new(),
-            root: 0,
-        };
-        // DFS; arena children are pushed in reverse slot order so each
-        // parent's shape-child list is appended in slot (= key) order.
-        let mut stack: Vec<(NodeIdx, u32)> = vec![(r, u32::MAX)];
-        while let Some((v, ps)) = stack.pop() {
-            let id = shape.children.len() as u32;
-            shape.children.push(Vec::new());
-            let own = idx_to_key(v);
-            let gap = self
-                .children(v)
-                .iter()
-                .filter(|&&c| c != NIL && idx_to_key(c) < own)
-                .count();
-            shape.key_gap.push(gap as u8);
-            if ps == u32::MAX {
-                shape.root = id;
-            } else {
-                shape.children[ps as usize].push(id);
+        // In-order walk; `(v, true)` emits v, `(v, false)` expands it.
+        let mut order: Vec<NodeIdx> = Vec::new();
+        let mut stack: Vec<(NodeIdx, bool)> = vec![(r, false)];
+        while let Some((v, emit)) = stack.pop() {
+            if emit {
+                order.push(v);
+                continue;
             }
-            for &c in self.children(v).iter().rev() {
-                if c != NIL {
-                    stack.push((c, id));
+            let own = idx_to_key(v);
+            let mut own_pushed = false;
+            for &c in self.children(v).iter().rev().filter(|&&c| c != NIL) {
+                if !own_pushed && idx_to_key(c) < own {
+                    stack.push((v, true));
+                    own_pushed = true;
                 }
+                stack.push((c, false));
+            }
+            if !own_pushed {
+                stack.push((v, true));
+            }
+        }
+        // Rank of each arena node, indexed from the smallest index.
+        let min = order.iter().copied().min().unwrap_or(r);
+        let max = order.iter().copied().max().unwrap_or(r);
+        let mut rank = vec![0u32; (max - min + 1) as usize];
+        for (i, &v) in order.iter().enumerate() {
+            let off = (v - min) as usize;
+            rank[off] = i as u32;
+        }
+        let rank_of = |v: NodeIdx| {
+            let off = (v - min) as usize;
+            rank[off]
+        };
+        let mut shape = ShapeTree {
+            parent: vec![NIL; order.len()],
+            root: rank_of(r),
+        };
+        for (i, &v) in order.iter().enumerate() {
+            if v != r {
+                shape.parent[i] = rank_of(self.parent(v));
             }
         }
         shape
     }
 
     /// Splices the boundary key run `[lo, hi]` out of the tree and returns
-    /// its shape plus the restructuring cost, shrinking the tree to the
+    /// its shape ([`KstTree::subtree_shape`] of the run's subtree, so a run
+    /// whose inner subtrees have key holes arrives with those nodes
+    /// re-ranked) plus the restructuring cost, shrinking the tree to the
     /// remaining `n − (hi − lo + 1)` keys. The run must touch an end of the
     /// keyspace (`lo == 1` or `hi == n`) — live resharding only moves
     /// boundary runs, and only boundary runs keep the remainder contiguous.
@@ -688,33 +697,27 @@ impl KstTree {
         debug_assert!(a <= lo && hi <= b);
         debug_assert!(if lo == 1 { a == 1 } else { b as usize == n });
         if (a, b) != (lo, hi) {
-            let mut conn = ShapeTree {
-                children: Vec::new(),
-                key_gap: Vec::new(),
-                root: 0,
-            };
             // Connector root = the key adjacent to the run; the run itself
             // and the rest of the covered range hang off it as balanced
             // subtrees, so the run is an exact subtree afterwards.
-            let (left, right, gap) = if lo == 1 {
+            let (left, right) = if lo == 1 {
                 // root key hi+1: [1, hi] | hi+1 | [hi+2, b]
-                (size, (b - hi - 1) as usize, 1u8)
+                (size, (b - hi - 1) as usize)
             } else {
                 // root key lo−1: [a, lo−2] | lo−1 | [lo, n]
-                let left = (lo - 1 - a) as usize;
-                (left, size, u8::from(left > 0))
+                ((lo - 1 - a) as usize, size)
             };
-            let mut kids = Vec::new();
+            let root = left as u32;
+            let mut conn = ShapeTree {
+                parent: vec![NIL; left + 1 + right],
+                root,
+            };
             if left > 0 {
-                kids.push(conn.push_balanced_subtree(left, k));
+                conn.fill_balanced(0, left, k, root);
             }
             if right > 0 {
-                kids.push(conn.push_balanced_subtree(right, k));
+                conn.fill_balanced(root + 1, right, k, root);
             }
-            let root = conn.push_leaf();
-            conn.children[root as usize] = kids;
-            conn.key_gap[root as usize] = gap;
-            conn.root = root;
             stats += self.patch_subtree(a, b, &conn);
         }
         // 3. Re-locate the (now exact) run subtree, keeping its anchor.
@@ -805,8 +808,8 @@ impl KstTree {
         let km1 = k - 1;
         let f = fragment.len();
         assert!(f >= 1, "cannot absorb an empty fragment");
-        fragment
-            .validate(k)
+        let layout = fragment
+            .layout(k)
             // ksan-allow: panic-surface absorb contract — an invalid fragment is a caller bug and validate carries the diagnostic
             .expect("fragment incompatible with requested arity");
         let old_n = self.n;
@@ -833,6 +836,7 @@ impl KstTree {
                 debug_assert!(glo < key_image((old_n + 1) as NodeKey));
                 let root_frag = self.write_fragment(
                     fragment,
+                    &layout,
                     (old_n + 1) as NodeKey,
                     glo,
                     RoutingKey::MAX,
@@ -866,7 +870,7 @@ impl KstTree {
                 let (w, dw) = self.boundary_spine(End::Low);
                 let ghi = self.elems(w)[0];
                 debug_assert!(ghi > img_f);
-                let root_frag = self.write_fragment(fragment, 1, 0, ghi, dw + 1);
+                let root_frag = self.write_fragment(fragment, &layout, 1, 0, ghi, dw + 1);
                 self.children_mut(w)[0] = root_frag;
                 self.set_parent(root_frag, w);
             }

@@ -58,8 +58,11 @@
 //!    [`Network::reshardable`], so only net types that return a
 //!    [`kst_core::Reshardable`] there (the k-ary SplayNet) can run with
 //!    resharding on; [`ShardedEngine::new`] rejects any other. The
-//!    fragment keeps its learned subtree shape, so migrated hot keys stay
-//!    hot-placed.
+//!    fragment carries the run's learned subtree shape, so migrated hot
+//!    keys stay near its root. The shape is captured by in-order rank
+//!    ([`kst_core::KstTree::subtree_shape`]), so an inner subtree whose
+//!    key set has a hole (k-splaying can leave an ancestor's key inside a
+//!    child's slot gap) arrives re-ranked, with some links changed.
 //!
 //! Because shards are fully independent and the dispatcher enqueues
 //! operations in trace order — and resharding runs between epochs, on
@@ -768,7 +771,8 @@ impl<N: Network> ShardedEngine<N> {
         };
         let l = delta.unsigned_abs();
         // Apply: splice the boundary run out of the donor tree and hand
-        // the fragment (learned shape intact) to the neighbour, then
+        // the fragment (its learned shape, re-ranked around key holes) to
+        // the neighbour, then
         // shift the map boundary and bump its version. `new` checked that
         // every shard net is reshardable.
         let (low, high) = self.nets.split_at_mut(b + 1);

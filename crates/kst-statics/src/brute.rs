@@ -13,8 +13,6 @@ pub struct SegTree {
     pub root: usize,
     /// Children in key order: first the left-side forests, then right-side.
     pub kids: Vec<SegTree>,
-    /// How many children precede the root key in order.
-    pub gap: usize,
 }
 
 /// Enumerates every routing-based k-ary search tree on segment `[i, j]`.
@@ -34,7 +32,6 @@ pub fn all_routing_based(i: usize, j: usize, k: usize) -> Vec<SegTree> {
             out.push(SegTree {
                 root: r,
                 kids: Vec::new(),
-                gap: 0,
             });
             continue;
         }
@@ -44,9 +41,8 @@ pub fn all_routing_based(i: usize, j: usize, k: usize) -> Vec<SegTree> {
                     for lf in forests_exact(i, r - 1, dl, k) {
                         for rf in forests_exact(r + 1, j, dr, k) {
                             let mut kids = lf.clone();
-                            let gap = kids.len();
                             kids.extend(rf.clone());
-                            out.push(SegTree { root: r, kids, gap });
+                            out.push(SegTree { root: r, kids });
                         }
                     }
                 }
@@ -54,22 +50,13 @@ pub fn all_routing_based(i: usize, j: usize, k: usize) -> Vec<SegTree> {
         } else if has_left {
             for dl in 1..=k - 1 {
                 for lf in forests_exact(i, r - 1, dl, k) {
-                    let gap = lf.len();
-                    out.push(SegTree {
-                        root: r,
-                        kids: lf,
-                        gap,
-                    });
+                    out.push(SegTree { root: r, kids: lf });
                 }
             }
         } else {
             for dr in 1..=k - 1 {
                 for rf in forests_exact(r + 1, j, dr, k) {
-                    out.push(SegTree {
-                        root: r,
-                        kids: rf,
-                        gap: 0,
-                    });
+                    out.push(SegTree { root: r, kids: rf });
                 }
             }
         }
@@ -107,14 +94,12 @@ fn forests_exact(i: usize, j: usize, t: usize, k: usize) -> Vec<Vec<SegTree>> {
 /// Converts a SegTree over keys `0..n` to a `DistTree`.
 pub fn to_dist_tree(t: &SegTree, n: usize) -> DistTree {
     let mut shape = ShapeTree {
-        children: vec![Vec::new(); n],
-        key_gap: vec![0; n],
+        parent: vec![kst_core::NIL; n],
         root: t.root as u32,
     };
     fn fill(shape: &mut ShapeTree, t: &SegTree) {
-        shape.key_gap[t.root] = t.gap as u8;
-        shape.children[t.root] = t.kids.iter().map(|c| c.root as u32).collect();
         for c in &t.kids {
+            shape.parent[c.root] = t.root as u32;
             fill(shape, c);
         }
     }

@@ -6,6 +6,7 @@
 
 use crate::eval::DistTree;
 use kst_core::shape::ShapeTree;
+use kst_core::NIL;
 
 /// Sizes of the `k + 1` centroid subtrees for `n` nodes (one entry per
 /// subtree, zeros trimmed). Levels of the whole tree fill top-down, the
@@ -53,15 +54,6 @@ pub fn centroid_subtree_sizes(n: usize, k: usize) -> Vec<usize> {
 /// the (k+1)-degree centroid tree rooted at its leftmost deepest leaf.
 pub fn centroid_shape(n: usize, k: usize) -> ShapeTree {
     assert!(n >= 1);
-    if n == 1 {
-        let mut s = ShapeTree {
-            children: Vec::new(),
-            key_gap: Vec::new(),
-            root: 0,
-        };
-        s.push_leaf();
-        return s;
-    }
     // 1. Build the undirected (k+1)-degree tree: centroid (node 0) plus
     //    k+1 weakly-complete k-ary subtrees.
     let sizes = centroid_subtree_sizes(n, k);
@@ -106,25 +98,47 @@ pub fn centroid_shape(n: usize, k: usize) -> ShapeTree {
         }
         best
     };
-    // 3. Orient from the leaf into a rooted shape (children ≤ k since every
-    //    node has degree ≤ k+1 and non-roots lose one neighbour to the
-    //    parent).
-    let mut shape = ShapeTree {
-        children: vec![Vec::new(); n],
-        key_gap: vec![0; n],
-        root: leaf,
-    };
-    let mut stack = vec![(leaf, u32::MAX)];
-    while let Some((v, parent)) = stack.pop() {
-        for &w in &adj[v as usize] {
-            if w != parent {
-                shape.children[v as usize].push(w);
-                stack.push((w, v));
+    // 3. Orient from the leaf (children ≤ k since every node has degree
+    //    ≤ k+1 and non-roots lose one neighbour to the parent) and hand
+    //    out keys in order: each node's own key follows the first ⌈c/2⌉
+    //    of its c children, taken in adjacency order. `(v, p, true)`
+    //    emits v's key, `(v, p, false)` expands v below parent p.
+    let mut up = vec![NIL; n];
+    let mut key = vec![0u32; n];
+    let mut next = 0u32;
+    let mut stack = vec![(leaf, NIL, false)];
+    while let Some((v, parent, emit)) = stack.pop() {
+        if emit {
+            key[v as usize] = next;
+            next += 1;
+            continue;
+        }
+        up[v as usize] = parent;
+        let kids: Vec<u32> = adj[v as usize]
+            .iter()
+            .copied()
+            .filter(|&w| w != parent)
+            .collect();
+        assert!(kids.len() <= k, "node degree exceeds k after rooting");
+        let gap = kids.len().div_ceil(2);
+        if gap == kids.len() {
+            stack.push((v, parent, true));
+        }
+        for (i, &w) in kids.iter().enumerate().rev() {
+            stack.push((w, v, false));
+            if i == gap {
+                stack.push((v, parent, true));
             }
         }
-        let c = shape.children[v as usize].len();
-        assert!(c <= k, "node degree exceeds k after rooting");
-        shape.key_gap[v as usize] = c.div_ceil(2) as u8;
+    }
+    let mut shape = ShapeTree {
+        parent: vec![NIL; n],
+        root: key[leaf as usize],
+    };
+    for v in 0..n {
+        if up[v] != NIL {
+            shape.parent[key[v] as usize] = key[up[v] as usize];
+        }
     }
     shape
 }
@@ -167,7 +181,7 @@ mod tests {
                 s.validate(k).unwrap_or_else(|e| panic!("n={n} k={k}: {e}"));
                 if n >= 2 {
                     assert_eq!(
-                        s.children[s.root as usize].len(),
+                        s.parent.iter().filter(|&&p| p == s.root).count(),
                         1,
                         "root must be a former leaf (single child), n={n} k={k}"
                     );

@@ -25,7 +25,7 @@ const INF: u64 = u64::MAX / 4;
 /// Result of the offline optimization.
 #[derive(Debug, Clone)]
 pub struct OptimalStatic {
-    /// The optimal tree shape (keys assigned in-order are `1..=n`).
+    /// The optimal tree shape on keys `1..=n`.
     pub shape: ShapeTree,
     /// Optimal total distance `Σ D[u][v] · d(u,v)`.
     pub cost: u64,
@@ -155,15 +155,21 @@ pub fn optimal_routing_based(demand: &DemandMatrix, k: usize) -> OptimalStatic {
 
     // ---- reconstruction ---------------------------------------------------
     let mut shape = ShapeTree {
-        children: vec![Vec::new(); n],
-        key_gap: vec![0; n],
+        parent: vec![kst_core::NIL; n],
         root: 0,
     };
-    // We lay out shape nodes so that shape node id == key - 1; assign_keys
-    // must then return the identity, which holds because we set key_gap to
-    // the number of left children and in-order order is by construction.
-    let root = rebuild_tree(&mut shape, &c, &b, &w, n, k, planes, 0, n - 1);
-    shape.root = root;
+    shape.root = rebuild_tree(
+        &mut shape,
+        &c,
+        &b,
+        &w,
+        n,
+        k,
+        planes,
+        0,
+        n - 1,
+        kst_core::NIL,
+    );
     let cost = c[n - 1] - w[n - 1]; // C[0][n-1] − W[0][n-1] (W is 0 there)
     OptimalStatic { shape, cost }
 }
@@ -179,6 +185,7 @@ fn rebuild_tree(
     planes: usize,
     i: usize,
     j: usize,
+    parent: u32,
 ) -> u32 {
     let b_at = |t: usize, i: usize, j_incl: isize| -> u64 {
         if j_incl < i as isize {
@@ -197,7 +204,7 @@ fn rebuild_tree(
         let right_len = j - r;
         if left_len == 0 && right_len == 0 {
             if target == 0 {
-                shape.key_gap[r] = 0;
+                shape.parent[r] = parent;
                 return r as u32;
             }
             continue;
@@ -216,16 +223,13 @@ fn rebuild_tree(
             if lv >= INF || rv >= INF || lv + rv != target {
                 return None;
             }
-            let mut kids = Vec::new();
+            shape.parent[r] = parent;
             if left_len > 0 {
-                rebuild_forest(shape, c, b, w, n, k, planes, i, r - 1, dl, &mut kids);
+                rebuild_forest(shape, c, b, w, n, k, planes, i, r - 1, dl, r as u32);
             }
-            let gap = kids.len();
             if right_len > 0 {
-                rebuild_forest(shape, c, b, w, n, k, planes, r + 1, j, dr, &mut kids);
+                rebuild_forest(shape, c, b, w, n, k, planes, r + 1, j, dr, r as u32);
             }
-            shape.children[r] = kids;
-            shape.key_gap[r] = gap as u8;
             Some(r as u32)
         };
         if left_len == 0 {
@@ -259,28 +263,26 @@ fn rebuild_forest(
     i: usize,
     j: usize,
     t: usize,
-    out: &mut Vec<u32>,
+    parent: u32,
 ) {
     let t = t.min(planes);
     debug_assert!(t >= 1);
     let val = b[t][j * n + i];
     if t == 1 || val == b[t.max(2) - 1][j * n + i] {
         if t > 1 && val == b[t - 1][j * n + i] {
-            rebuild_forest(shape, c, b, w, n, k, planes, i, j, t - 1, out);
+            rebuild_forest(shape, c, b, w, n, k, planes, i, j, t - 1, parent);
             return;
         }
         // single tree
-        let v = rebuild_tree(shape, c, b, w, n, k, planes, i, j);
-        out.push(v);
+        rebuild_tree(shape, c, b, w, n, k, planes, i, j, parent);
         return;
     }
     for l in i..j {
         let first = c[i * n + l];
         let rest = b[t - 1][j * n + (l + 1)];
         if first < INF && rest < INF && first + rest == val {
-            let v = rebuild_tree(shape, c, b, w, n, k, planes, i, l);
-            out.push(v);
-            rebuild_forest(shape, c, b, w, n, k, planes, l + 1, j, t - 1, out);
+            rebuild_tree(shape, c, b, w, n, k, planes, i, l, parent);
+            rebuild_forest(shape, c, b, w, n, k, planes, l + 1, j, t - 1, parent);
             return;
         }
     }
@@ -290,9 +292,6 @@ fn rebuild_forest(
 /// Convenience: optimal tree as a distance-query topology.
 pub fn optimal_routing_based_tree(demand: &DemandMatrix, k: usize) -> (DistTree, u64) {
     let opt = optimal_routing_based(demand, k);
-    let keys = opt.shape.assign_keys(1);
-    // in-order identity must hold for the rebuilt shape
-    debug_assert!(keys.iter().enumerate().all(|(i, &key)| key == i as u32 + 1));
     (DistTree::from_shape(&opt.shape), opt.cost)
 }
 

@@ -16,7 +16,7 @@ const INF: u64 = u64::MAX / 4;
 /// Result of the uniform-workload optimization.
 #[derive(Debug, Clone)]
 pub struct UniformOptimal {
-    /// Optimal shape (any in-order key assignment realizes it).
+    /// Optimal shape on keys `1..=n`.
     pub shape: ShapeTree,
     /// Optimal total distance under the finite uniform workload (each
     /// unordered pair once).
@@ -62,25 +62,31 @@ pub fn optimal_uniform(n: usize, k: usize) -> UniformOptimal {
     }
     // Reconstruct the shape.
     let mut shape = ShapeTree {
-        children: Vec::with_capacity(n),
-        key_gap: Vec::with_capacity(n),
+        parent: vec![kst_core::NIL; n],
         root: 0,
     };
-    let root = rebuild(&mut shape, &c, &p, k, n);
-    shape.root = root;
+    shape.root = rebuild(&mut shape, &c, &p, k, 0, n, kst_core::NIL);
     UniformOptimal {
         shape,
         cost: c[n], // W(n) = 0
     }
 }
 
-/// Rebuilds the optimal tree on `l` nodes, returning its shape id.
-fn rebuild(shape: &mut ShapeTree, c: &[u64], p: &[Vec<u64>], k: usize, l: usize) -> u32 {
-    let id = shape.children.len() as u32;
-    shape.children.push(Vec::new());
-    shape.key_gap.push(0);
+/// Rebuilds the optimal tree on the `l` offsets `first..first + l` under
+/// `parent`, returning its root's offset: the root's own key follows the
+/// first `⌈c/2⌉` of its `c` child subtrees.
+fn rebuild(
+    shape: &mut ShapeTree,
+    c: &[u64],
+    p: &[Vec<u64>],
+    k: usize,
+    first: u32,
+    l: usize,
+    parent: u32,
+) -> u32 {
     if l == 1 {
-        return id;
+        shape.parent[first as usize] = parent;
+        return first;
     }
     // children sizes: walk p[k][l-1]
     let mut sizes = Vec::new();
@@ -112,14 +118,18 @@ fn rebuild(shape: &mut ShapeTree, c: &[u64], p: &[Vec<u64>], k: usize, l: usize)
             t -= 1;
         }
     }
-    let mut kids = Vec::with_capacity(sizes.len());
-    for a in sizes {
-        kids.push(rebuild(shape, c, p, k, a));
+    let gap = sizes.len().div_ceil(2);
+    let own = first + sizes[..gap].iter().sum::<usize>() as u32;
+    shape.parent[own as usize] = parent;
+    let mut next = first;
+    for (i, &a) in sizes.iter().enumerate() {
+        if i == gap {
+            next += 1;
+        }
+        rebuild(shape, c, p, k, next, a, own);
+        next += a as u32;
     }
-    let gap = kids.len().div_ceil(2) as u8;
-    shape.children[id as usize] = kids;
-    shape.key_gap[id as usize] = gap;
-    id
+    own
 }
 
 /// Convenience: optimal uniform tree as a static topology.

@@ -19,20 +19,31 @@ pub struct DistTree {
 }
 
 impl DistTree {
-    /// Materializes a shape with in-order key assignment.
+    /// Materializes a shape on keys `1..=n` (shape offset `i` is key
+    /// `i + 1`): the parents are the shape's, and each depth is found by
+    /// climbing to the nearest ancestor whose depth is known. Panics if
+    /// the shape fails [`ShapeTree::validate`].
     pub fn from_shape(shape: &ShapeTree) -> DistTree {
         let n = shape.len();
-        let keys = shape.assign_keys(1);
-        let mut parent = vec![NIL; n];
-        let mut depth = vec![0u32; n];
-        let mut stack = vec![shape.root];
-        while let Some(s) = stack.pop() {
-            let v = keys[s as usize] - 1;
-            for &c in &shape.children[s as usize] {
-                let ci = keys[c as usize] - 1;
-                parent[ci as usize] = v;
-                depth[ci as usize] = depth[v as usize] + 1;
-                stack.push(c);
+        if let Err(e) = shape.validate(n) {
+            panic!("invalid shape: {e}");
+        }
+        let parent = shape.parent.clone();
+        let mut depth = vec![u32::MAX; n];
+        if n > 0 {
+            depth[shape.root as usize] = 0;
+        }
+        let mut path = Vec::new();
+        for v in 0..n {
+            let mut w = v;
+            while depth[w] == u32::MAX {
+                path.push(w);
+                w = parent[w] as usize;
+            }
+            let mut d = depth[w];
+            while let Some(u) = path.pop() {
+                d += 1;
+                depth[u] = d;
             }
         }
         DistTree { n, parent, depth }

@@ -108,27 +108,24 @@ pub fn optimal_bst_exact(demand: &DemandMatrix) -> (DistTree, u64) {
 }
 
 fn materialize(root: &[u32], n: usize) -> DistTree {
-    // Build a shape from the root table.
+    // Build a shape from the root table: each range's root parents the
+    // roots of its two sides.
     let mut shape = kst_core::shape::ShapeTree {
-        children: vec![Vec::new(); n],
-        key_gap: vec![0; n],
+        parent: vec![kst_core::NIL; n],
         root: root[n - 1],
     };
     let mut stack = vec![(0usize, n - 1)];
     while let Some((i, j)) = stack.pop() {
-        let r = root[i * n + j] as usize;
-        let mut kids = Vec::new();
-        if r > i {
-            kids.push(root[i * n + (r - 1)]);
-            stack.push((i, r - 1));
+        let r = root[i * n + j];
+        let ru = r as usize;
+        if ru > i {
+            shape.parent[root[i * n + (ru - 1)] as usize] = r;
+            stack.push((i, ru - 1));
         }
-        let gap = kids.len() as u8;
-        if r < j {
-            kids.push(root[(r + 1) * n + j]);
-            stack.push((r + 1, j));
+        if ru < j {
+            shape.parent[root[(ru + 1) * n + j] as usize] = r;
+            stack.push((ru + 1, j));
         }
-        shape.children[r] = kids;
-        shape.key_gap[r] = gap;
     }
     DistTree::from_shape(&shape)
 }

@@ -42,36 +42,32 @@ impl ClassicSplayNet {
         ClassicSplayNet::from_shape(&ShapeTree::balanced_kary(n, 2))
     }
 
-    /// Builds from any binary shape (children per node ≤ 2; a single child
-    /// is left when `key_gap == 1`, right when `key_gap == 0`).
+    /// Builds from any binary shape on keys `1..=n` (shape offset `i` is
+    /// node index `i`): a child is left when its key is below its
+    /// parent's, right otherwise.
     pub fn from_shape(shape: &ShapeTree) -> ClassicSplayNet {
         let n = shape.len();
         assert!(n >= 1);
-        let keys = shape.assign_keys(1);
+        if let Err(e) = shape.validate(2) {
+            panic!("shape is not binary: {e}");
+        }
         let mut net = ClassicSplayNet {
             n,
-            root: keys[shape.root as usize] - 1,
-            parent: vec![NIL; n],
+            root: shape.root,
+            parent: shape.parent.clone(),
             left: vec![NIL; n],
             right: vec![NIL; n],
         };
-        let mut stack = vec![shape.root];
-        while let Some(s) = stack.pop() {
-            let v = keys[s as usize] - 1;
-            let cs = &shape.children[s as usize];
-            assert!(cs.len() <= 2, "shape is not binary");
-            let gap = shape.key_gap[s as usize] as usize;
-            for (i, &c) in cs.iter().enumerate() {
-                let ci = keys[c as usize] - 1;
-                net.parent[ci as usize] = v;
-                // child i is left iff it precedes the own key in order
-                if i < gap {
-                    net.left[v as usize] = ci;
-                } else {
-                    net.right[v as usize] = ci;
-                }
-                stack.push(c);
+        for (v, &p) in (0..n as u32).zip(&shape.parent) {
+            if p == NIL {
+                continue;
             }
+            let side = if v < p { &mut net.left } else { &mut net.right };
+            assert!(
+                side[p as usize] == NIL,
+                "shape node {p} has two children on one side"
+            );
+            side[p as usize] = v;
         }
         net
     }

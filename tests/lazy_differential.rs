@@ -354,22 +354,67 @@ fn patch_subtree_on_rotated_trees_keeps_invariants() {
     }
 }
 
+/// The smallest and largest key under `v` and the subtree's node count.
+fn key_span(tree: &KstTree, v: u32) -> (NodeKey, NodeKey, usize) {
+    let (mut lo, mut hi, mut count) = (NodeKey::MAX, 0, 0usize);
+    let mut stack = vec![v];
+    while let Some(w) = stack.pop() {
+        lo = lo.min(tree.key_of(w));
+        hi = hi.max(tree.key_of(w));
+        count += 1;
+        stack.extend(tree.children(w).iter().filter(|&&c| c != ksan::core::NIL));
+    }
+    (lo, hi, count)
+}
+
 /// The key sets `lo..=hi` that some node's subtree holds exactly (a
 /// subtree whose key span has holes matches no range).
 fn subtree_ranges(tree: &KstTree) -> BTreeSet<(NodeKey, NodeKey)> {
     tree.nodes()
         .filter_map(|v| {
-            let (mut lo, mut hi, mut count) = (NodeKey::MAX, 0, 0usize);
-            let mut stack = vec![v];
-            while let Some(w) = stack.pop() {
-                lo = lo.min(tree.key_of(w));
-                hi = hi.max(tree.key_of(w));
-                count += 1;
-                stack.extend(tree.children(w).iter().filter(|&&c| c != ksan::core::NIL));
-            }
+            let (lo, hi, count) = key_span(tree, v);
             (count == (hi - lo + 1) as usize).then_some((lo, hi))
         })
         .collect()
+}
+
+/// The key span of a k-splayed subtree with a key hole (the hole's key
+/// lives at an ancestor) is no patchable range unless an ancestor's
+/// subtree holds exactly that span. The root-down descent stops inside
+/// the span, so it is the one-pass range check over the span's arena rows
+/// that must refuse it, with a panic.
+#[test]
+fn patch_subtree_rejects_the_span_of_a_key_holed_subtree() {
+    let mut holed = 0;
+    for k in [2usize, 3, 4] {
+        let n = 40;
+        let mut splayed = KSplayNet::balanced(k, n);
+        for &(u, v) in gens::zipf(n, 300, 1.1, 40 + k as u64).requests() {
+            splayed.serve(u, v);
+        }
+        let tree = splayed.tree();
+        let subtrees = subtree_ranges(tree);
+        for v in tree.nodes() {
+            let (lo, hi, count) = key_span(tree, v);
+            if count == (hi - lo + 1) as usize || subtrees.contains(&(lo, hi)) {
+                continue;
+            }
+            holed += 1;
+            let frag = ShapeTree::balanced_kary((hi - lo + 1) as usize, k);
+            let mut t = tree.clone();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                t.patch_subtree(lo, hi, &frag)
+            }))
+            .expect_err("a key-holed span was patched");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("not a subtree range")
+                    && (msg.contains("violates") || msg.contains("hangs from outside")),
+                "k={k} [{lo},{hi}]: {msg}"
+            );
+        }
+    }
+    assert!(holed >= 1, "k-splaying left no key-holed subtree");
 }
 
 /// `patch_subtree` accepts exactly the subtree ranges: on balanced and on
@@ -473,9 +518,12 @@ fn patch_subtree_links_changed_equals_whole_tree_edge_difference() {
                         ("own", own.clone(), (gap_free == size).then_some(0)),
                     ];
                     if size == 2 {
+                        // The child becomes the root and parents the old root.
+                        let (root, child) = (own.root, 1 - own.root);
                         let mut swap = own.clone();
-                        let root = swap.root as usize;
-                        swap.key_gap[root] = 1 - swap.key_gap[root];
+                        swap.parent[root as usize] = child;
+                        swap.parent[child as usize] = ksan::core::NIL;
+                        swap.root = child;
                         let anchored = tree.parent(r) != ksan::core::NIL;
                         frags.push(("swap", swap, Some(2 * u64::from(anchored))));
                     }

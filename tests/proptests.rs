@@ -307,10 +307,10 @@ proptest! {
         let sa: HashSet<_> = a.iter().copied().collect();
         let sb: HashSet<_> = b.iter().copied().collect();
         let want = sa.symmetric_difference(&sb).count() as u64;
-        prop_assert_eq!(ksan::core::lazy::sym_diff(&a, &b), want);
+        prop_assert_eq!(ksan::core::complete::sym_diff(&a, &b), want);
         // sanity on the algebra: empty vs X is |X|, X vs X is 0
-        prop_assert_eq!(ksan::core::lazy::sym_diff(&a, &a), 0);
-        prop_assert_eq!(ksan::core::lazy::sym_diff(&[], &b), b.len() as u64);
+        prop_assert_eq!(ksan::core::complete::sym_diff(&a, &a), 0);
+        prop_assert_eq!(ksan::core::complete::sym_diff(&[], &b), b.len() as u64);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! the closed-form base weight. Both run the same search loops, so over
 //! random profiles — empty, single-key, sparse, all-keys-hot and
 //! end-key-heavy hot lists, weights up to 2⁴⁰, n ∈ 1..=300, k ∈ {2, 3, 4,
-//! 5, 8, 255} — the shapes must be equal: `children`, `key_gap` and
-//! `root`.
+//! 5, 8, 255} — the shapes must be equal: every key's parent and the
+//! root.
 
+use ksan::core::NIL;
 use ksan::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,41 +109,35 @@ impl<'a> SparseWeightIndex<'a> {
 }
 
 /// The earlier `ShapeTree::weight_balanced` driver over the sparse index,
-/// kept verbatim.
+/// writing each node's parent by key: the median key `m` of a hot range
+/// parents the roots of the range's child ranges, and a cold range is the
+/// complete balanced subtree.
 fn reference_weight_balanced(n: usize, k: usize, hot: &[(NodeKey, u64)]) -> ShapeTree {
     if hot.is_empty() {
         return ShapeTree::balanced_kary(n, k);
     }
     let mut shape = ShapeTree {
-        children: Vec::with_capacity(n),
-        key_gap: Vec::with_capacity(n),
+        parent: vec![NIL; n],
         root: 0,
     };
-    if n == 0 {
-        return shape;
-    }
     let wb = SparseWeightIndex::new(hot);
-    const NO_PARENT: u32 = u32::MAX;
-    let mut stack: Vec<(NodeKey, NodeKey, u32)> = vec![(1, n as NodeKey, NO_PARENT)];
+    let mut stack: Vec<(NodeKey, NodeKey, u32)> = vec![(1, n as NodeKey, NIL)];
     let mut ranges: Vec<(NodeKey, NodeKey)> = Vec::with_capacity(2 * k);
     while let Some((a, b, parent)) = stack.pop() {
         let id = if wb.hot_weight(a, b) == 0 {
-            shape.push_balanced_subtree((b - a + 1) as usize, k)
+            shape.fill_balanced(a - 1, (b - a + 1) as usize, k, parent)
         } else {
-            let id = shape.push_leaf();
             let m = wb.weighted_median(a, b);
+            shape.parent[(m - 1) as usize] = parent;
             ranges.clear();
-            let cl = wb.split_around(a, b, m, k, &mut ranges);
-            shape.key_gap[id as usize] = cl as u8;
+            wb.split_around(a, b, m, k, &mut ranges);
             for &(ca, cb) in ranges.iter().rev() {
-                stack.push((ca, cb, id));
+                stack.push((ca, cb, m - 1));
             }
-            id
+            m - 1
         };
-        if parent == NO_PARENT {
+        if parent == NIL {
             shape.root = id;
-        } else {
-            shape.children[parent as usize].push(id);
         }
     }
     shape
@@ -196,9 +191,7 @@ fn dense_weight_index_builds_the_sparse_index_shapes() {
             for (label, hot) in profiles(n, &mut rng) {
                 let got = ShapeTree::weight_balanced(n, k, &hot);
                 let want = reference_weight_balanced(n, k, &hot);
-                assert_eq!(got.root, want.root, "{label} n={n} k={k}: root");
-                assert_eq!(got.key_gap, want.key_gap, "{label} n={n} k={k}: key_gap");
-                assert_eq!(got.children, want.children, "{label} n={n} k={k}: children");
+                assert_eq!(got, want, "{label} n={n} k={k}");
             }
         }
     }
