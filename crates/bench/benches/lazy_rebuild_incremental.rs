@@ -99,23 +99,23 @@ fn steady_state_with_drift() -> (KstTree, DecayingDemand) {
 
 /// One complete rebuild trigger: view, plan, apply. Baselines are *not*
 /// advanced, so every iteration replans the same drift.
-fn trigger<R: Rebuild>(tree: &mut KstTree, demand: &DecayingDemand, policy: &mut R) -> u64 {
+fn trigger<R: Rebuild>(tree: &mut KstTree, demand: &mut DecayingDemand, policy: &mut R) -> u64 {
     let plan = policy.plan(tree, &demand.view());
     let stats = plan.apply_to(tree);
     stats.rebuild_nodes
 }
 
 fn bench_rebuilds(c: &mut Criterion) {
-    let (mut tree, demand) = steady_state_with_drift();
+    let (mut tree, mut demand) = steady_state_with_drift();
     let mut group = c.benchmark_group("lazy_rebuild_incremental");
     group.throughput(Throughput::Elements(1));
     group.bench_function("incremental", |b| {
         let mut policy = incremental_weight_balanced_rebuilder(K, TAU);
-        b.iter(|| black_box(trigger(&mut tree, &demand, &mut policy)));
+        b.iter(|| black_box(trigger(&mut tree, &mut demand, &mut policy)));
     });
     group.bench_function("full", |b| {
         let mut policy = weight_balanced_rebuilder(K);
-        b.iter(|| black_box(trigger(&mut tree, &demand, &mut policy)));
+        b.iter(|| black_box(trigger(&mut tree, &mut demand, &mut policy)));
     });
     group.finish();
 }
@@ -124,16 +124,16 @@ fn bench_rebuilds(c: &mut Criterion) {
 /// tree and is ≥ 5× faster than a full rebuild on this < 1 %-churn
 /// profile (a trip fails the whole bench run, which CI relies on).
 fn assert_incremental_speedup() {
-    let (mut tree, demand) = steady_state_with_drift();
+    let (mut tree, mut demand) = steady_state_with_drift();
     let mut incr = incremental_weight_balanced_rebuilder(K, TAU);
     let mut full = weight_balanced_rebuilder(K);
     // Warm both paths once (page in the arenas, size the scratch).
-    let patched = trigger(&mut tree, &demand, &mut incr);
+    let patched = trigger(&mut tree, &mut demand, &mut incr);
     assert!(
         patched > 0 && patched < (N / 10) as u64,
         "incremental plan re-formed {patched} of {N} nodes — drift detection broken"
     );
-    trigger(&mut tree, &demand, &mut full);
+    trigger(&mut tree, &mut demand, &mut full);
     // Best-of-3 per side so a single descheduling hiccup on a shared CI
     // runner cannot flip the gate (the same reasoning as bench_check's
     // median-of-runs comparison).
@@ -147,8 +147,8 @@ fn assert_incremental_speedup() {
         }
         (best, nodes)
     };
-    let (incr_s, incr_nodes) = best_of(&mut || trigger(&mut tree, &demand, &mut incr));
-    let (full_s, full_nodes) = best_of(&mut || trigger(&mut tree, &demand, &mut full));
+    let (incr_s, incr_nodes) = best_of(&mut || trigger(&mut tree, &mut demand, &mut incr));
+    let (full_s, full_nodes) = best_of(&mut || trigger(&mut tree, &mut demand, &mut full));
     assert_eq!(full_nodes, N as u64);
     let speedup = full_s / incr_s;
     println!(

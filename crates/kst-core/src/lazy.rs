@@ -165,14 +165,16 @@ impl<F: FnMut(&DemandView<'_>) -> ShapeTree> Rebuild for FullRebuild<F> {
 /// tree wherever (and whenever) no demand was observed.
 pub fn weight_balanced_rebuilder(k: usize) -> impl Rebuild {
     FullRebuild(move |demand: &DemandView<'_>| {
-        ShapeTree::weight_balanced(demand.n(), k, demand.key_weights())
+        ShapeTree::weight_balanced_from_prefix(k, demand.weight_prefix())
     })
 }
 
 /// Incremental weight-balanced rebuild policy: walks the live tree from
 /// the root and re-forms only the subtrees whose key ranges accumulated at
 /// least `tau` units of demand change (per the view's [`DirtyIndex`])
-/// since they were last patched.
+/// since they were last patched. Every dirty and weight mass it reads is
+/// an O(1) prefix difference, and each patch's fragment is built on the
+/// view's weight prefix directly.
 ///
 /// At each node with dirty mass `d ≥ τ` over its range the planner
 /// decides between patching the whole range and descending:
@@ -210,15 +212,12 @@ impl IncrementalWeightBalanced {
         self.tau
     }
 
-    /// The weight-balanced fragment for one key range, with the view's
-    /// weights shifted to the fragment-local key space.
+    /// The weight-balanced fragment for one key range, built in place on
+    /// the view's weight prefix over `[a − 1, b]` (fragment-local key `i`
+    /// is key `a − 1 + i`).
     fn fragment(&self, demand: &DemandView<'_>, a: NodeKey, b: NodeKey) -> ShapeTree {
-        let hot: Vec<(NodeKey, u64)> = demand
-            .key_weights_in(a, b)
-            .iter()
-            .map(|&(key, w)| (key - a + 1, w))
-            .collect();
-        ShapeTree::weight_balanced((b - a + 1) as usize, self.k, &hot)
+        let (first, last) = (a as usize - 1, b as usize);
+        ShapeTree::weight_balanced_from_prefix(self.k, &demand.weight_prefix()[first..=last])
     }
 }
 
@@ -429,10 +428,11 @@ impl<R: Rebuild> Network for LazyKaryNet<R> {
         if self.since_rebuild >= self.alpha {
             // Epoch boundary: fold the epoch into the smoothed ledger,
             // plan against the live tree, apply the patches, then move
-            // the planned baselines for exactly the patched ranges. The
-            // whole block allocates by design: it runs once per α
-            // routing cost, so each call below is a documented no-alloc
-            // cut point.
+            // the planned baselines for exactly the patched ranges. It
+            // runs once per α routing cost, so each call below is a
+            // documented no-alloc cut point. Once the ledger's buffers
+            // are warm, a trigger whose plan is empty allocates nothing
+            // (`tests/zero_alloc.rs`); building and applying patches does.
             // ksan-allow: no-alloc epoch-boundary ledger fold, amortized over α routing cost
             self.demand.decay_merge();
             // ksan-allow: no-alloc epoch-boundary demand snapshot, amortized over α routing cost

@@ -108,12 +108,9 @@ impl ShapeTree {
     /// Hot keys therefore sit near the root (weighted depth is
     /// logarithmic in total weight), while regions with **no** observed
     /// demand degrade to the complete balanced subtree — with an empty
-    /// `hot` the result is exactly [`ShapeTree::balanced_kary`]. A dense
-    /// prefix array over the keys makes every range weight O(1), so the
-    /// build costs O(n) for the prefix and the shape plus O(k · log size)
-    /// binary-search probes per node of a range holding hot keys — no
-    /// O(n³)-ish DP, which is what makes lazy rebuilds viable at 10⁶–10⁷
-    /// nodes.
+    /// `hot` the result is exactly [`ShapeTree::balanced_kary`]. This
+    /// builds the dense frequency prefix over the keys and runs
+    /// [`ShapeTree::weight_balanced_from_prefix`] on it.
     ///
     /// Fully deterministic: same `n`, `k`, `hot` → same shape.
     pub fn weight_balanced(n: usize, k: usize, hot: &[(NodeKey, u64)]) -> ShapeTree {
@@ -129,11 +126,47 @@ impl ShapeTree {
         if hot.is_empty() {
             return ShapeTree::balanced_kary(n, k);
         }
+        let mut pre = vec![0u64; n + 1];
+        for &(key, w) in hot {
+            pre[key as usize] += w;
+        }
+        for i in 1..=n {
+            pre[i] += pre[i - 1];
+        }
+        ShapeTree::weight_balanced_from_prefix(k, &pre)
+    }
+
+    /// [`ShapeTree::weight_balanced`] on the `n = pre.len() − 1` keys of
+    /// a frequency prefix: `pre[i] − pre[0]` is the observed frequency of
+    /// keys `1..=i`. `pre[0]` need not be 0, so the slice over
+    /// `[a − 1, b]` of a prefix over a larger keyspace (such as
+    /// `DemandView::weight_prefix`) builds the fragment on keys `[a, b]`
+    /// in place, with no copy. Every range weight is one subtraction, so
+    /// each probe of the split searches is O(1): the build costs O(size)
+    /// for the shape plus O(k · log size) probes per node of a range
+    /// holding hot keys — no O(n³)-ish DP, which is what makes lazy
+    /// rebuilds viable at 10⁶–10⁷ nodes.
+    ///
+    /// # Panics
+    ///
+    /// When `k < 2` or `pre` is empty; in debug builds also when `pre`
+    /// decreases somewhere.
+    pub fn weight_balanced_from_prefix(k: usize, pre: &[u64]) -> ShapeTree {
+        assert!(k >= 2, "arity must be at least 2");
+        assert!(!pre.is_empty(), "a frequency prefix has at least one entry");
+        debug_assert!(
+            pre.windows(2).all(|w| w[0] <= w[1]),
+            "frequency prefix must be non-decreasing"
+        );
+        let n = pre.len() - 1;
+        if pre[n] == pre[0] {
+            return ShapeTree::balanced_kary(n, k);
+        }
         let mut shape = ShapeTree {
             parent: vec![NIL; n],
             root: 0,
         };
-        let wb = WeightIndex::new(n, hot);
+        let wb = WeightIndex { pre };
 
         // Explicit work stack of (key range, parent offset): a
         // pathological weight profile must not be able to overflow the
@@ -262,31 +295,20 @@ impl ShapeTree {
 }
 
 /// Dense prefix-weight index over keys `1..=n` backing
-/// [`ShapeTree::weight_balanced`]: every range weight is one subtraction,
-/// so each probe of the split searches is O(1). 8 B per key while the
-/// build runs.
-struct WeightIndex {
-    /// `pre[i]` = weight of keys `1..=i`: `i` plus their hot frequencies.
-    pre: Vec<u64>,
+/// [`ShapeTree::weight_balanced_from_prefix`]: every range weight is one
+/// subtraction, so each probe of the split searches is O(1). It borrows
+/// the caller's frequency prefix and adds the base weight of 1 per key
+/// in closed form.
+struct WeightIndex<'a> {
+    /// `pre[i] − pre[0]` = observed frequency of keys `1..=i`.
+    pre: &'a [u64],
 }
 
-impl WeightIndex {
-    fn new(n: usize, hot: &[(NodeKey, u64)]) -> WeightIndex {
-        let mut pre = vec![1u64; n + 1];
-        pre[0] = 0;
-        for &(key, w) in hot {
-            pre[key as usize] += w;
-        }
-        for i in 1..=n {
-            pre[i] += pre[i - 1];
-        }
-        WeightIndex { pre }
-    }
-
+impl WeightIndex<'_> {
     /// Weight of key range `[a, b]`: base 1 per key plus hot frequencies.
     fn weight(&self, a: NodeKey, b: NodeKey) -> u64 {
         let before = (a - 1) as usize;
-        self.pre[b as usize] - self.pre[before]
+        (b - a + 1) as u64 + self.pre[b as usize] - self.pre[before]
     }
 
     /// Smallest `m` in `[a, b]` whose prefix `[a, m]` holds at least half

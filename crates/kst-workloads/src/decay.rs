@@ -21,25 +21,30 @@
 //! f64 reference with a derived error bound.
 //!
 //! **Memory.** The smoothed pairs live in one `Vec` sorted by packed
-//! `(u, v)`, plus a spare buffer of the same size the next merge writes
-//! into: 16 B per live pair per buffer, nothing per key. A merge is one
-//! merge-join of that `Vec` with the sorted epoch, which decays, prunes
-//! and totals in the same pass, so iteration is canonical without a sort.
-//! [`EwmaLedger`] is that ledger alone; the engine's reshard ledger spans
-//! the whole keyspace and uses it as is. [`DecayingDemand`], the lazy
-//! nets' ledger, wraps it with two dense per-key arrays, 16 B per key in
-//! all: the exact fixed-point per-key fold, which the merge pass fills,
-//! and the planned baselines. The allocation is zeroed, so its pages are
-//! mapped when the first merge touches them.
+//! `(u, v)`: 16 B per live pair, nothing per key. A merge sorts the epoch
+//! into a retained buffer (16 B per epoch pair) and merge-joins it with
+//! that `Vec` in place, back to front, decaying, pruning and totalling in
+//! the same pass, so iteration is canonical without sorting the ledger
+//! and no second ledger-sized buffer exists. [`EwmaLedger`] is that ledger
+//! alone; the engine's reshard ledger spans the whole keyspace and uses
+//! it as is. [`DecayingDemand`], the lazy nets' ledger, wraps it with three
+//! dense per-key arrays, 24 B per key in all: the rounded key-weight
+//! prefix (the merge pass folds the exact fixed-point per-key sums into
+//! it, then prefix-sums their rounded values in place), the planned
+//! baselines, and the dirty prefix the view fills. The allocations are
+//! zeroed, so their pages are mapped when the first merge or view touches
+//! them.
 //!
 //! On top of the per-key fold sits the **dirty tracking** the two-phase
 //! rebuild planner consumes: the ledger remembers the rounded per-key
 //! weights the last plan was built from ([`DecayingDemand::mark_planned`])
 //! and [`DecayingDemand::view`] exposes the absolute per-key weight change
-//! since then as a [`DirtyIndex`] — prefix-summed, so a planner can ask
-//! "how much did demand change inside key range `[a, b]`" in O(log)
-//! ("which subtree roots saw demand change ≥ τ since the last rebuild").
-//! The view is one linear scan over the keys: no hashing and no sort.
+//! since then as a [`DirtyIndex`] ("which subtree roots saw demand change
+//! ≥ τ since the last rebuild"). The view (`&mut self`) is one linear pass
+//! over the keys that writes the retained drifted-delta prefix next to
+//! the key-weight prefix the merge left, so "how much weight, and how
+//! much change, lies inside key range `[a, b]`" is one subtraction each:
+//! no hashing, no sort, no allocation.
 
 use crate::demand::{pack, unpack, SparseDemand};
 use crate::trace::NodeKey;
@@ -91,12 +96,20 @@ pub struct EwmaLedger {
     lambda_fp: u64,
     /// Raw demand of the current (not yet merged) epoch.
     epoch: SparseDemand,
-    /// Smoothed `(pack(u, v), fixed-point count)` entries, sorted by
-    /// packed pair (row-major), every count nonzero.
+    /// Smoothed `(pack(u, v), fixed-point count)` entries from index
+    /// `start` on, sorted by packed pair (row-major), every count nonzero.
+    /// The merge rewrites it in place, so its capacity carries over
+    /// between merges.
     smoothed: Vec<(u64, u64)>,
-    /// The merge's output buffer; holds the previous ledger's capacity
-    /// between merges so steady-state merges do not reallocate.
-    spare: Vec<(u64, u64)>,
+    /// First live entry of `smoothed`. The in-place merge leaves a gap
+    /// before it, one slot per pruned entry and per epoch pair already
+    /// in the ledger; the gap is closed once it exceeds an eighth of the
+    /// live entries, so it costs at most one move per several merges.
+    start: usize,
+    /// The merge's sorted copy of the epoch, `(packed pair, fixed-point
+    /// count)`, after a sentinel entry; kept between merges for its
+    /// capacity.
+    fresh: Vec<(u64, u64)>,
     /// Exact sum of all `smoothed` entries.
     total_fp: u64,
 }
@@ -112,7 +125,8 @@ impl EwmaLedger {
             lambda_fp: lambda_fp(half_life),
             epoch: SparseDemand::new(n),
             smoothed: Vec::new(),
-            spare: Vec::new(),
+            start: 0,
+            fresh: Vec::new(),
             total_fp: 0,
         }
     }
@@ -162,9 +176,9 @@ impl EwmaLedger {
     /// EWMA arithmetic proptests); a binary search.
     pub fn get_fp(&self, u: NodeKey, v: NodeKey) -> u64 {
         let p = pack(u, v);
-        self.smoothed
-            .binary_search_by_key(&p, |e| e.0)
-            .map_or(0, |i| self.smoothed[i].1)
+        let live = self.live();
+        live.binary_search_by_key(&p, |e| e.0)
+            .map_or(0, |i| live[i].1)
     }
 
     /// Total smoothed demand, rounded (excludes the unmerged epoch).
@@ -179,12 +193,17 @@ impl EwmaLedger {
 
     /// Number of distinct pairs in the smoothed ledger.
     pub fn distinct_pairs(&self) -> usize {
-        self.smoothed.len()
+        self.live().len()
+    }
+
+    /// The live smoothed entries.
+    fn live(&self) -> &[(u64, u64)] {
+        &self.smoothed[self.start..]
     }
 
     /// True when both the smoothed ledger and the current epoch are empty.
     pub fn is_empty(&self) -> bool {
-        self.smoothed.is_empty() && self.epoch.is_empty()
+        self.live().is_empty() && self.epoch.is_empty()
     }
 
     /// Epoch boundary: decays the smoothed ledger by one half-life step
@@ -200,43 +219,57 @@ impl EwmaLedger {
     }
 
     /// [`EwmaLedger::decay_merge`], calling `fold(u, v, fp)` once for
-    /// every entry of the merged ledger, in canonical order — the one
-    /// pass a wrapper derives per-key sums from.
+    /// every entry of the merged ledger, in descending pair order — the
+    /// one pass a wrapper derives per-key sums from.
+    ///
+    /// The epoch is sorted into the retained `fresh` buffer after a
+    /// `pack(0, 0)` sentinel, which no recorded pair reaches (keys start
+    /// at 1). The join then runs backwards, writing the merged ledger in
+    /// place from the end of `smoothed` grown by the epoch's length: its
+    /// write cursor never passes an unread entry, and the sentinel stops
+    /// the epoch cursor without an end test.
     fn merge_with(&mut self, mut fold: impl FnMut(NodeKey, NodeKey, u64)) {
         let lam = self.lambda_fp;
-        let epoch = self.epoch.pairs_sorted();
-        let mut out = std::mem::take(&mut self.spare);
-        out.clear();
-        out.reserve(self.smoothed.len() + epoch.len());
+        let fresh = &mut self.fresh;
+        fresh.clear();
+        fresh.push((0, 0));
+        self.epoch.extend_packed_sorted(FRAC, fresh);
+        let ledger = &mut self.smoothed;
+        let old_len = ledger.len();
+        let mut j = fresh.len() - 1;
+        ledger.resize(old_len + j, (0, 0));
+        let mut w = ledger.len();
         let mut total = 0u64;
-        let mut keep = |p: u64, fp: u64| {
-            if fp > 0 {
-                out.push((p, fp));
-                total += fp;
-                let (u, v) = unpack(p);
-                fold(u, v, fp);
-            }
+        let mut put = |ledger: &mut [(u64, u64)], w: &mut usize, p: u64, fp: u64| {
+            *w -= 1;
+            ledger[*w] = (p, fp);
+            total += fp;
+            let (u, v) = unpack(p);
+            fold(u, v, fp);
         };
-        let mut fresh = epoch
-            .iter()
-            .map(|&(u, v, c)| (pack(u, v), c << FRAC))
-            .peekable();
-        for &(p, fp) in &self.smoothed {
-            while let Some(&(q, c)) = fresh.peek().filter(|e| e.0 < p) {
-                keep(q, c);
-                fresh.next();
+        for i in (self.start..old_len).rev() {
+            let (p, fp) = ledger[i];
+            while fresh[j].0 > p {
+                put(ledger, &mut w, fresh[j].0, fresh[j].1);
+                j -= 1;
             }
             let mut fp = ((fp as u128 * lam as u128) >> FRAC) as u64;
-            if let Some(&(_, c)) = fresh.peek().filter(|e| e.0 == p) {
-                fp += c;
-                fresh.next();
+            if fresh[j].0 == p {
+                fp += fresh[j].1;
+                j -= 1;
             }
-            keep(p, fp);
+            if fp > 0 {
+                put(ledger, &mut w, p, fp);
+            }
         }
-        for (q, c) in fresh {
-            keep(q, c);
+        for &(q, c) in fresh[1..=j].iter().rev() {
+            put(ledger, &mut w, q, c);
         }
-        self.spare = std::mem::replace(&mut self.smoothed, out);
+        if w > (ledger.len() - w) / 8 {
+            ledger.drain(..w);
+            w = 0;
+        }
+        self.start = w;
         self.total_fp = total;
         self.epoch.clear();
     }
@@ -245,6 +278,7 @@ impl EwmaLedger {
     /// retained).
     pub fn clear(&mut self) {
         self.smoothed.clear();
+        self.start = 0;
         self.total_fp = 0;
         self.epoch.clear();
     }
@@ -252,7 +286,7 @@ impl EwmaLedger {
     /// All smoothed `(u, v, count)` entries with nonzero rounded count, in
     /// canonical row-major order (the ledger's own order: no sort).
     pub fn pairs_sorted(&self) -> Vec<(NodeKey, NodeKey, u64)> {
-        self.smoothed
+        self.live()
             .iter()
             .filter_map(|&(p, fp)| {
                 let c = round_fp(fp);
@@ -265,8 +299,9 @@ impl EwmaLedger {
     }
 }
 
-/// The lazy nets' ledger: an [`EwmaLedger`] plus the dense per-key fold
-/// and planned baselines behind the planner's [`DemandView`].
+/// The lazy nets' ledger: an [`EwmaLedger`] plus the dense per-key weight
+/// prefix, planned baselines and dirty prefix behind the planner's
+/// [`DemandView`].
 ///
 /// Dereferences to the wrapped [`EwmaLedger`] for every read-only query;
 /// the mutating calls go through this type so the per-key arrays stay in
@@ -274,15 +309,19 @@ impl EwmaLedger {
 #[derive(Debug, Clone)]
 pub struct DecayingDemand {
     ledger: EwmaLedger,
-    /// Exact fixed-point per-key fold of the smoothed ledger, indexed by
-    /// key (slot 0 unused): every entry credits both endpoints. Filled
-    /// by the merge pass.
-    key_fp: Vec<u64>,
+    /// `weight_pre[i]` = rounded smoothed weight of keys `1..=i`, where
+    /// every ledger entry credits both endpoints and each key's exact
+    /// fixed-point sum is rounded once. The merge pass folds those sums
+    /// into this array, then prefix-sums it in place.
+    weight_pre: Vec<u64>,
     /// Rounded per-key weight the last plan consumed, indexed by key
     /// (0 = absent, planned at weight 0). Baselines update only for the
     /// key ranges a plan actually patched, so drift in untouched regions
     /// keeps accumulating until a patch covers it.
     planned: Vec<u64>,
+    /// `dirty_pre[i]` = drifted-delta mass of keys `1..=i`; filled by
+    /// [`DecayingDemand::view`].
+    dirty_pre: Vec<u64>,
 }
 
 impl std::ops::Deref for DecayingDemand {
@@ -300,8 +339,9 @@ impl DecayingDemand {
     pub fn new(n: usize, half_life: u32) -> DecayingDemand {
         DecayingDemand {
             ledger: EwmaLedger::new(n, half_life),
-            key_fp: vec![0; n + 1],
+            weight_pre: vec![0; n + 1],
             planned: vec![0; n + 1],
+            dirty_pre: vec![0; n + 1],
         }
     }
 
@@ -318,23 +358,29 @@ impl DecayingDemand {
     }
 
     /// [`EwmaLedger::decay_merge`], refolding the per-key weights in the
-    /// same pass.
+    /// same pass and prefix-summing their rounded values after it.
     pub fn decay_merge(&mut self) {
-        let key_fp = &mut self.key_fp;
-        key_fp.fill(0);
+        let fold = &mut self.weight_pre;
+        fold.fill(0);
         self.ledger.merge_with(|u, v, fp| {
-            key_fp[u as usize] += fp;
-            key_fp[v as usize] += fp;
+            fold[u as usize] += fp;
+            fold[v as usize] += fp;
         });
+        let mut weight = 0u64;
+        for x in fold.iter_mut() {
+            weight += round_fp(*x);
+            *x = weight;
+        }
     }
 
-    /// Forgets everything: smoothed ledger, current epoch, per-key fold
-    /// and planned baselines (capacity retained).
+    /// Forgets everything: smoothed ledger, current epoch, key weights
+    /// and planned baselines (capacity retained). The dirty prefix is
+    /// rewritten by the next [`DecayingDemand::view`].
     pub fn clear(&mut self) {
         self.ledger.clear();
         // Plain loops, not `fill`: kst-analyze resolves calls by name, and
         // the hot-path graph reaches this `clear` through other `clear`s.
-        for w in &mut self.key_fp {
+        for w in &mut self.weight_pre {
             *w = 0;
         }
         for w in &mut self.planned {
@@ -347,21 +393,13 @@ impl DecayingDemand {
     /// fixed-point sums are rounded once per key, so with `half_life = 0`
     /// this equals `SparseDemand::key_weights` of the last epoch exactly.
     pub fn key_weights(&self) -> Vec<(NodeKey, u64)> {
-        self.key_fp
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter_map(|(key, &fp)| {
-                let w = round_fp(fp);
-                (w > 0).then_some((key as NodeKey, w))
-            })
-            .collect()
+        nonzero_steps(&self.weight_pre)
     }
 
-    /// Builds the planner-facing view of the smoothed ledger: rounded key
-    /// weights plus the dirty index of per-key change since each key's
-    /// last planned baseline, both from one scan over the keys. Call
-    /// after [`DecayingDemand::decay_merge`].
+    /// Builds the planner-facing view of the smoothed ledger. One pass
+    /// over the keys fills the retained dirty prefix: the mass of per-key
+    /// change since each key's last planned baseline. It allocates
+    /// nothing. Call after [`DecayingDemand::decay_merge`].
     ///
     /// A key counts as **drifted** once its weight roughly doubled or
     /// halved relative to the baseline (or appeared/vanished); sub-octave
@@ -376,27 +414,23 @@ impl DecayingDemand {
     /// A drifted key's dirty mass is the absolute weight change, so
     /// τ-thresholded range queries weigh a hot key's explosion far above
     /// a warm key's flicker.
-    pub fn view(&self) -> DemandView<'_> {
-        let mut kw: Vec<(NodeKey, u64)> = Vec::new();
-        let mut dirty: Vec<(NodeKey, u64)> = Vec::new();
-        let keys = self.key_fp.iter().zip(&self.planned).enumerate().skip(1);
-        for (key, (&fp, &base)) in keys {
-            let w = round_fp(fp);
-            if w > 0 {
-                kw.push((key as NodeKey, w));
-            }
+    pub fn view(&mut self) -> DemandView<'_> {
+        let (mut before, mut dirty) = (0u64, 0u64);
+        let keys = self.weight_pre[1..].iter().zip(&self.planned[1..]);
+        for ((&pre, &base), d_pre) in keys.zip(&mut self.dirty_pre[1..]) {
+            let w = pre - before;
+            before = pre;
             // A key decayed to zero passes with delta = base: a vanished
-            // key is as drifted as a doubled one.
-            let delta = w.abs_diff(base);
-            if delta > 0 && (w >= 2 * base || 2 * w <= base) && w.max(base) > 2 {
-                dirty.push((key as NodeKey, delta));
-            }
+            // key is as drifted as a doubled one. Drift implies w ≠ base.
+            let drifted = ((w >= 2 * base) | (2 * w <= base)) & (w.max(base) > 2);
+            dirty += u64::from(drifted) * w.abs_diff(base);
+            *d_pre = dirty;
         }
         DemandView {
-            n: self.n(),
-            weights_pre: prefix_sums(&kw),
-            key_weights: kw,
-            dirty: DirtyIndex::new(dirty),
+            weight_pre: &self.weight_pre,
+            dirty: DirtyIndex {
+                pre: &self.dirty_pre,
+            },
             ledger: &self.ledger,
         }
     }
@@ -407,76 +441,65 @@ impl DecayingDemand {
     /// baseline, so their drift keeps counting as dirty.
     pub fn mark_planned(&mut self, ranges: &[(NodeKey, NodeKey)]) {
         for &(lo, hi) in ranges {
-            let span = lo as usize..=(hi as usize).min(self.n());
-            if let (Some(base), Some(fp)) =
-                (self.planned.get_mut(span.clone()), self.key_fp.get(span))
-            {
-                for (b, &f) in base.iter_mut().zip(fp) {
-                    *b = round_fp(f);
-                }
+            let (lo, hi) = ((lo as usize).max(1), (hi as usize).min(self.n()));
+            if lo > hi {
+                continue;
+            }
+            let weights = self.weight_pre[lo - 1..=hi].windows(2);
+            for (b, pre) in self.planned[lo..=hi].iter_mut().zip(weights) {
+                *b = pre[1] - pre[0];
             }
         }
     }
 }
 
-/// Mass of entries with key in `[a, b]` given by-key sorted entries and
-/// their prefix sums — the one copy of the boundary logic behind
-/// [`DirtyIndex::range_mass`] and [`DemandView::weight_mass`]. Inverted
-/// ranges are empty, never an underflow.
-fn range_mass_over(entries: &[(NodeKey, u64)], pre: &[u64], a: NodeKey, b: NodeKey) -> u64 {
-    if a > b {
+/// Mass of keys `[a, b]` from a prefix array with `pre[i]` = mass of
+/// keys `1..=i` — the one copy of the boundary logic behind
+/// [`DirtyIndex::range_mass`] and [`DemandView::weight_mass`]. The range
+/// is clipped to `1..=n`, and an inverted or empty range is 0, never an
+/// underflow.
+fn prefix_mass(pre: &[u64], a: NodeKey, b: NodeKey) -> u64 {
+    let lo = (a as usize).max(1);
+    let hi = (b as usize).min(pre.len() - 1);
+    if lo > hi {
         return 0;
     }
-    let lo = entries.partition_point(|&(key, _)| key < a);
-    let hi = entries.partition_point(|&(key, _)| key <= b);
-    pre[hi] - pre[lo]
-}
-
-/// `pre[i]` = sum of the first `i` weights — the range-mass backbone
-/// shared by [`DemandView::weight_mass`] and [`DirtyIndex`].
-fn prefix_sums(entries: &[(NodeKey, u64)]) -> Vec<u64> {
-    let mut pre = Vec::with_capacity(entries.len() + 1);
-    let mut acc = 0u64;
-    pre.push(0);
-    for &(_, w) in entries {
-        acc += w;
-        pre.push(acc);
-    }
-    pre
+    pre[hi] - pre[lo - 1]
 }
 
 /// The demand snapshot a rebuild planner consumes: node count, rounded
-/// per-key weights, canonical-order pair counts, and the dirty index of
-/// demand change since the last plan.
+/// per-key weights as a dense prefix array, canonical-order pair counts,
+/// and the dirty index of demand change since the last plan. Every range
+/// query is one subtraction.
 ///
 /// Constructed by [`DecayingDemand::view`] (smoothed, dirty vs planned
-/// baselines).
+/// baselines); it borrows the ledger's retained arrays.
 pub struct DemandView<'a> {
-    n: usize,
-    key_weights: Vec<(NodeKey, u64)>,
-    /// Prefix sums over `key_weights` backing [`DemandView::weight_mass`].
-    weights_pre: Vec<u64>,
-    dirty: DirtyIndex,
+    /// `weight_pre[i]` = rounded weight of keys `1..=i`.
+    weight_pre: &'a [u64],
+    dirty: DirtyIndex<'a>,
     ledger: &'a EwmaLedger,
 }
 
 impl<'a> DemandView<'a> {
     /// Number of nodes in the keyspace.
     pub fn n(&self) -> usize {
-        self.n
+        self.weight_pre.len() - 1
     }
 
-    /// Rounded per-key weights sorted by key (zero-weight keys omitted) —
-    /// the input of the weight-balanced policies.
-    pub fn key_weights(&self) -> &[(NodeKey, u64)] {
-        &self.key_weights
+    /// Rounded per-key weights sorted by key (zero-weight keys omitted),
+    /// materialized on demand from the prefix array — the sparse form
+    /// tests and sparse consumers read.
+    pub fn key_weights(&self) -> Vec<(NodeKey, u64)> {
+        nonzero_steps(self.weight_pre)
     }
 
-    /// Per-key weights restricted to keys in `[a, b]` (a sorted subslice).
-    pub fn key_weights_in(&self, a: NodeKey, b: NodeKey) -> &[(NodeKey, u64)] {
-        let lo = self.key_weights.partition_point(|&(key, _)| key < a);
-        let hi = self.key_weights.partition_point(|&(key, _)| key <= b);
-        &self.key_weights[lo..hi]
+    /// The dense weight prefix over keys `0..=n`: entry `i` is the
+    /// rounded weight of keys `1..=i`. The slice over `[a − 1, b]` is the
+    /// prefix `ShapeTree::weight_balanced_from_prefix` takes for the
+    /// fragment on keys `[a, b]`.
+    pub fn weight_prefix(&self) -> &'a [u64] {
+        self.weight_pre
     }
 
     /// All `(u, v, count)` pair entries in canonical row-major order
@@ -491,57 +514,58 @@ impl<'a> DemandView<'a> {
     }
 
     /// The dirty index: per-key absolute weight change since the last
-    /// planned baseline, with O(log) range-mass queries.
-    pub fn dirty(&self) -> &DirtyIndex {
+    /// planned baseline, with O(1) range-mass queries.
+    pub fn dirty(&self) -> &DirtyIndex<'a> {
         &self.dirty
     }
 
-    /// Total demand weight of keys in `[a, b]` (two binary searches) —
-    /// the denominator a planner compares dirty mass against to decide
+    /// Total demand weight of keys in `[a, b]` (one subtraction) — the
+    /// denominator a planner compares dirty mass against to decide
     /// whether a range's demand profile has fundamentally changed.
     pub fn weight_mass(&self, a: NodeKey, b: NodeKey) -> u64 {
-        range_mass_over(&self.key_weights, &self.weights_pre, a, b)
+        prefix_mass(self.weight_pre, a, b)
     }
 }
 
-/// Prefix-summed per-key change mass: lets a planner ask "how much did
-/// demand change inside key range `[a, b]` since the last rebuild" in two
-/// binary searches.
-#[derive(Debug, Clone, Default)]
-pub struct DirtyIndex {
-    /// `(key, |Δweight|)` sorted by key, zero deltas omitted.
-    keys: Vec<(NodeKey, u64)>,
-    /// `pre[i]` = sum of the first `i` deltas.
-    pre: Vec<u64>,
+/// The `(key, mass)` of every key whose prefix step is nonzero.
+fn nonzero_steps(pre: &[u64]) -> Vec<(NodeKey, u64)> {
+    pre.windows(2)
+        .enumerate()
+        .filter(|(_, w)| w[1] > w[0])
+        .map(|(i, w)| ((i + 1) as NodeKey, w[1] - w[0]))
+        .collect()
 }
 
-impl DirtyIndex {
-    /// Builds the index from by-key sorted `(key, change)` entries.
-    pub fn new(keys: Vec<(NodeKey, u64)>) -> DirtyIndex {
-        debug_assert!(keys.windows(2).all(|w| w[0].0 < w[1].0));
-        let pre = prefix_sums(&keys);
-        DirtyIndex { keys, pre }
-    }
+/// Prefix-summed per-key change mass, borrowed from the ledger: lets a
+/// planner ask "how much did demand change inside key range `[a, b]`
+/// since the last rebuild" in one subtraction.
+#[derive(Debug, Clone, Copy)]
+pub struct DirtyIndex<'a> {
+    /// `pre[i]` = change mass of keys `1..=i`.
+    pre: &'a [u64],
+}
 
+impl DirtyIndex<'_> {
     /// Total change mass across all keys.
     pub fn total(&self) -> u64 {
-        *self.pre.last().unwrap_or(&0)
+        self.pre[self.pre.len() - 1]
     }
 
-    /// Change mass of keys in `[a, b]` (0 for an inverted/empty range —
-    /// never an underflow).
+    /// Change mass of keys in `[a, b]`, clipped to `1..=n` (0 for an
+    /// inverted/empty range — never an underflow).
     pub fn range_mass(&self, a: NodeKey, b: NodeKey) -> u64 {
-        range_mass_over(&self.keys, &self.pre, a, b)
+        prefix_mass(self.pre, a, b)
     }
 
     /// True when nothing changed.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.pre[self.pre.len() - 1] == 0
     }
 
-    /// The raw `(key, change)` entries, sorted by key.
-    pub fn entries(&self) -> &[(NodeKey, u64)] {
-        &self.keys
+    /// The `(key, change)` entries with nonzero change, sorted by key,
+    /// materialized from the prefix.
+    pub fn entries(&self) -> Vec<(NodeKey, u64)> {
+        nonzero_steps(self.pre)
     }
 }
 
@@ -705,23 +729,40 @@ mod tests {
 
     #[test]
     fn dirty_index_range_masses_are_prefix_consistent() {
-        let idx = DirtyIndex::new(vec![(2, 5), (7, 1), (8, 4), (40, 10)]);
+        // Changes (2, 5), (7, 1), (8, 4), (40, 10) over keys 1..=50.
+        let mut pre = vec![0u64; 51];
+        for (key, w) in [(2usize, 5u64), (7, 1), (8, 4), (40, 10)] {
+            pre[key] = w;
+        }
+        for i in 1..pre.len() {
+            pre[i] += pre[i - 1];
+        }
+        let idx = DirtyIndex { pre: &pre };
         assert_eq!(idx.total(), 20);
-        assert_eq!(idx.range_mass(1, 100), 20);
+        assert_eq!(idx.entries(), vec![(2, 5), (7, 1), (8, 4), (40, 10)]);
+        assert_eq!(idx.range_mass(1, 100), 20, "b past n is clipped");
+        assert_eq!(idx.range_mass(0, 2), 5, "key 0 is clipped");
         assert_eq!(idx.range_mass(3, 6), 0);
         assert_eq!(idx.range_mass(7, 8), 5);
         assert_eq!(idx.range_mass(8, 40), 14);
+        assert_eq!(idx.range_mass(40, 8), 0, "inverted range");
+        assert_eq!(idx.range_mass(60, 70), 0, "range past n");
     }
 
     #[test]
-    fn key_weights_in_slices_by_range() {
+    fn view_weights_are_the_key_weights_in_prefix_form() {
         let mut d = DecayingDemand::new(100, 0);
         d.record_many(10, 20, 1);
         d.record_many(30, 40, 2);
         d.decay_merge();
+        let want = d.key_weights();
         let v = d.view();
-        assert_eq!(v.key_weights_in(15, 35), &[(20, 1), (30, 2)]);
-        assert_eq!(v.key_weights_in(41, 100), &[]);
+        assert_eq!(v.n(), 100);
+        assert_eq!(v.key_weights(), want);
+        assert_eq!(v.weight_prefix().len(), 101);
+        assert_eq!(v.weight_mass(15, 35), 3);
+        assert_eq!(v.weight_mass(41, 100), 0);
+        assert_eq!(v.weight_mass(1, 1_000), 6);
     }
 
     #[test]
@@ -741,7 +782,7 @@ mod tests {
         let pairs = d.pairs_sorted();
         let keys: Vec<(NodeKey, NodeKey)> = pairs.iter().map(|&(u, v, _)| (u, v)).collect();
         assert_eq!(keys, vec![(1, top), (12_345, 678), (top, 1)]);
-        let held = d.smoothed.capacity() + d.spare.capacity();
+        let held = d.smoothed.capacity() + d.fresh.capacity();
         assert!(held <= 64, "pair ledger holds {held} entries for 3 pairs");
     }
 
@@ -757,10 +798,20 @@ mod tests {
             d.record_many(u, v, w);
         }
         d.decay_merge();
-        assert!(d.smoothed.windows(2).all(|e| e[0].0 < e[1].0));
-        let sum: u64 = d.smoothed.iter().map(|e| e.1).sum();
+        assert!(d.live().windows(2).all(|e| e[0].0 < e[1].0));
+        let sum: u64 = d.live().iter().map(|e| e.1).sum();
         assert_eq!(d.total_fp(), sum);
-        let folded: u64 = d.key_fp.iter().sum();
-        assert_eq!(folded, 2 * sum, "each pair credits both endpoints");
+        // Each pair credits both endpoints, and each key rounds once.
+        let mut fold = vec![0u64; 41];
+        for &(p, fp) in d.live() {
+            let (u, v) = unpack(p);
+            fold[u as usize] += fp;
+            fold[v as usize] += fp;
+        }
+        let want: Vec<(NodeKey, u64)> = (1..=40)
+            .map(|key| (key as NodeKey, round_fp(fold[key])))
+            .filter(|&(_, w)| w > 0)
+            .collect();
+        assert_eq!(d.key_weights(), want);
     }
 }

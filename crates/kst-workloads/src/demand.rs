@@ -14,9 +14,17 @@
 //! [`SparseDemand::key_weights`]) sorts into the canonical row-major
 //! (source, destination) order first — rebuild policies consuming the
 //! ledger are bit-reproducible across runs and platforms.
+//!
+//! Every request of a lazy net hashes its pair into the map, so the map
+//! hashes with one folded multiply per packed pair instead of the default
+//! SipHash. Traces can come from files, so each ledger still draws a
+//! random seed for its hasher, as the default one does: pairs cannot be
+//! chosen in advance to collide.
 
 use crate::trace::NodeKey;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// Packs a directed pair into one `u64` key that sorts in row-major
 /// order (shared with the decaying ledger, whose smoothed `Vec` is sorted
@@ -31,6 +39,59 @@ pub(crate) fn unpack(p: u64) -> (NodeKey, NodeKey) {
     ((p >> 32) as NodeKey, p as NodeKey)
 }
 
+/// Hasher for packed pairs: the seeded key times an odd 64-bit constant,
+/// as a full 128-bit product whose halves are XORed. The map takes its
+/// bucket index from the low bits of the hash and its control byte from
+/// the top seven, and both halves of the product depend on every key
+/// bit, so pairs that differ only in `u` (the high word) still spread
+/// over the buckets.
+#[derive(Debug, Clone, Copy)]
+struct PairHasher(u64);
+
+/// Odd multiplier of `PairHasher` (the 64-bit golden ratio).
+const PAIR_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for PairHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let m = ((self.0 ^ x) as u128) * PAIR_MUL as u128;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Starts every `PairHasher` of one map from the same seed, drawn from
+/// the standard library's per-process random keys when the map is made.
+#[derive(Debug, Clone, Copy)]
+struct PairHashSeed(u64);
+
+impl Default for PairHashSeed {
+    fn default() -> PairHashSeed {
+        PairHashSeed(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for PairHashSeed {
+    type Hasher = PairHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> PairHasher {
+        PairHasher(self.0)
+    }
+}
+
 /// Sparse directed-demand counts over the keyspace `1..=n`: O(distinct
 /// pairs) memory, O(1) expected record/lookup, canonical-order iteration.
 ///
@@ -40,7 +101,7 @@ pub(crate) fn unpack(p: u64) -> (NodeKey, NodeKey) {
 #[derive(Debug, Clone, Default)]
 pub struct SparseDemand {
     n: usize,
-    counts: HashMap<u64, u64>,
+    counts: HashMap<u64, u64, PairHashSeed>,
     total: u64,
 }
 
@@ -49,7 +110,7 @@ impl SparseDemand {
     pub fn new(n: usize) -> SparseDemand {
         SparseDemand {
             n,
-            counts: HashMap::new(),
+            counts: HashMap::default(),
             total: 0,
         }
     }
@@ -81,17 +142,25 @@ impl SparseDemand {
     }
 
     /// Records `w` requests `u → v` at once.
+    ///
+    /// # Panics
+    ///
+    /// In every build, when `u == v` or either key lies outside `1..=n`:
+    /// the decaying ledgers index their per-key arrays by key, so an
+    /// out-of-range key would otherwise surface later as a bare index
+    /// error, or be dropped (key 0), and a self pair would credit its key
+    /// twice.
     #[inline]
     pub fn record_many(&mut self, u: NodeKey, v: NodeKey, w: u64) {
-        debug_assert!(u != v, "self-demand ({u},{u})");
-        debug_assert!(
+        assert!(u != v, "self-demand ({u},{u})");
+        assert!(
             u >= 1 && u as usize <= self.n,
-            "key {u} out of 1..={}",
+            "demand key {u} out of 1..={}",
             self.n
         );
-        debug_assert!(
+        assert!(
             v >= 1 && v as usize <= self.n,
-            "key {v} out of 1..={}",
+            "demand key {v} out of 1..={}",
             self.n
         );
         if w == 0 {
@@ -128,6 +197,17 @@ impl SparseDemand {
             .collect();
         pairs.sort_unstable_by_key(|&(u, v, _)| (u, v));
         pairs
+    }
+
+    /// Appends every `(pack(u, v), count << shift)` entry to `out`
+    /// (whose capacity the caller keeps), sorted by packed pair — the
+    /// decaying ledger's merge input, in the same row-major order as
+    /// [`SparseDemand::pairs_sorted`].
+    pub(crate) fn extend_packed_sorted(&self, shift: u32, out: &mut Vec<(u64, u64)>) {
+        let start = out.len();
+        // ksan-allow: determinism collected fully and sorted by packed pair below
+        out.extend(self.counts.iter().map(|(&p, &c)| (p, c << shift)));
+        out[start..].sort_unstable_by_key(|e| e.0);
     }
 
     /// Observed per-key frequencies — each recorded `u → v` pair credits
@@ -198,6 +278,38 @@ mod tests {
         d.record_many(2, 5, 4);
         let w = d.key_weights();
         assert_eq!(w, vec![(1, 3), (2, 7), (5, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand key 0 out of 1..=10")]
+    fn record_rejects_key_zero() {
+        SparseDemand::new(10).record(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand key 11 out of 1..=10")]
+    fn record_rejects_a_key_past_n() {
+        SparseDemand::new(10).record_many(4, 11, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-demand (7,7)")]
+    fn record_rejects_a_self_pair() {
+        SparseDemand::new(10).record(7, 7);
+    }
+
+    #[test]
+    fn pair_hasher_spreads_high_word_only_keys() {
+        // Pairs (u, 1) differ only in the high word of the packed key;
+        // both the low bucket bits and the top control bits must vary.
+        let seed = PairHashSeed::default();
+        let hash = |p: u64| seed.hash_one(p);
+        let low: std::collections::BTreeSet<u64> =
+            (1..=64u32).map(|u| hash(pack(u, 1)) & 63).collect();
+        let top: std::collections::BTreeSet<u64> =
+            (1..=64u32).map(|u| hash(pack(u, 1)) >> 57).collect();
+        assert!(low.len() >= 32, "{} distinct low buckets", low.len());
+        assert!(top.len() >= 32, "{} distinct control bytes", top.len());
     }
 
     #[test]

@@ -482,12 +482,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "self-demand (2,2)")]
     fn from_sparse_rejects_self_demand() {
-        // In debug builds record_many's debug_assert trips first; in
-        // release the densifier's own diagonal check catches the slipped
-        // self-pair. Both messages name the offending pair.
-        let mut sparse = crate::demand::SparseDemand::new(3);
-        sparse.record_many(2, 2, 1);
-        DemandMatrix::from_pairs(3, &sparse.pairs_sorted());
+        // `SparseDemand::record_many` rejects a self pair itself, so hand
+        // the densifier one directly: its own diagonal check names it.
+        DemandMatrix::from_pairs(3, &[(1, 3, 1), (2, 2, 1)]);
     }
 
     #[test]

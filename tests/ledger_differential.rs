@@ -11,6 +11,10 @@
 //! keys 1 and n see traffic. After every step every observable must be
 //! equal: the pairs, the key weights, the view's weights, dirty entries,
 //! pairs and total, the fixed-point total, the pair count and `get_fp`.
+//! The view's O(1) prefix queries, `weight_mass(a, b)` and
+//! `dirty().range_mass(a, b)`, must equal brute-force sums over the
+//! reference's weights and dirty entries on random, inverted,
+//! single-key and past-n ranges.
 
 use ksan::prelude::*;
 use ksan::workloads::decay::FRAC;
@@ -193,6 +197,23 @@ fn random_ranges(rng: &mut StdRng, n: u32) -> Vec<(u32, u32)> {
     ranges
 }
 
+/// Range queries for the view's prefix masses: random, inverted,
+/// single-key, whole-keyspace, and ranges reaching past n (or starting at
+/// key 0), which the view clips to `1..=n`.
+fn query_ranges(rng: &mut StdRng, n: u32) -> Vec<(u32, u32)> {
+    let mut ranges = vec![(1, n), (0, n), (1, n + 7), (n, n), (1, 1), (n + 1, n + 9)];
+    for _ in 0..6 {
+        let (a, b) = (rng.gen_range(1..=n), rng.gen_range(1..=n));
+        ranges.push((a.min(b), a.max(b)));
+        if a != b {
+            ranges.push((a.max(b), a.min(b)));
+        }
+        ranges.push((a, a));
+        ranges.push((a, n + rng.gen_range(1..=5u32)));
+    }
+    ranges
+}
+
 /// A request pair biased toward the end keys 1 and n.
 fn random_pair(rng: &mut StdRng, n: u32) -> (u32, u32) {
     let key = |rng: &mut StdRng| match rng.gen_range(0..6u32) {
@@ -208,7 +229,7 @@ fn random_pair(rng: &mut StdRng, n: u32) -> (u32, u32) {
     }
 }
 
-fn assert_agree(d: &DecayingDemand, r: &Reference, n: u32, ctx: &str) {
+fn assert_agree(d: &mut DecayingDemand, r: &Reference, n: u32, ranges: &[(u32, u32)], ctx: &str) {
     let pairs = r.pairs_sorted();
     let weights = r.key_weights();
     assert_eq!(d.pairs_sorted(), pairs, "{ctx}: pairs_sorted");
@@ -220,10 +241,33 @@ fn assert_agree(d: &DecayingDemand, r: &Reference, n: u32, ctx: &str) {
         "{ctx}: distinct_pairs"
     );
     let view = d.view();
-    assert_eq!(view.key_weights(), &weights[..], "{ctx}: view key_weights");
-    assert_eq!(view.dirty().entries(), &r.dirty()[..], "{ctx}: dirty");
+    let dirty = r.dirty();
+    assert_eq!(view.key_weights(), weights, "{ctx}: view key_weights");
+    assert_eq!(view.dirty().entries(), dirty, "{ctx}: dirty");
     assert_eq!(view.pairs_sorted(), pairs, "{ctx}: view pairs_sorted");
     assert_eq!(view.total(), round_fp(r.total_fp), "{ctx}: view total");
+    let brute = |entries: &[(u32, u64)], a: u32, b: u32| -> u64 {
+        entries
+            .iter()
+            .filter(|&&(key, _)| a <= key && key <= b)
+            .map(|&(_, w)| w)
+            .sum()
+    };
+    let dirty_total: u64 = dirty.iter().map(|&(_, w)| w).sum();
+    assert_eq!(view.dirty().total(), dirty_total, "{ctx}: dirty total");
+    assert_eq!(view.dirty().is_empty(), dirty.is_empty(), "{ctx}: is_empty");
+    for &(a, b) in ranges {
+        assert_eq!(
+            view.weight_mass(a, b),
+            brute(&weights, a, b),
+            "{ctx}: weight_mass({a}, {b})"
+        );
+        assert_eq!(
+            view.dirty().range_mass(a, b),
+            brute(&dirty, a, b),
+            "{ctx}: range_mass({a}, {b})"
+        );
+    }
     for &p in r.smoothed.keys() {
         let (u, v) = unpack(p);
         assert_eq!(d.get_fp(u, v), r.get_fp(u, v), "{ctx}: get_fp({u}, {v})");
@@ -238,6 +282,7 @@ fn dense_ledger_matches_the_hashed_reference_step_for_step() {
     for half_life in HALF_LIVES {
         for seed in 0..12u64 {
             let mut rng = StdRng::seed_from_u64((half_life as u64) << 8 | seed);
+            let mut queries = StdRng::seed_from_u64(!((half_life as u64) << 8 | seed));
             let n = rng.gen_range(2..=48u32);
             let mut d = DecayingDemand::new(n as usize, half_life);
             let mut r = Reference::new(half_life);
@@ -268,7 +313,8 @@ fn dense_ledger_matches_the_hashed_reference_step_for_step() {
                         r.clear();
                     }
                 }
-                assert_agree(&d, &r, n, &ctx);
+                let ranges = query_ranges(&mut queries, n);
+                assert_agree(&mut d, &r, n, &ranges, &ctx);
             }
         }
     }

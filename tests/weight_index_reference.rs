@@ -9,6 +9,11 @@
 //! end-key-heavy hot lists, weights up to 2⁴⁰, n ∈ 1..=300, k ∈ {2, 3, 4,
 //! 5, 8, 255} — the shapes must be equal: every key's parent and the
 //! root.
+//!
+//! The lazy planner builds each fragment on keys `[a, b]` from the slice
+//! `[a − 1, b]` of one global frequency prefix, so the second test checks
+//! `weight_balanced_from_prefix` on such slices, with `a > 1`, against the
+//! reference on the range's hot keys shifted to local keys.
 
 use ksan::core::NIL;
 use ksan::prelude::*;
@@ -192,6 +197,47 @@ fn dense_weight_index_builds_the_sparse_index_shapes() {
                 let got = ShapeTree::weight_balanced(n, k, &hot);
                 let want = reference_weight_balanced(n, k, &hot);
                 assert_eq!(got, want, "{label} n={n} k={k}");
+            }
+        }
+    }
+}
+
+/// The global prefix `pre[i]` = frequency of keys `1..=i`, as
+/// `DemandView::weight_prefix` holds it.
+fn global_prefix(n: usize, hot: &[(NodeKey, u64)]) -> Vec<u64> {
+    let mut pre = vec![0u64; n + 1];
+    for &(key, w) in hot {
+        pre[key as usize] += w;
+    }
+    for i in 1..=n {
+        pre[i] += pre[i - 1];
+    }
+    pre
+}
+
+#[test]
+fn prefix_slices_build_the_sparse_index_shapes_of_sub_ranges() {
+    let mut rng = StdRng::seed_from_u64(0x0ff5_e7ed);
+    for n in 2..=160usize {
+        for k in [2usize, 3, 4, 8] {
+            for (label, hot) in profiles(n, &mut rng) {
+                let pre = global_prefix(n, &hot);
+                for _ in 0..4 {
+                    let a = rng.gen_range(2..=n as NodeKey);
+                    let b = rng.gen_range(a..=n as NodeKey);
+                    let local: Vec<(NodeKey, u64)> = hot
+                        .iter()
+                        .filter(|&&(key, _)| a <= key && key <= b)
+                        .map(|&(key, w)| (key - a + 1, w))
+                        .collect();
+                    let size = (b - a + 1) as usize;
+                    let got = ShapeTree::weight_balanced_from_prefix(
+                        k,
+                        &pre[a as usize - 1..=b as usize],
+                    );
+                    let want = reference_weight_balanced(size, k, &local);
+                    assert_eq!(got, want, "{label} n={n} k={k} [{a}, {b}]");
+                }
             }
         }
     }

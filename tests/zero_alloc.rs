@@ -237,4 +237,41 @@ fn serve_paths_never_allocate() {
             "second pass over the same trace must add no distinct pairs"
         );
     }
+
+    // A lazy trigger whose plan is empty — most triggers on a stable
+    // workload — allocates nothing once warm: the merge writes into the
+    // retained ledger and epoch buffers, the view into the retained
+    // prefixes, and the empty plan and its baseline advance own no heap.
+    // The trace repeats one short cycle and each epoch spans many cycles,
+    // so every epoch sees the same pairs at nearly the same weights.
+    {
+        let cycle = gens::zipf(n, 97, 1.1, 13);
+        let mut net = LazyKaryNet::new(
+            3,
+            n,
+            4_000,
+            ksan::core::incremental_weight_balanced_rebuilder(3, 64),
+        )
+        .with_half_life(4);
+        for _ in 0..400 {
+            serve_all(&mut net, &cycle);
+        }
+        let (rebuilds, patches) = (net.rebuilds(), net.patches_applied());
+        assert!(rebuilds > 0, "warm-up must trigger rebuilds");
+        let ((), allocs) = alloc_probe::count_allocations(|| {
+            for _ in 0..100 {
+                std::hint::black_box(serve_all(&mut net, &cycle));
+            }
+        });
+        assert!(
+            net.rebuilds() > rebuilds + 5,
+            "the counted window must span lazy triggers"
+        );
+        assert_eq!(
+            net.patches_applied(),
+            patches,
+            "a stable cycle must plan nothing once warm"
+        );
+        assert_eq!(allocs, 0, "an empty-plan lazy trigger allocated");
+    }
 }
