@@ -10,8 +10,8 @@
 //!
 //! 1. iteration over identifiers bound to `HashMap`/`HashSet` (`for`
 //!    loops and `.iter()/.keys()/.values()/.drain()/...` calls) — the
-//!    bug class `SparseDemand`'s canonical row-major iteration exists to
-//!    avoid. Commutative folds that provably don't depend on visit order
+//!    bug class the demand ledgers avoid by keeping their pairs in
+//!    sorted runs, whose iteration is canonical row-major order. Commutative folds that provably don't depend on visit order
 //!    stay allowed via `// ksan-allow: determinism <why the fold is
 //!    order-free>`;
 //! 2. `Instant`/`SystemTime` reads — wall-clock values must never feed

@@ -28,11 +28,13 @@
 //!
 //! # Demand ledger: EWMA across epochs
 //!
-//! Demand observed during an epoch is kept in the sparse ledger of a
-//! [`DecayingDemand`]: one entry per **distinct** requested pair
-//! (output-sensitive memory, the sparse-demand insight of *Toward
-//! Demand-Aware Networking*), folded at every rebuild boundary into a
-//! fixed-point EWMA at a configurable half-life
+//! Demand observed during an epoch is recorded into the sparse ledger of
+//! a [`DecayingDemand`]: a buffer of `(pair, count)` entries that is
+//! sorted and coalesced in place whenever it fills, so it holds O(distinct
+//! requested pairs) entries (output-sensitive memory, the sparse-demand
+//! insight of *Toward Demand-Aware Networking*). At every rebuild
+//! boundary that sorted run is folded into a fixed-point EWMA at a
+//! configurable half-life
 //! ([`LazyKaryNet::with_half_life`]). With half-life 0 (the default) the
 //! ledger forgets everything at each rebuild — the classic per-epoch
 //! semantics; with a positive half-life the net keeps a decaying memory of
@@ -43,7 +45,7 @@ use crate::key::{NodeIdx, NodeKey, NIL};
 use crate::net::{Network, ServeCost};
 use crate::shape::ShapeTree;
 use crate::tree::KstTree;
-use kst_workloads::{DecayingDemand, DemandView, SparseDemand};
+use kst_workloads::{DecayingDemand, DemandView};
 
 /// One subtree replacement of a [`RebuildPlan`]: the subtree whose key set
 /// is exactly `[lo, hi]` is re-formed as `shape` (a fragment on
@@ -378,10 +380,17 @@ impl<R: Rebuild> LazyKaryNet<R> {
         self.since_rebuild
     }
 
-    /// Read access to the current epoch's raw demand ledger (empty right
-    /// after a rebuild boundary).
-    pub fn epoch_demand(&self) -> &SparseDemand {
-        self.demand.epoch()
+    /// Requests recorded in the current epoch (0 right after a rebuild
+    /// boundary).
+    pub fn epoch_total(&self) -> u64 {
+        self.demand.epoch_total()
+    }
+
+    /// The current epoch's `(u, v, count)` entries, coalesced: one per
+    /// distinct pair, in row-major order (empty right after a rebuild
+    /// boundary).
+    pub fn epoch_pairs(&mut self) -> impl ExactSizeIterator<Item = (NodeKey, NodeKey, u64)> + '_ {
+        self.demand.epoch_pairs()
     }
 
     /// Read access to the full decaying ledger (smoothed history + epoch).
@@ -418,7 +427,7 @@ impl<R: Rebuild> Network for LazyKaryNet<R> {
         let routing = self.tree.distance_keys(u, v);
         self.since_rebuild += routing;
         if u != v {
-            // ksan-allow: no-alloc ledger growth is bounded by distinct pairs and amortized; the runtime alloc probe tracks it
+            // ksan-allow: no-alloc the epoch buffer grows only when coalescing frees less than half of it: bounded by distinct pairs and amortized; the runtime alloc probe tracks it
             self.demand.record(u, v);
         }
         let mut cost = ServeCost {
@@ -495,13 +504,12 @@ mod tests {
                 // handed to the planner) and the accumulated routing cost
                 // restarts from zero.
                 boundaries += 1;
-                assert!(net.epoch_demand().is_empty(), "ledger must be empty");
-                assert_eq!(net.epoch_demand().total(), 0);
-                assert_eq!(net.epoch_demand().distinct_pairs(), 0);
+                assert_eq!(net.epoch_total(), 0, "epoch must be empty");
+                assert_eq!(net.epoch_pairs().len(), 0);
                 assert_eq!(net.since_rebuild(), 0, "cost accumulator must reset");
             } else {
                 // Between boundaries the ledger is tracking this epoch.
-                assert!(net.epoch_demand().total() > 0);
+                assert!(net.epoch_total() > 0);
                 assert!(net.since_rebuild() > 0);
             }
         }
@@ -570,8 +578,8 @@ mod tests {
         for i in 0..1000u32 {
             net.serve(1 + i % 50, n as u32 - (i % 40));
         }
-        assert!(net.epoch_demand().distinct_pairs() <= 50 * 40);
-        assert_eq!(net.epoch_demand().total(), 1000);
+        assert!(net.epoch_pairs().len() <= 50 * 40);
+        assert_eq!(net.epoch_total(), 1000);
     }
 
     #[test]

@@ -849,13 +849,13 @@ impl<N: Network + Send> ShardedEngine<N> {
     }
 
     /// Serves one slice on `workers` scoped threads, writing into
-    /// `report`. Shard `s` — its net, its intra-shard account and its
-    /// collector — moves to worker `s % workers` for the slice and back
-    /// after it. The dispatcher walks the slice in order, routes each
-    /// request, appends the shard ops to per-worker batches (a full batch
-    /// is one channel send) and books the router itself: FIFO channels
-    /// and a single dispatcher preserve each shard's op order, and the
-    /// spine's adjustment sequence is independent of the worker layout.
+    /// `report`. Worker `s % workers` borrows shard `s` — its net, its
+    /// intra-shard account and its collector — for the slice. The
+    /// dispatcher walks the slice in order, routes each request, appends
+    /// the shard ops to per-worker batches (a full batch is one channel
+    /// send) and books the router itself: FIFO channels and a single
+    /// dispatcher preserve each shard's op order, and the spine's
+    /// adjustment sequence is independent of the worker layout.
     fn run_slice_threaded(
         &mut self,
         requests: &[(NodeKey, NodeKey)],
@@ -864,32 +864,31 @@ impl<N: Network + Send> ShardedEngine<N> {
     ) {
         let batch = self.cfg.batch.max(1);
         let (clock, star_hops) = (self.clock, self.cfg.router_hops);
-        if report.obs.mode != ObsMode::Off {
+        let obs = &mut report.obs;
+        let observed = obs.mode != ObsMode::Off;
+        if observed {
             let shards = self.map.shards();
-            for w in report.obs.workers.len()..workers {
+            for w in obs.workers.len()..workers {
                 let tracer = Tracer::with_capacity((shards + 1 + w) as u32, SPAN_EVENTS);
-                report.obs.workers.push(tracer);
+                obs.workers.push(tracer);
             }
         }
-        let mut tracers = std::mem::take(&mut report.obs.workers).into_iter();
-        let lanes: Vec<Lane<N>> = deal(std::mem::take(&mut self.nets), workers)
-            .into_iter()
-            .zip(deal(report.per_shard.clone(), workers))
-            .zip(deal(std::mem::take(&mut report.obs.per_shard), workers))
-            .enumerate()
-            .map(|(id, ((nets, books), cols))| Lane {
+        let mut tracers = obs.workers.iter_mut();
+        let mut lanes: Vec<Lane<N>> = (0..workers)
+            .map(|id| Lane {
                 id,
-                nets,
-                books,
-                cols,
-                cross: Metrics::default(),
+                shards: Vec::new(),
                 tracer: tracers.next(),
+                cross: Metrics::default(),
             })
             .collect();
-        let map = &self.map;
-        let spine = &mut self.spine;
+        let mut cols = obs.per_shard.iter_mut();
+        let books = report.per_shard.iter_mut();
+        for (s, (net, book)) in self.nets.iter_mut().zip(books).enumerate() {
+            lanes[s % workers].shards.push((net, book, cols.next()));
+        }
 
-        let (nets, books, cols) = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut senders = Vec::with_capacity(workers);
             let mut handles = Vec::with_capacity(workers);
             for lane in lanes {
@@ -900,105 +899,81 @@ impl<N: Network + Send> ShardedEngine<N> {
 
             let mut buffers: Vec<Vec<Op>> =
                 (0..workers).map(|_| Vec::with_capacity(batch)).collect();
-            let push = |buffers: &mut Vec<Vec<Op>>, obs: &mut ObsReport, op: Op| {
-                let w = op.shard as usize % workers;
-                buffers[w].push(op);
-                if buffers[w].len() == batch {
-                    let buffered: usize = buffers.iter().map(Vec::len).sum();
-                    record_handoff(obs, w, batch, buffered, clock);
-                    let full = std::mem::replace(&mut buffers[w], Vec::with_capacity(batch));
-                    // ksan-allow: panic-surface a closed queue means the scoped worker panicked; propagating is correct
-                    senders[w].send(full).expect("engine worker hung up");
+            let mut send = |buffers: &mut Vec<Vec<Op>>, w: usize, buffered: usize, next: usize| {
+                if observed {
+                    let len = buffers[w].len();
+                    let (sizes, depth) = (&mut obs.batch_sizes, &mut obs.queue_depth);
+                    record_handoff(sizes, depth, &mut obs.dispatcher, w, len, buffered, clock);
                 }
+                let ops = std::mem::replace(&mut buffers[w], Vec::with_capacity(next));
+                // ksan-allow: panic-surface a closed queue means the scoped worker panicked; propagating is correct
+                senders[w].send(ops).expect("engine worker hung up");
             };
             for &(u, v) in requests {
-                let routed = route_request(map, u, v, |op| push(&mut buffers, &mut report.obs, op));
+                let routed = route_request(&self.map, u, v, |op| {
+                    let w = op.shard as usize % workers;
+                    buffers[w].push(op);
+                    if buffers[w].len() == batch {
+                        let buffered = buffers.iter().map(Vec::len).sum();
+                        send(&mut buffers, w, buffered, batch);
+                    }
+                });
                 if let Some(pair) = routed {
                     let (cross, hops) = (&mut report.cross, &mut report.router_hops);
-                    book_router(spine.as_mut(), star_hops, pair, cross, hops);
+                    book_router(self.spine.as_mut(), star_hops, pair, cross, hops);
                 }
             }
-            for (w, buf) in buffers.iter_mut().enumerate() {
-                if !buf.is_empty() {
-                    record_handoff(&mut report.obs, w, buf.len(), buf.len(), clock);
-                    let tail = std::mem::take(buf);
-                    // ksan-allow: panic-surface a closed queue means the scoped worker panicked; propagating is correct
-                    senders[w].send(tail).expect("engine worker hung up");
+            for w in 0..workers {
+                let len = buffers[w].len();
+                if len > 0 {
+                    send(&mut buffers, w, len, 0);
                 }
             }
             drop(senders); // close the queues: workers drain and return
 
-            let (mut nets, mut books, mut cols) = (Vec::new(), Vec::new(), Vec::new());
             for handle in handles {
                 // ksan-allow: panic-surface join fails only if the worker panicked; re-panicking propagates it
-                let lane = handle.join().expect("engine worker panicked");
-                nets.push(lane.nets);
-                books.push(lane.books);
-                cols.push(lane.cols);
-                report.cross.merge(&lane.cross);
-                report.obs.workers.extend(lane.tracer);
+                let cross = handle.join().expect("engine worker panicked");
+                report.cross.merge(&cross);
             }
-            (nets, books, cols)
         });
-        self.nets = interleave(nets);
-        report.per_shard = interleave(books);
-        report.obs.per_shard = interleave(cols);
     }
 }
 
-/// Everything one worker owns while it drains its queue: the shards
-/// `s ≡ id (mod workers)` in ascending order — their nets, intra-shard
-/// accounts and collectors (no collectors when observability is off) —
-/// plus its share of the cross-shard half-serve cost and its batch
-/// timeline.
-struct Lane<N> {
+/// What one worker borrows while it drains its queue: the shards
+/// `s ≡ id (mod workers)` in ascending order — each one's net,
+/// intra-shard account and collector (none when observability is off) —
+/// and its batch timeline; plus its own share of the cross-shard
+/// half-serve cost.
+struct Lane<'a, N> {
     id: usize,
-    nets: Vec<N>,
-    books: Vec<Metrics>,
-    cols: Vec<ObsCollector>,
+    shards: Vec<(&'a mut N, &'a mut Metrics, Option<&'a mut ObsCollector>)>,
+    tracer: Option<&'a mut Tracer>,
     cross: Metrics,
-    tracer: Option<Tracer>,
 }
 
 /// Drains one worker's queue through [`shard_step`] — the per-shard step
-/// the inline path runs, fed the same per-shard op order — and hands the
-/// lane back once the dispatcher closes the queue. Allocation-free.
+/// the inline path runs, fed the same per-shard op order — and returns
+/// the lane's cross-shard share once the dispatcher closes the queue.
+/// Allocation-free.
 fn worker_loop<N: Network>(
-    mut lane: Lane<N>,
+    mut lane: Lane<'_, N>,
     rx: mpsc::Receiver<Vec<Op>>,
     workers: usize,
     clock: Option<Stopwatch>,
-) -> Lane<N> {
+) -> Metrics {
     while let Ok(ops) = rx.recv() {
-        if let Some(tracer) = lane.tracer.as_mut() {
+        if let Some(tracer) = lane.tracer.as_deref_mut() {
             let (len, id) = (ops.len() as u64, lane.id as u64);
             Tracer::record_timed(tracer, EventKind::ShardDispatch, len, id, stamp(clock), 0);
         }
         for op in ops {
             let i = op.shard as usize / workers;
-            let (net, book) = (&mut lane.nets[i], &mut lane.books[i]);
-            shard_step(net, lane.cols.get_mut(i), clock, op, book, &mut lane.cross);
+            let (net, book, col) = &mut lane.shards[i];
+            shard_step(*net, col.as_deref_mut(), clock, op, book, &mut lane.cross);
         }
     }
-    lane
-}
-
-/// Deals per-shard items onto `workers` lanes: shard `s` becomes entry
-/// `s / workers` of lane `s % workers`.
-fn deal<T>(items: Vec<T>, workers: usize) -> Vec<Vec<T>> {
-    let mut lanes: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-    for (s, item) in items.into_iter().enumerate() {
-        lanes[s % workers].push(item);
-    }
-    lanes
-}
-
-/// The inverse of [`deal`]: reassembles per-lane items in shard order.
-fn interleave<T>(lanes: Vec<Vec<T>>) -> Vec<T> {
-    let workers = lanes.len();
-    let len = lanes.iter().map(Vec::len).sum();
-    let mut lanes: Vec<_> = lanes.into_iter().map(Vec::into_iter).collect();
-    (0..len).filter_map(|s| lanes[s % workers].next()).collect()
+    lane.cross
 }
 
 impl ShardedEngine<kst_core::KSplayNet> {

@@ -271,23 +271,25 @@ pub(crate) fn stamp(clock: Option<Stopwatch>) -> u64 {
     clock.map_or(0, |origin| origin.elapsed_us())
 }
 
-/// Records one batch handoff on the dispatcher surfaces: batch size,
-/// queue-occupancy proxy, and a `BatchHandoff` span.
+/// Records one batch handoff on the dispatcher surfaces of an observed
+/// report (`batch_sizes`, `queue_depth`, `dispatcher`): batch size,
+/// queue-occupancy proxy, and a `BatchHandoff` span. It takes the three
+/// surfaces, not the report, because the threaded dispatcher records
+/// while its workers borrow the report's per-shard collectors.
 pub(crate) fn record_handoff(
-    obs: &mut ObsReport,
+    batch_sizes: &mut Histogram,
+    queue_depth: &mut Histogram,
+    dispatcher: &mut Tracer,
     worker: usize,
     batch_len: usize,
     buffered: usize,
     clock: Option<Stopwatch>,
 ) {
-    if obs.mode == ObsMode::Off {
-        return;
-    }
-    Histogram::record(&mut obs.batch_sizes, batch_len as u64);
-    Histogram::record(&mut obs.queue_depth, buffered as u64);
+    Histogram::record(batch_sizes, batch_len as u64);
+    Histogram::record(queue_depth, buffered as u64);
     let ts = stamp(clock);
     Tracer::record_timed(
-        &mut obs.dispatcher,
+        dispatcher,
         EventKind::BatchHandoff,
         worker as u64,
         batch_len as u64,
@@ -322,7 +324,12 @@ mod tests {
         // Same deterministic stream, wildly different wall-clock fields.
         a.per_shard[0].observe_timed(1, 2, cost, 10, 5);
         b.per_shard[0].observe_timed(1, 2, cost, 99_000, 800);
-        record_handoff(&mut a, 0, 64, 64, Some(Stopwatch::start()));
+        let (sizes, depth, clock) = (
+            &mut a.batch_sizes,
+            &mut a.queue_depth,
+            Some(Stopwatch::start()),
+        );
+        record_handoff(sizes, depth, &mut a.dispatcher, 0, 64, 64, clock);
         assert_eq!(a, b);
         // ... but a diverging cost stream is detected.
         b.per_shard[1].observe(3, 4, cost);
@@ -364,7 +371,12 @@ mod tests {
             rebuild_nodes: 20,
         };
         r.per_shard[1].observe_timed(5, 6, cost, 120, 30);
-        record_handoff(&mut r, 1, 256, 300, Some(Stopwatch::start()));
+        let (sizes, depth, clock) = (
+            &mut r.batch_sizes,
+            &mut r.queue_depth,
+            Some(Stopwatch::start()),
+        );
+        record_handoff(sizes, depth, &mut r.dispatcher, 1, 256, 300, clock);
         let js = r.to_json();
         assert!(js.starts_with("{\"mode\":\"wall\""));
         for key in [

@@ -1,17 +1,21 @@
 //! Decaying epoch-demand ledger and the planner-facing demand view.
 //!
-//! [`SparseDemand`] forgets everything at each rebuild boundary, which is
-//! exactly wrong for the non-stationary traffic *Toward Demand-Aware
-//! Networking* argues real datacenter workloads exhibit: a lazy net that
-//! re-optimizes from single-epoch samples thrashes between unrelated
-//! optima. [`EwmaLedger`] keeps an **exponentially weighted moving
-//! average** of the per-pair demand across epochs: at every epoch boundary
-//! ([`EwmaLedger::decay_merge`]) the smoothed ledger is multiplied by
-//! `λ = 2^(−1/half_life)` and the raw epoch counts are added, so demand
-//! observed `half_life` epochs ago contributes half of what fresh demand
-//! does. `half_life = 0` disables the memory entirely (λ = 0), reproducing
-//! the per-epoch `SparseDemand` semantics bit-for-bit — the differential
-//! tests rely on that degenerate case.
+//! The lazy meta-algorithm (Feder et al., the paper's Section 1) only ever
+//! observes the pairs a trace actually requests, and real traces touch far
+//! fewer than n² pairs (the sparse-demand insight of *Toward Demand-Aware
+//! Networking*), so every ledger here is O(observed pairs), never n². A
+//! ledger that forgets everything at each rebuild boundary is exactly
+//! wrong for the non-stationary traffic that paper argues real datacenter
+//! workloads exhibit: a lazy net that re-optimizes from single-epoch
+//! samples thrashes between unrelated optima. [`EwmaLedger`] keeps an
+//! **exponentially weighted moving average** of the per-pair demand across
+//! epochs: at every epoch boundary ([`EwmaLedger::decay_merge`]) the
+//! smoothed ledger is multiplied by `λ = 2^(−1/half_life)` and the raw
+//! epoch counts are added, so demand observed `half_life` epochs ago
+//! contributes half of what fresh demand does. `half_life = 0` disables
+//! the memory entirely (λ = 0): the smoothed ledger is then exactly the
+//! last epoch's raw counts — the differential tests rely on that
+//! degenerate case.
 //!
 //! The EWMA runs in **fixed-point** arithmetic ([`FRAC`] fractional bits,
 //! decay multiplication rounds *down*) so the ledger stays deterministic
@@ -21,19 +25,24 @@
 //! f64 reference with a derived error bound.
 //!
 //! **Memory.** The smoothed pairs live in one `Vec` sorted by packed
-//! `(u, v)`: 16 B per live pair, nothing per key. A merge sorts the epoch
-//! into a retained buffer (16 B per epoch pair) and merge-joins it with
-//! that `Vec` in place, back to front, decaying, pruning and totalling in
-//! the same pass, so iteration is canonical without sorting the ledger
-//! and no second ledger-sized buffer exists. [`EwmaLedger`] is that ledger
-//! alone; the engine's reshard ledger spans the whole keyspace and uses
-//! it as is. [`DecayingDemand`], the lazy nets' ledger, wraps it with three
-//! dense per-key arrays, 24 B per key in all: the rounded key-weight
-//! prefix (the merge pass folds the exact fixed-point per-key sums into
-//! it, then prefix-sums their rounded values in place), the planned
-//! baselines, and the dirty prefix the view fills. The allocations are
-//! zeroed, so their pages are mapped when the first merge or view touches
-//! them.
+//! `(u, v)`: 16 B per live pair, nothing per key. The current epoch is a
+//! second `Vec` of packed `(pair, count)` runs, 16 B per entry: a request
+//! appends one entry, and a full buffer is sorted and coalesced in place
+//! (one entry per pair) and grows only when that frees less than half of
+//! it, so its capacity stays below four entries per distinct pair of the
+//! largest epoch so far.
+//! A merge coalesces it once more and merge-joins the sorted run with the
+//! smoothed `Vec` in place, back to front, decaying, pruning and totalling
+//! in the same pass, so iteration is canonical without sorting the ledger,
+//! no hashing happens anywhere, and no second ledger-sized buffer exists.
+//! [`EwmaLedger`] is that ledger alone; the engine's reshard ledger spans
+//! the whole keyspace and uses it as is. [`DecayingDemand`], the lazy
+//! nets' ledger, wraps it with three dense per-key arrays, 24 B per key in
+//! all: the rounded key-weight prefix (the merge pass folds the exact
+//! fixed-point per-key sums into it, then prefix-sums their rounded values
+//! in place), the planned baselines, and the dirty prefix the view fills.
+//! The allocations are zeroed, so their pages are mapped when the first
+//! merge or view touches them.
 //!
 //! On top of the per-key fold sits the **dirty tracking** the two-phase
 //! rebuild planner consumes: the ledger remembers the rounded per-key
@@ -46,13 +55,24 @@
 //! much change, lies inside key range `[a, b]`" is one subtraction each:
 //! no hashing, no sort, no allocation.
 
-use crate::demand::{pack, unpack, SparseDemand};
 use crate::trace::NodeKey;
 
 /// Fractional bits of the fixed-point EWMA counts.
 pub const FRAC: u32 = 16;
 
 const HALF: u64 = 1 << (FRAC - 1);
+
+/// Packs a directed pair into one `u64` key that sorts in row-major
+/// order; both the epoch buffer and the smoothed ledger sort by it.
+#[inline]
+fn pack(u: NodeKey, v: NodeKey) -> u64 {
+    ((u as u64) << 32) | v as u64
+}
+
+#[inline]
+fn unpack(p: u64) -> (NodeKey, NodeKey) {
+    ((p >> 32) as NodeKey, p as NodeKey)
+}
 
 /// Rounds a fixed-point count to the nearest integer (half away from
 /// zero) — the integer view rebuild policies consume.
@@ -87,15 +107,21 @@ fn lambda_fp(half_life: u32) -> u64 {
 /// EWMA-smoothed sparse pair ledger: O(live pairs) memory, nothing per
 /// key, so it serves any keyspace size.
 ///
-/// Owns the current epoch's raw [`SparseDemand`]; epoch boundaries fold it
-/// into the smoothed fixed-point ledger via [`EwmaLedger::decay_merge`].
+/// Records the current epoch into its own sorted-run buffer; epoch
+/// boundaries fold it into the smoothed fixed-point ledger via
+/// [`EwmaLedger::decay_merge`].
 #[derive(Debug, Clone)]
 pub struct EwmaLedger {
     n: usize,
     half_life: u32,
     lambda_fp: u64,
-    /// Raw demand of the current (not yet merged) epoch.
-    epoch: SparseDemand,
+    /// The current (not yet merged) epoch: `(pack(u, v), w << FRAC)`
+    /// entries after a `pack(0, 0)` sentinel, which no recorded pair
+    /// reaches (keys start at 1). Recording appends; `coalesce` sorts the
+    /// entries and sums each pair's into one. The merge reads the
+    /// coalesced run and truncates back to the sentinel, so the capacity
+    /// carries over between epochs.
+    fresh: Vec<(u64, u64)>,
     /// Smoothed `(pack(u, v), fixed-point count)` entries from index
     /// `start` on, sorted by packed pair (row-major), every count nonzero.
     /// The merge rewrites it in place, so its capacity carries over
@@ -106,10 +132,6 @@ pub struct EwmaLedger {
     /// in the ledger; the gap is closed once it exceeds an eighth of the
     /// live entries, so it costs at most one move per several merges.
     start: usize,
-    /// The merge's sorted copy of the epoch, `(packed pair, fixed-point
-    /// count)`, after a sentinel entry; kept between merges for its
-    /// capacity.
-    fresh: Vec<(u64, u64)>,
     /// Exact sum of all `smoothed` entries.
     total_fp: u64,
 }
@@ -123,10 +145,9 @@ impl EwmaLedger {
             n,
             half_life,
             lambda_fp: lambda_fp(half_life),
-            epoch: SparseDemand::new(n),
+            fresh: vec![(0, 0)],
             smoothed: Vec::new(),
             start: 0,
-            fresh: Vec::new(),
             total_fp: 0,
         }
     }
@@ -149,21 +170,84 @@ impl EwmaLedger {
         self.lambda_fp as f64 / (1u64 << FRAC) as f64
     }
 
-    /// Read access to the current (unmerged) epoch's raw ledger.
-    pub fn epoch(&self) -> &SparseDemand {
-        &self.epoch
-    }
-
     /// Records one `u → v` request into the current epoch.
     #[inline]
     pub fn record(&mut self, u: NodeKey, v: NodeKey) {
-        self.epoch.record(u, v);
+        self.record_many(u, v, 1);
     }
 
-    /// Records `w` requests `u → v` into the current epoch.
+    /// Records `w` requests `u → v` into the current epoch (`w = 0`
+    /// records nothing).
+    ///
+    /// # Panics
+    ///
+    /// In every build, when `u == v`, when either key lies outside
+    /// `1..=n`, or when `w` exceeds `u64::MAX >> FRAC`: the per-key
+    /// arrays of [`DecayingDemand`] are indexed by key, so an
+    /// out-of-range key would otherwise surface later as a bare index
+    /// error, or be dropped (key 0); a self pair would credit its key
+    /// twice; and a larger weight would wrap in fixed point.
     #[inline]
     pub fn record_many(&mut self, u: NodeKey, v: NodeKey, w: u64) {
-        self.epoch.record_many(u, v, w);
+        assert!(u != v, "self-demand ({u},{u})");
+        assert!(
+            u >= 1 && u as usize <= self.n,
+            "demand key {u} out of 1..={}",
+            self.n
+        );
+        assert!(
+            v >= 1 && v as usize <= self.n,
+            "demand key {v} out of 1..={}",
+            self.n
+        );
+        assert!(
+            w <= u64::MAX >> FRAC,
+            "demand weight {w} exceeds the fixed-point cap {}",
+            u64::MAX >> FRAC
+        );
+        if w == 0 {
+            return;
+        }
+        if self.fresh.len() == self.fresh.capacity() {
+            self.coalesce();
+        }
+        self.fresh.push((pack(u, v), w << FRAC));
+    }
+
+    /// Sorts the epoch buffer by pair and sums each pair's entries into
+    /// one, in place. If that left the buffer more than half full, it
+    /// grows, so at least as many records as it holds fit before the
+    /// next coalesce.
+    #[inline(never)]
+    fn coalesce(&mut self) {
+        let fresh = &mut self.fresh;
+        fresh.sort_unstable_by_key(|e| e.0);
+        fresh.dedup_by(|e, kept| {
+            let same = e.0 == kept.0;
+            if same {
+                kept.1 += e.1;
+            }
+            same
+        });
+        if fresh.len() > fresh.capacity() / 2 {
+            fresh.reserve(fresh.len());
+        }
+    }
+
+    /// Requests recorded in the current (unmerged) epoch.
+    pub fn epoch_total(&self) -> u64 {
+        self.fresh.iter().map(|e| e.1 >> FRAC).sum()
+    }
+
+    /// The current epoch's `(u, v, count)` entries, one per distinct
+    /// pair, in canonical row-major order. Coalesces the epoch buffer
+    /// first, hence `&mut self`.
+    pub fn epoch_pairs(&mut self) -> impl ExactSizeIterator<Item = (NodeKey, NodeKey, u64)> + '_ {
+        self.coalesce();
+        self.fresh[1..].iter().map(|&(p, fp)| {
+            let (u, v) = unpack(p);
+            (u, v, fp >> FRAC)
+        })
     }
 
     /// Smoothed demand from `u` to `v`, rounded to the nearest integer
@@ -203,7 +287,7 @@ impl EwmaLedger {
 
     /// True when both the smoothed ledger and the current epoch are empty.
     pub fn is_empty(&self) -> bool {
-        self.live().is_empty() && self.epoch.is_empty()
+        self.live().is_empty() && self.fresh.len() == 1
     }
 
     /// Epoch boundary: decays the smoothed ledger by one half-life step
@@ -222,18 +306,15 @@ impl EwmaLedger {
     /// every entry of the merged ledger, in descending pair order — the
     /// one pass a wrapper derives per-key sums from.
     ///
-    /// The epoch is sorted into the retained `fresh` buffer after a
-    /// `pack(0, 0)` sentinel, which no recorded pair reaches (keys start
-    /// at 1). The join then runs backwards, writing the merged ledger in
-    /// place from the end of `smoothed` grown by the epoch's length: its
-    /// write cursor never passes an unread entry, and the sentinel stops
-    /// the epoch cursor without an end test.
+    /// The epoch buffer is coalesced into one sorted run behind its
+    /// sentinel. The join then runs backwards, writing the merged ledger
+    /// in place from the end of `smoothed` grown by the epoch's length:
+    /// its write cursor never passes an unread entry, and the sentinel
+    /// stops the epoch cursor without an end test.
     fn merge_with(&mut self, mut fold: impl FnMut(NodeKey, NodeKey, u64)) {
         let lam = self.lambda_fp;
-        let fresh = &mut self.fresh;
-        fresh.clear();
-        fresh.push((0, 0));
-        self.epoch.extend_packed_sorted(FRAC, fresh);
+        self.coalesce();
+        let fresh = &self.fresh;
         let ledger = &mut self.smoothed;
         let old_len = ledger.len();
         let mut j = fresh.len() - 1;
@@ -271,7 +352,7 @@ impl EwmaLedger {
         }
         self.start = w;
         self.total_fp = total;
-        self.epoch.clear();
+        self.fresh.truncate(1);
     }
 
     /// Forgets everything: smoothed ledger and current epoch (capacity
@@ -280,7 +361,7 @@ impl EwmaLedger {
         self.smoothed.clear();
         self.start = 0;
         self.total_fp = 0;
-        self.epoch.clear();
+        self.fresh.truncate(1);
     }
 
     /// All smoothed `(u, v, count)` entries with nonzero rounded count, in
@@ -357,6 +438,11 @@ impl DecayingDemand {
         self.ledger.record_many(u, v, w);
     }
 
+    /// [`EwmaLedger::epoch_pairs`]: the current epoch, coalesced.
+    pub fn epoch_pairs(&mut self) -> impl ExactSizeIterator<Item = (NodeKey, NodeKey, u64)> + '_ {
+        self.ledger.epoch_pairs()
+    }
+
     /// [`EwmaLedger::decay_merge`], refolding the per-key weights in the
     /// same pass and prefix-summing their rounded values after it.
     pub fn decay_merge(&mut self) {
@@ -391,7 +477,7 @@ impl DecayingDemand {
     /// Rounded smoothed per-key weights (each pair credits both
     /// endpoints), sorted by key, zero-weight keys omitted. The
     /// fixed-point sums are rounded once per key, so with `half_life = 0`
-    /// this equals `SparseDemand::key_weights` of the last epoch exactly.
+    /// these are exactly the last epoch's per-key request counts.
     pub fn key_weights(&self) -> Vec<(NodeKey, u64)> {
         nonzero_steps(&self.weight_pre)
     }
@@ -576,20 +662,76 @@ mod tests {
     #[test]
     fn no_memory_half_life_reproduces_the_epoch_exactly() {
         let mut d = DecayingDemand::new(50, 0);
-        let mut s = SparseDemand::new(50);
-        for &(u, v, w) in &[(1u32, 2u32, 3u64), (7, 40, 1), (2, 1, 9)] {
+        for &(u, v, w) in &[(2u32, 1u32, 4u64), (1, 2, 3), (7, 40, 1), (2, 1, 5)] {
             d.record_many(u, v, w);
-            s.record_many(u, v, w);
         }
+        let epoch = vec![(1, 2, 3), (2, 1, 9), (7, 40, 1)];
+        assert_eq!(d.epoch_total(), 13);
+        assert_eq!(d.epoch_pairs().collect::<Vec<_>>(), epoch);
         d.decay_merge();
-        assert_eq!(d.pairs_sorted(), s.pairs_sorted());
-        assert_eq!(d.key_weights(), s.key_weights());
-        assert_eq!(d.total(), s.total());
-        assert!(d.epoch().is_empty(), "merge must clear the epoch");
+        assert_eq!(d.pairs_sorted(), epoch);
+        assert_eq!(d.key_weights(), vec![(1, 12), (2, 12), (7, 1), (40, 1)]);
+        assert_eq!(d.total(), 13);
+        assert_eq!(d.epoch_total(), 0, "merge must clear the epoch");
+        assert_eq!(d.epoch_pairs().len(), 0);
         // A second merge with an empty epoch wipes everything (λ = 0).
         d.decay_merge();
         assert_eq!(d.total(), 0);
         assert_eq!(d.distinct_pairs(), 0);
+        assert!(d.is_empty());
+    }
+
+    #[test]
+    fn epoch_buffer_stays_bounded_by_distinct_pairs() {
+        // Hot repeats coalesce in place: 30 000 records of 3 pairs never
+        // grow the buffer past a few entries per pair, and the counts sum.
+        let mut d = EwmaLedger::new(10, 0);
+        for i in 0..30_000u32 {
+            d.record(1 + i % 3, 9);
+        }
+        d.record_many(1, 9, 0);
+        assert!(d.fresh.capacity() <= 16, "{} entries", d.fresh.capacity());
+        assert_eq!(d.epoch_total(), 30_000);
+        let epoch: Vec<_> = d.epoch_pairs().collect();
+        assert_eq!(epoch, vec![(1, 9, 10_000), (2, 9, 10_000), (3, 9, 10_000)]);
+        d.decay_merge();
+        assert_eq!(d.pairs_sorted(), epoch);
+        assert_eq!(d.total(), 30_000);
+    }
+
+    #[test]
+    fn record_takes_the_largest_weight_the_fixed_point_holds() {
+        let cap = u64::MAX >> FRAC;
+        let mut d = DecayingDemand::new(4, 0);
+        d.record_many(1, 4, cap);
+        assert_eq!(d.epoch_total(), cap);
+        d.decay_merge();
+        assert_eq!(d.get(1, 4), cap);
+        assert_eq!(d.key_weights(), vec![(1, cap), (4, cap)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand weight 281474976710656 exceeds the fixed-point cap")]
+    fn record_rejects_a_weight_past_the_fixed_point_cap() {
+        EwmaLedger::new(4, 0).record_many(1, 2, (u64::MAX >> FRAC) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand key 0 out of 1..=10")]
+    fn record_rejects_key_zero() {
+        EwmaLedger::new(10, 0).record(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand key 11 out of 1..=10")]
+    fn record_rejects_a_key_past_n() {
+        DecayingDemand::new(10, 4).record_many(4, 11, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-demand (7,7)")]
+    fn record_rejects_a_self_pair() {
+        EwmaLedger::new(10, 0).record(7, 7);
     }
 
     #[test]

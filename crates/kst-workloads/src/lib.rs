@@ -3,10 +3,10 @@
 //! Implements the workload side of the paper's evaluation (Section 5):
 //! * [`trace::Trace`] / [`trace::DemandMatrix`] — the request-sequence and
 //!   offline-demand abstractions of the model (Section 2);
-//! * [`demand::SparseDemand`] — the output-sensitive (O(distinct pairs))
-//!   epoch-demand ledger driving the lazy nets' rebuild policies;
-//! * [`decay::EwmaLedger`] — the fixed-point EWMA pair ledger smoothing
-//!   demand across epochs at a configurable half-life, and
+//! * [`decay::EwmaLedger`] — the output-sensitive (O(observed pairs))
+//!   demand ledger: each epoch recorded as a sorted, coalesced run of
+//!   pairs and folded into a fixed-point EWMA that smooths demand across
+//!   epochs at a configurable half-life, and
 //!   [`decay::DecayingDemand`], which adds the dense per-key fold and
 //!   dirty tracking the lazy nets plan from; [`decay::DemandView`] / [`decay::DirtyIndex`] are the
 //!   planner-facing snapshot the two-phase rebuild machinery consumes;
@@ -19,12 +19,10 @@
 #![forbid(unsafe_code)]
 
 pub mod decay;
-pub mod demand;
 pub mod gens;
 pub mod stats;
 pub mod trace;
 
 pub use decay::{DecayingDemand, DemandView, DirtyIndex, EwmaLedger};
-pub use demand::SparseDemand;
 pub use stats::{entropy_bound_rhs, stats, TraceStats};
 pub use trace::{partition_keyspace, DemandMatrix, KeyRange, NodeKey, Trace};

@@ -30,27 +30,32 @@ pub struct TraceStats {
     pub m: usize,
 }
 
-/// Computes all statistics in one pass over the trace.
+/// Computes all statistics in one pass over the trace, plus a sort of a
+/// copy of its requests: each run of equal pairs in the sorted copy is one
+/// distinct pair's count, in canonical row-major order.
 pub fn stats(trace: &Trace) -> TraceStats {
     let n = trace.n();
     let m = trace.len();
     let mut src = vec![0u64; n];
     let mut dst = vec![0u64; n];
-    let mut pairs = std::collections::HashMap::<(u32, u32), u64>::new();
     let mut repeats = 0u64;
     let mut prev: Option<(u32, u32)> = None;
     for &(u, v) in trace.requests() {
         let (ui, vi) = (u as usize - 1, v as usize - 1);
         src[ui] += 1;
         dst[vi] += 1;
-        *pairs.entry((u, v)).or_insert(0) += 1;
         if prev == Some((u, v)) {
             repeats += 1;
         }
         prev = Some((u, v));
     }
-    // ksan-allow: determinism max over values; visit order cannot change the result
-    let top = pairs.values().copied().max().unwrap_or(0);
+    let mut sorted = trace.requests().to_vec();
+    sorted.sort_unstable();
+    let pairs: Vec<u64> = sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| run.len() as u64)
+        .collect();
+    let top = pairs.iter().copied().max().unwrap_or(0);
     TraceStats {
         repeat_rate: if m > 1 {
             repeats as f64 / (m - 1) as f64
@@ -59,8 +64,7 @@ pub fn stats(trace: &Trace) -> TraceStats {
         },
         src_entropy: entropy(&src, m as u64),
         dst_entropy: entropy(&dst, m as u64),
-        // ksan-allow: determinism entropy is a commutative sum over counts
-        pair_entropy: entropy_iter(pairs.values().copied(), m as u64),
+        pair_entropy: entropy(&pairs, m as u64),
         distinct_pairs: pairs.len(),
         top_pair_share: if m > 0 { top as f64 / m as f64 } else { 0.0 },
         n,
@@ -70,16 +74,12 @@ pub fn stats(trace: &Trace) -> TraceStats {
 
 /// Shannon entropy in bits of a count vector with total `m`.
 pub fn entropy(counts: &[u64], m: u64) -> f64 {
-    entropy_iter(counts.iter().copied(), m)
-}
-
-fn entropy_iter(counts: impl Iterator<Item = u64>, m: u64) -> f64 {
     if m == 0 {
         return 0.0;
     }
     let mf = m as f64;
     let mut h = 0.0;
-    for c in counts {
+    for &c in counts {
         if c > 0 {
             let p = c as f64 / mf;
             h -= p * p.log2();

@@ -310,7 +310,7 @@ impl DemandMatrix {
     }
 
     /// Densifies canonical-order `(u, v, count)` pair entries (as produced
-    /// by `SparseDemand::pairs_sorted` or `DemandView::pairs_sorted`) —
+    /// by `EwmaLedger::pairs_sorted` or `DemandView::pairs_sorted`) —
     /// the dense-DP consumers' entry point for the planner-facing demand
     /// views of the two-phase rebuild machinery.
     pub fn from_pairs(n: usize, pairs: &[(NodeKey, NodeKey, u64)]) -> DemandMatrix {
@@ -482,7 +482,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "self-demand (2,2)")]
     fn from_sparse_rejects_self_demand() {
-        // `SparseDemand::record_many` rejects a self pair itself, so hand
+        // `EwmaLedger::record_many` rejects a self pair itself, so hand
         // the densifier one directly: its own diagonal check names it.
         DemandMatrix::from_pairs(3, &[(1, 3, 1), (2, 2, 1)]);
     }

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use kst_workloads::gens;
     pub use kst_workloads::{
         partition_keyspace, DecayingDemand, DemandMatrix, DemandView, DirtyIndex, EwmaLedger,
-        KeyRange, SparseDemand, Trace,
+        KeyRange, Trace,
     };
     pub use splaynet_classic::ClassicSplayNet;
 }

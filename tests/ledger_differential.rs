@@ -1,16 +1,23 @@
 //! Differential guard for the decaying demand ledger.
 //!
-//! The production [`DecayingDemand`] keeps its smoothed pairs in a sorted
-//! `Vec` merge-joined with each epoch, folds per-key weights into a dense
-//! array during that merge, and holds the planned baselines densely. The
+//! The production [`DecayingDemand`] records each epoch as a buffer of
+//! `(pair, count)` entries that it sorts and coalesces in place whenever
+//! the buffer fills, keeps its smoothed pairs in a sorted `Vec`
+//! merge-joined with that run, folds per-key weights into a dense array
+//! during the merge, and holds the planned baselines densely. The
 //! reference below is the earlier `HashMap` ledger, copied here as it
-//! was: hashed smoothed pairs decayed with `retain`, a per-call hashed key
-//! fold plus sort, and hashed baselines. Random sequences of
-//! `record_many`, `decay_merge`, `mark_planned` and `clear` run against
-//! both, over half-lives {0, 1, 4, 8, `u32::MAX`} and keyspaces whose end
-//! keys 1 and n see traffic. After every step every observable must be
-//! equal: the pairs, the key weights, the view's weights, dirty entries,
-//! pairs and total, the fixed-point total, the pair count and `get_fp`.
+//! was: a hashed epoch, hashed smoothed pairs decayed with `retain`, a
+//! per-call hashed key fold plus sort, and hashed baselines. Random
+//! sequences of `record_many`, `decay_merge`, `mark_planned` and `clear`
+//! run against both, over half-lives {0, 1, 4, 8, `u32::MAX`} and
+//! keyspaces whose end keys 1 and n see traffic. After every step every
+//! observable must be equal: the epoch's total and pairs, the smoothed
+//! pairs, the key weights, the view's weights, dirty entries, pairs and
+//! total, the fixed-point total, the pair count and `get_fp`. A second
+//! family of sequences records many times more entries than distinct
+//! pairs — bursts of hot repeats, zero weights, and weights near the
+//! fixed-point cap — so the in-place coalesce runs several times inside
+//! each epoch.
 //! The view's O(1) prefix queries, `weight_mass(a, b)` and
 //! `dirty().range_mass(a, b)`, must equal brute-force sums over the
 //! reference's weights and dirty entries on random, inverted,
@@ -97,6 +104,23 @@ impl Reference {
         self.total_fp = 0;
         self.epoch.clear();
         self.planned.clear();
+    }
+
+    fn epoch_total(&self) -> u64 {
+        self.epoch.values().sum()
+    }
+
+    fn epoch_pairs(&self) -> Vec<(u32, u32, u64)> {
+        let mut pairs: Vec<(u32, u32, u64)> = self
+            .epoch
+            .iter()
+            .map(|(&p, &c)| {
+                let (u, v) = unpack(p);
+                (u, v, c)
+            })
+            .collect();
+        pairs.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        pairs
     }
 
     fn get_fp(&self, u: u32, v: u32) -> u64 {
@@ -230,6 +254,9 @@ fn random_pair(rng: &mut StdRng, n: u32) -> (u32, u32) {
 }
 
 fn assert_agree(d: &mut DecayingDemand, r: &Reference, n: u32, ranges: &[(u32, u32)], ctx: &str) {
+    assert_eq!(d.epoch_total(), r.epoch_total(), "{ctx}: epoch_total");
+    let epoch: Vec<(u32, u32, u64)> = d.epoch_pairs().collect();
+    assert_eq!(epoch, r.epoch_pairs(), "{ctx}: epoch_pairs");
     let pairs = r.pairs_sorted();
     let weights = r.key_weights();
     assert_eq!(d.pairs_sorted(), pairs, "{ctx}: pairs_sorted");
@@ -311,6 +338,77 @@ fn dense_ledger_matches_the_hashed_reference_step_for_step() {
                     _ => {
                         d.clear();
                         r.clear();
+                    }
+                }
+                let ranges = query_ranges(&mut queries, n);
+                assert_agree(&mut d, &r, n, &ranges, &ctx);
+            }
+        }
+    }
+}
+
+/// Largest weight `record_many` accepts.
+const CAP: u64 = u64::MAX >> FRAC;
+
+#[test]
+fn epoch_heavy_sequences_match_the_hashed_reference() {
+    for half_life in HALF_LIVES {
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(0xe90c << 16 | (half_life as u64) << 8 | seed);
+            let mut queries = StdRng::seed_from_u64(!(0xe90c << 16 | seed));
+            let n = rng.gen_range(3..=40u32);
+            let hot: Vec<(u32, u32)> = (0..rng.gen_range(1..=4))
+                .map(|_| random_pair(&mut rng, n))
+                .collect();
+            let mut d = DecayingDemand::new(n as usize, half_life);
+            let mut r = Reference::new(half_life);
+            // With no memory each epoch starts the fixed point afresh, so
+            // one near-cap weight per epoch fits; the small weights around
+            // it sum to far less than the headroom left below the cap.
+            let mut big_this_epoch = false;
+            for step in 0..150 {
+                let ctx = format!("heavy H={half_life} seed={seed} n={n} step={step}");
+                match rng.gen_range(0..100u32) {
+                    0..=49 => {
+                        for _ in 0..rng.gen_range(20..=400u32) {
+                            let (u, v) = hot[rng.gen_range(0..hot.len())];
+                            let w = rng.gen_range(0..=3u64);
+                            d.record_many(u, v, w);
+                            r.record_many(u, v, w);
+                        }
+                    }
+                    50..=64 => {
+                        let (u, v) = random_pair(&mut rng, n);
+                        let w = rng.gen_range(1..=12u64);
+                        d.record_many(u, v, w);
+                        r.record_many(u, v, w);
+                    }
+                    65..=69 => {
+                        let (u, v) = random_pair(&mut rng, n);
+                        d.record_many(u, v, 0);
+                        r.record_many(u, v, 0);
+                    }
+                    70..=74 if half_life == 0 && !big_this_epoch => {
+                        let (u, v) = random_pair(&mut rng, n);
+                        let w = CAP - rng.gen_range(1u64 << 24..=1u64 << 26);
+                        d.record_many(u, v, w);
+                        r.record_many(u, v, w);
+                        big_this_epoch = true;
+                    }
+                    70..=89 => {
+                        d.decay_merge();
+                        r.decay_merge();
+                        big_this_epoch = false;
+                    }
+                    90..=96 => {
+                        let ranges = random_ranges(&mut rng, n);
+                        d.mark_planned(&ranges);
+                        r.mark_planned(&ranges);
+                    }
+                    _ => {
+                        d.clear();
+                        r.clear();
+                        big_this_epoch = false;
                     }
                 }
                 let ranges = query_ranges(&mut queries, n);

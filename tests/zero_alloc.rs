@@ -209,12 +209,13 @@ fn serve_paths_never_allocate() {
         );
     }
 
-    // Lazy nets are static between rebuilds. The sparse epoch ledger
-    // allocates only when it grows for a *new* distinct pair (amortized
-    // hash-map growth — the price of O(distinct pairs) memory instead of
-    // a dense n² matrix); re-serving pairs already in the ledger is pure
-    // lookups and must be allocation-free (rebuilds themselves may — and
-    // do — allocate by design).
+    // Lazy nets are static between rebuilds. The epoch buffer allocates
+    // only when coalescing it in place frees less than half of it, that
+    // is when the epoch has *new* distinct pairs (amortized growth — the
+    // price of O(distinct pairs) memory instead of a dense n² matrix);
+    // re-serving pairs already in the coalesced epoch must be
+    // allocation-free (rebuilds themselves may — and do — allocate by
+    // design).
     {
         let mut net = LazyKaryNet::new(
             3,
@@ -226,13 +227,13 @@ fn serve_paths_never_allocate() {
         );
         // Warm pass: every distinct pair enters the ledger once.
         serve_all(&mut net, &trace);
-        let pairs_after_warmup = net.epoch_demand().distinct_pairs();
+        let pairs_after_warmup = net.epoch_pairs().len();
         let ((), allocs) = alloc_probe::count_allocations(|| {
             std::hint::black_box(serve_all(&mut net, &trace));
         });
         assert_eq!(allocs, 0, "LazyKaryNet allocated on a warmed ledger");
         assert_eq!(
-            net.epoch_demand().distinct_pairs(),
+            net.epoch_pairs().len(),
             pairs_after_warmup,
             "second pass over the same trace must add no distinct pairs"
         );
