@@ -83,8 +83,10 @@ impl KSplayNet {
         if nu == nv {
             return ServeCost::default();
         }
-        let w = self.tree.lca(nu, nv);
-        self.tree.splay_pair(nu, nv, w, self.strategy, self.policy)
+        // As in `serve`: the LCA climb starts the splay paths' rows moving.
+        let (_, w) = self.tree.distance_lca_hinting(nu, nv);
+        self.tree
+            .splay_pair_hinted(nu, nv, w, self.strategy, self.policy, true)
     }
 }
 
@@ -115,10 +117,12 @@ impl Network for KSplayNet {
             };
         }
         // One pointer chase yields both the routing charge and the splay
-        // target; the old distance-then-lca pattern walked the same access
-        // paths up to nine times per request.
-        let (routing, w) = self.tree.distance_lca(nu, nv);
-        let adjust = self.tree.splay_pair(nu, nv, w, self.strategy, self.policy);
+        // target, and its climb starts the rows of both splay paths moving,
+        // so the splays need not walk them again.
+        let (routing, w) = self.tree.distance_lca_hinting(nu, nv);
+        let adjust = self
+            .tree
+            .splay_pair_hinted(nu, nv, w, self.strategy, self.policy, true);
         ServeCost { routing, ..adjust }
     }
 

@@ -29,7 +29,6 @@
 
 use crate::key::{idx_to_key, key_image, NodeIdx, NIL};
 use crate::net::ServeCost;
-use crate::prefetch::prefetch_read;
 use crate::tree::KstTree;
 
 /// Policy choosing a window position when several cover the key's gap.
@@ -58,50 +57,86 @@ impl KstTree {
     ///
     /// Hot-path implementation notes:
     ///
-    /// * **one body, monomorphised per arity** — the kernel is generic
-    ///   over `const K`, and this entry point dispatches k ∈ {2, 3, 4} to
-    ///   their own copies (`K = 0` reads the runtime k for every other
-    ///   arity), so the per-node window copies and slot loops compile to
-    ///   fixed-size register moves for the common small arities;
-    /// * **single-pass merge of whole nodes** — every path node is copied
-    ///   once, at its full fixed size, into index-addressed scratch that
-    ///   [`KstTree::reserve_scratch`] has already sized to the longest
-    ///   path in use (no `clear`/`extend`/`truncate`, zero heap
-    ///   allocation); copy order and alignment make the parts that must
-    ///   not survive get overwritten;
-    /// * **incremental gaps** — the key-gap position of every path node is
-    ///   searched once on the merged array and then shifted as each
-    ///   re-form step consumes its window; a window with a single valid
-    ///   position skips the policy entirely;
-    /// * **link accounting folded into install** — while node `i` adopts
-    ///   its consumed slots, a subtree keeps its link iff its parent
-    ///   *before* the write is node `i` itself, and a collapsed path node
-    ///   keeps its link (flipped) iff it is `path[i−1]`. Every other
-    ///   consumed link, and the anchor link, is one removal plus one
-    ///   addition;
-    /// * **prefetch once the tree outgrows cache** — past a fixed arena
-    ///   size, the merge hints the parent line of every subtree root it is
-    ///   about to re-attach (and `splay_until` hints the rows of the whole
-    ///   path up front); smaller trees skip the hints.
+    /// * **one body, monomorphised per arity and path length** — the
+    ///   kernel is generic over `const K` and `const D`: k ∈ {2, 3, 4} ×
+    ///   d ∈ {2, 3} (a k-semi-splay and a k-splay step) get their own
+    ///   copies, and `0` in either parameter reads the runtime value
+    ///   instead, which covers every other arity and the `Deep(d)` paths.
+    ///   With both fixed, every loop has a constant trip count and unrolls
+    ///   into straight-line code. `splay_until` picks the arity once per
+    ///   splay, not once per step;
+    /// * **counts and selects, not searches** — the slot a path node
+    ///   hangs from and every key-gap position are counts of smaller
+    ///   elements, the window rank is computed for every candidate start,
+    ///   and compaction is a select over the whole fixed-size array, so
+    ///   the only data-dependent branch left skips the window policy when
+    ///   a single window fits;
+    /// * **single-pass merge of whole nodes** — every path node's row is
+    ///   read once and copied at its full fixed size into index-addressed
+    ///   scratch that [`KstTree::reserve_scratch`] has already sized to
+    ///   the longest path in use (zero heap allocation); copy order and
+    ///   alignment make the parts that must not survive get overwritten;
+    /// * **link accounting from slot provenance** — every merged slot
+    ///   carries the path index of the node it keeps its link with (the
+    ///   row it was copied from, or for a collapsed path node the index
+    ///   just past it), so a slot installed under node `i` keeps its link
+    ///   iff that index is `i`. Parents of hanging subtree roots are only
+    ///   written, never read, and an empty slot's write lands on the
+    ///   installing node's own parent entry, which a later step of the
+    ///   same call overwrites with its true value;
+    /// * **the last compaction feeds the root** — the fragment root's row
+    ///   is read straight through the final window removal instead of
+    ///   from a compacted copy.
+    ///
+    /// Prefetching is `splay_until`'s: once the tree outgrows cache it
+    /// hints the rows of the whole splay path before the first step.
     pub fn restructure(&mut self, path: &[NodeIdx], policy: WindowPolicy) -> ServeCost {
-        match self.k() {
+        let links_changed = match self.k() {
             2 => self.restructure_k::<2>(path, policy),
             3 => self.restructure_k::<3>(path, policy),
             4 => self.restructure_k::<4>(path, policy),
             _ => self.restructure_k::<0>(path, policy),
+        };
+        ServeCost {
+            rotations: (path.len() - 1) as u64,
+            links_changed,
+            ..ServeCost::default()
         }
     }
 
-    /// The restructure kernel for arity `K` (`K = 0`: the tree's runtime
-    /// arity). See [`KstTree::restructure`].
-    fn restructure_k<const K: usize>(
+    /// [`KstTree::restructure`] for arity `K` (`0`: the runtime arity),
+    /// returning `links_changed`: picks the kernel copy for the path
+    /// length. `splay_until` dispatches on the arity once per splay and
+    /// calls this for every step.
+    #[inline(always)]
+    pub(crate) fn restructure_k<const K: usize>(
         &mut self,
         path: &[NodeIdx],
         policy: WindowPolicy,
-    ) -> ServeCost {
-        let d = path.len();
-        assert!(d >= 2, "restructure needs at least two nodes");
-        let k = if K == 0 { self.k() } else { K };
+    ) -> u64 {
+        match path.len() {
+            3 if K != 0 => self.restructure_kd::<K, 3>(path, policy),
+            2 if K != 0 => self.restructure_kd::<K, 2>(path, policy),
+            _ => self.restructure_kd::<K, 0>(path, policy),
+        }
+    }
+
+    /// The restructure kernel for arity `K` and path length `D` (`0`:
+    /// the tree's runtime arity, the path's runtime length), returning
+    /// `links_changed`. See [`KstTree::restructure`]. Kept out of line:
+    /// ten inlined copies would crowd the instruction cache.
+    #[inline(never)]
+    fn restructure_kd<const K: usize, const D: usize>(
+        &mut self,
+        path: &[NodeIdx],
+        policy: WindowPolicy,
+    ) -> u64 {
+        let d = if D == 0 { path.len() } else { D };
+        assert!(path.len() >= 2, "restructure needs at least two nodes");
+        let path = &path[..d];
+        // Whether the arity is a compile-time constant.
+        let fixed = K != 0;
+        let k = if fixed { K } else { self.k() };
         debug_assert_eq!(k, self.k());
         let km1 = k - 1;
         debug_assert!(self.is_downward_path(path), "not a downward path");
@@ -118,147 +153,152 @@ impl KstTree {
         }
 
         let top = path[0];
+        let new_top = path[d - 1];
         let anchor = self.parent(top);
-        let anchor_slot = if anchor == NIL {
-            usize::MAX
-        } else {
-            self.slot_of(anchor, top)
-        };
-        let prefetch = self.prefetch_rows();
+        // Merged element count; the merged slots number one more.
+        let me = d * km1;
         let KstTree {
             parent,
             elems,
             children,
-            scratch_elems: m_elems,
-            scratch_slots: m_slots,
-            scratch_pos: pos,
-            scratch_gaps: gaps,
+            scratch_elems,
+            scratch_slots,
+            scratch_orig,
+            scratch_gaps,
             ..
         } = self;
+        let m_elems = &mut scratch_elems[..me];
+        let m_slots = &mut scratch_slots[..=me];
+        let orig = &mut scratch_orig[..=me];
+        let gaps = &mut scratch_gaps[..d];
 
         // --- 1. merge (single pass) ----------------------------------------
         // The merged array is the nested splice of each node's arrays into
         // its parent's slot gap: the strict prefixes going down, the deepest
-        // node whole, the suffixes going back up. Prefixes are written left
-        // to right and suffixes right-aligned from the far end inwards, each
-        // as a whole-node copy whose surplus the next copy overwrites; the
-        // deepest node goes last. Slot `t` sits just left of element `t`, so
-        // one cursor per direction serves both arrays.
-        let mut m = 0usize;
+        // node whole, the suffixes going back up. Each row is read once and
+        // written whole twice, left-aligned at the prefix cursor `m` and
+        // right-aligned at the suffix cursor `e`; the cursors keep
+        // `(d − w)·(k−1)` elements apart, so every surplus lands where a
+        // deeper row's copy or the deepest node (written last) overwrites
+        // it. Slot `t` sits just left of element `t`, so one cursor per
+        // direction serves both arrays. The slot of node `w` that holds
+        // `path[w+1]` is the number of `w`'s elements below `path[w+1]`'s
+        // key.
+        let (mut m, mut e) = (0usize, me);
         for w in 0..d - 1 {
             let (eb, cb) = (path[w] as usize * km1, path[w] as usize * k);
-            let p = children[cb..cb + k]
-                .iter()
-                .position(|&c| c == path[w + 1])
-                // ksan-allow: panic-surface structural invariant — `path` is a downward path, so path[w+1] hangs from path[w]
-                .expect("not a downward path");
-            pos[w] = p;
-            m_elems[m..m + km1].copy_from_slice(&elems[eb..eb + km1]);
-            m_slots[m..m + k].copy_from_slice(&children[cb..cb + k]);
+            let (row, kids) = (&elems[eb..eb + km1], &children[cb..cb + k]);
+            let img = key_image(idx_to_key(path[w + 1]));
+            let p = row.iter().map(|&e| usize::from(e < img)).sum::<usize>();
+            assert!(kids[p] == path[w + 1], "not a downward path");
+            m_elems[m..m + km1].copy_from_slice(row);
+            m_slots[m..m + k].copy_from_slice(kids);
+            orig[m..m + k].fill(w);
+            m_elems[e - km1..e].copy_from_slice(row);
+            m_slots[e - km1..=e].copy_from_slice(kids);
+            orig[e - km1..=e].fill(w);
             m += p;
+            e -= km1 - p;
         }
-        let mut me = d * km1;
-        for w in 0..d - 1 {
-            let (eb, cb) = (path[w] as usize * km1, path[w] as usize * k);
-            m_elems[me - km1..me].copy_from_slice(&elems[eb..eb + km1]);
-            m_slots[me + 1 - k..=me].copy_from_slice(&children[cb..cb + k]);
-            me -= km1 - pos[w];
-        }
-        debug_assert_eq!(me, m + km1);
-        let (eb, cb) = (path[d - 1] as usize * km1, path[d - 1] as usize * k);
+        debug_assert_eq!(e, m + km1);
+        let (eb, cb) = (new_top as usize * km1, new_top as usize * k);
         m_elems[m..m + km1].copy_from_slice(&elems[eb..eb + km1]);
         m_slots[m..m + k].copy_from_slice(&children[cb..cb + k]);
-        m = d * km1;
-        debug_assert!(m_elems[..m].windows(2).all(|w| w[0] < w[1]));
+        orig[m..m + k].fill(d - 1);
+        debug_assert!(m_elems.windows(2).all(|w| w[0] < w[1]));
 
-        if prefetch {
-            // Every merged subtree root gets its parent rewritten below:
-            // start those lines moving now.
-            for &c in &m_slots[..=m] {
-                prefetch_read(parent, c as usize);
-            }
-        }
-
-        // Key-gap position of every path node in the merged array, searched
-        // once; re-form steps below keep them current incrementally.
-        for (g, &node) in gaps[..d].iter_mut().zip(path) {
+        // Key-gap position of every path node in the merged array, counted
+        // once; the window steps below keep them current incrementally.
+        for (g, &node) in gaps.iter_mut().zip(path) {
             let img = key_image(idx_to_key(node));
-            *g = m_elems[..m].partition_point(|&e| e < img);
+            *g = m_elems.iter().map(|&e| usize::from(e < img)).sum();
         }
 
         // --- 2. re-form nodes, counting links as they are installed --------
+        // Node `i` takes the window of `k − 1` live elements starting at
+        // `a` and the `k` slots around them. Every installed slot that
+        // does not keep its link is one removal plus one addition, as is
+        // the anchor link.
         let mut changed = u64::from(anchor != NIL);
-        let mut prev = NIL;
-        for (i, &node) in path.iter().enumerate() {
-            let last = i + 1 == d;
-            let a = if last {
-                // Fragment root takes everything that remains.
-                debug_assert_eq!(m, km1);
-                0
+        // Live merged length: `m` elements, `m + 1` slots.
+        let mut m = me;
+        for (i, &node) in path[..d - 1].iter().enumerate() {
+            let gap = gaps[i];
+            let a_min = gap.saturating_sub(km1);
+            let a_max = gap.min(m - km1);
+            // The clamp is a no-op that lets the compiler drop the window's
+            // bounds checks.
+            let a = if a_min == a_max {
+                a_min
             } else {
-                let gap = gaps[i];
-                debug_assert_eq!(
-                    gap,
-                    m_elems[..m].partition_point(|&e| e < key_image(idx_to_key(node)))
-                );
-                let a_min = gap.saturating_sub(km1);
-                let a_max = gap.min(m - km1);
-                debug_assert!(a_min <= a_max);
-                if a_min == a_max {
-                    a_min
-                } else {
-                    choose_window(policy, a_min, a_max, gap, km1, &gaps[i + 1..d])
-                }
-            };
-            let win_e = &m_elems[a..a + km1];
-            let win_s = &m_slots[a..a + k];
+                // A fixed arity ranks all `k` candidate starts for a
+                // constant trip count, a runtime one only the valid ones.
+                let starts = if fixed { k } else { a_max - a_min + 1 };
+                choose_window(policy, a_min, a_max, km1, starts, gaps, i)
+            }
+            .min(me - km1);
             let (eb, cb) = (node as usize * km1, node as usize * k);
-            elems[eb..eb + km1].copy_from_slice(win_e);
-            children[cb..cb + k].copy_from_slice(win_s);
-            for &c in win_s {
-                if c == NIL {
-                    continue;
-                }
-                let ci = c as usize;
-                changed += u64::from(c != prev && parent[ci] != node);
-                parent[ci] = node;
+            elems[eb..eb + km1].copy_from_slice(&m_elems[a..a + km1]);
+            children[cb..cb + k].copy_from_slice(&m_slots[a..a + k]);
+            for (&c, &o) in m_slots[a..a + k].iter().zip(&orig[a..a + k]) {
+                changed += u64::from((c != NIL) & (o != i));
+                parent[if c == NIL { node } else { c } as usize] = node;
             }
-            if last {
-                break;
-            }
-            // Compact in place: remove the consumed window, leave the
-            // collapsed node in its gap (element loops: the tails are a few
-            // entries long, shorter than a memmove call's overhead).
+            // Remove the window, leaving node `i` collapsed into slot `a`
+            // with the next path node as its link partner: in place while
+            // more windows follow, straight into the fragment root's row
+            // after the last one. A fixed arity selects over the whole
+            // fixed-size array, keeping the trip count constant (entries
+            // past the live length are dead); a runtime one shifts only
+            // the live entries from `a` on.
             m -= km1;
-            for t in a..m {
-                m_elems[t] = m_elems[t + km1];
+            let elem_src = |t: usize| t + km1 * usize::from(t >= a);
+            let slot_src = |t: usize| t + km1 * usize::from(t > a);
+            if i + 2 < d {
+                let from = if fixed { 0 } else { a };
+                let (e_end, s_end) = if fixed { (me - km1, me - km1) } else { (m, m) };
+                for t in from..e_end {
+                    m_elems[t] = m_elems[elem_src(t)];
+                }
+                for t in from..=s_end {
+                    let (s, o) = (m_slots[slot_src(t)], orig[slot_src(t)]);
+                    m_slots[t] = if t == a { node } else { s };
+                    orig[t] = if t == a { i + 1 } else { o };
+                }
+                // Removing m_elems[a..a+km1] shifts any pending gap
+                // position q down by however many removed elements
+                // preceded it — exactly clamp(q − a, 0, km1).
+                for (t, g) in gaps.iter_mut().enumerate() {
+                    let shift = (*g).saturating_sub(a).min(km1);
+                    *g -= if t > i { shift } else { 0 };
+                }
+            } else {
+                debug_assert_eq!(m, km1);
+                let (eb, cb) = (new_top as usize * km1, new_top as usize * k);
+                for (t, e) in elems[eb..eb + km1].iter_mut().enumerate() {
+                    *e = m_elems[elem_src(t)];
+                }
+                for (t, slot) in children[cb..cb + k].iter_mut().enumerate() {
+                    let (s, o) = (m_slots[slot_src(t)], orig[slot_src(t)]);
+                    let (c, o) = if t == a { (node, i + 1) } else { (s, o) };
+                    *slot = c;
+                    changed += u64::from((c != NIL) & (o != d - 1));
+                    parent[if c == NIL { new_top } else { c } as usize] = new_top;
+                }
             }
-            m_slots[a] = node;
-            for t in a + 1..=m {
-                m_slots[t] = m_slots[t + km1];
-            }
-            // Removing m_elems[a..a+km1] shifts any pending gap position q
-            // down by however many removed elements preceded it — exactly
-            // clamp(q − a, 0, km1).
-            for g in gaps[i + 1..d].iter_mut() {
-                *g -= (*g).saturating_sub(a).min(km1);
-            }
-            prev = node;
         }
 
         // --- 3. reattach ----------------------------------------------------
-        let new_top = path[d - 1];
-        self.set_parent(new_top, anchor);
+        parent[new_top as usize] = anchor;
         if anchor == NIL {
             self.set_root(new_top);
         } else {
-            self.children_mut(anchor)[anchor_slot] = new_top;
+            let ab = anchor as usize * k;
+            for c in &mut children[ab..ab + k] {
+                *c = if *c == top { new_top } else { *c };
+            }
         }
-        ServeCost {
-            rotations: (d - 1) as u64,
-            links_changed: 2 * changed,
-            ..ServeCost::default()
-        }
+        2 * changed
     }
 
     /// k-semi-splay (Fig. 3): promote `child` over its parent.
@@ -282,37 +322,49 @@ impl KstTree {
     }
 }
 
-/// Chooses the window start within `[a_min, a_max]` for a node whose key
-/// sits at `gap` in the current merged array. `pend_gaps` holds the
-/// (incrementally maintained) gap positions of the pending path keys; only
-/// the first 8 are considered.
+/// Chooses the window start within `[a_min, a_max]` for path node `i`.
+/// `gaps` holds the (incrementally maintained) gap positions of every
+/// path key in the current merged array: node `i`'s own at `gaps[i]`,
+/// and the pending ones of the first 8 nodes after it.
+///
+/// [`WindowPolicy::Paper`] ranks each window by (clean, centred): a window
+/// starting at `a` spans gaps `a..=a+km1` and is clean when it spans no
+/// pending key's gap, and the centred one starts at `gaps[i] − ⌈km1/2⌉`. The
+/// best rank wins, ties going to the leftmost window. The `starts`
+/// candidates from `a_min` on are ranked, those past `a_max` as invalid:
+/// a fixed arity passes all `km1 + 1`, so the loop has a fixed trip count
+/// and no data-dependent branch.
 fn choose_window(
     policy: WindowPolicy,
     a_min: usize,
     a_max: usize,
-    gap: usize,
     km1: usize,
-    pend_gaps: &[usize],
+    starts: usize,
+    gaps: &[usize],
+    i: usize,
 ) -> usize {
     match policy {
         WindowPolicy::Leftmost => a_min,
         WindowPolicy::Rightmost => a_max,
         WindowPolicy::Paper => {
-            let pend = &pend_gaps[..pend_gaps.len().min(8)];
-            let ideal = gap as i64 - (km1 as i64 + 1) / 2;
-            // One ascending pass ranking (clean, centred): a window starting
-            // at `a` spans gaps a..=a+km1 and is clean when it spans no
-            // pending key's gap. Only strict improvements replace the best,
-            // so ties go to the leftmost window.
-            let mut best = (false, i64::MIN, a_min);
-            for a in a_min..=a_max {
-                let clean = pend.iter().all(|&q| q < a || q > a + km1);
-                let rank = (clean, -(a as i64 - ideal).abs());
-                if rank > (best.0, best.1) {
-                    best = (rank.0, rank.1, a);
+            let ideal = gaps[i] as isize - (km1 as isize + 1) / 2;
+            let mut best = (0u64, a_min);
+            for j in 0..starts {
+                let a = a_min + j;
+                // Dirty iff one of the first 8 pending gaps q has
+                // a ≤ q ≤ a + km1.
+                let mut dirty = false;
+                for (t, &q) in gaps.iter().enumerate() {
+                    dirty |= (t > i) & (t < i + 9) & (q.wrapping_sub(a) <= km1);
                 }
+                let off_centre = (a as isize - ideal).unsigned_abs() as u64;
+                // valid > clean > centred; u32 headroom keeps the fields apart.
+                let rank = (u64::from(a <= a_max) << 34)
+                    | (u64::from(!dirty) << 33)
+                    | ((u32::MAX as u64) - off_centre);
+                best = if rank > best.0 { (rank, a) } else { best };
             }
-            best.2
+            best.1
         }
     }
 }

@@ -82,15 +82,16 @@ impl ShapeTree {
     /// `parent` ([`NIL`] for none) and returns the root's offset (used to
     /// assemble composite topologies such as the centroid (k+1)-SplayNet).
     pub fn fill_balanced(&mut self, first: u32, n: usize, k: usize, parent: u32) -> u32 {
-        let sizes = complete_child_sizes(n, k);
-        let gap = sizes.len().div_ceil(2);
-        let own = first + sizes[..gap].iter().sum::<usize>() as u32;
+        let split = CompleteSplit::new(n, k);
+        let gap = split.count.div_ceil(2);
+        let own = first + (0..gap).map(|i| split.size(i)).sum::<usize>() as u32;
         self.parent[own as usize] = parent;
         let mut next = first;
-        for (i, &s) in sizes.iter().enumerate() {
+        for i in 0..split.count {
             if i == gap {
                 next += 1;
             }
+            let s = split.size(i);
             self.fill_balanced(next, s, k, own);
             next += s as u32;
         }
@@ -393,49 +394,74 @@ impl WeightIndex<'_> {
 /// Splits `n` nodes of a complete k-ary tree into the sizes of the root's
 /// child subtrees (last level filled left to right).
 pub fn complete_child_sizes(n: usize, k: usize) -> Vec<usize> {
-    debug_assert!(n >= 1);
-    let rest = n - 1;
-    if rest == 0 {
-        return Vec::new();
-    }
-    // Height h of the whole tree: smallest h with cap(h) >= n, where
-    // cap(h) = 1 + k + ... + k^h.
-    let mut cap = 1usize; // cap(0)
-    let mut level_cap = 1usize; // k^0
-    let mut h = 0usize;
-    while cap < n {
-        h += 1;
-        level_cap = level_cap.saturating_mul(k);
-        cap = cap.saturating_add(level_cap);
-    }
-    if h == 0 {
-        return Vec::new();
-    }
-    // Each child is a tree of height <= h - 1. Fully-interior part per child:
-    // cap(h - 2) nodes; the last level (k^{h-1} slots per child) is filled
-    // left to right.
-    let mut interior_child = 0usize; // cap(h-2)
-    let mut lc = 1usize;
-    for _ in 0..h.saturating_sub(1) {
-        interior_child += lc;
-        lc *= k;
-    }
-    let last_per_child = lc; // k^{h-1}
-    let interior_total = interior_child * k;
-    let last_total = rest.saturating_sub(interior_total);
-    debug_assert!(rest >= interior_total, "n={n} k={k} h={h}");
-    let mut sizes = Vec::with_capacity(k);
-    let mut remaining_last = last_total;
-    for _ in 0..k {
-        let take = remaining_last.min(last_per_child);
-        remaining_last -= take;
-        let s = interior_child + take;
-        if s > 0 {
-            sizes.push(s);
+    let split = CompleteSplit::new(n, k);
+    let sizes: Vec<usize> = (0..split.count).map(|i| split.size(i)).collect();
+    debug_assert_eq!(sizes.iter().sum::<usize>(), n - 1);
+    sizes
+}
+
+/// The root's child subtrees of a complete k-ary tree on `n >= 1` nodes
+/// in closed form: child `i` holds `interior` nodes above the last level
+/// plus `min(per_child, last_total − i·per_child)` of the `last_total`
+/// last-level nodes, filled left to right; the first `count` children
+/// are non-empty.
+struct CompleteSplit {
+    interior: usize,
+    per_child: usize,
+    last_total: usize,
+    count: usize,
+}
+
+impl CompleteSplit {
+    fn new(n: usize, k: usize) -> CompleteSplit {
+        debug_assert!(n >= 1);
+        let rest = n - 1;
+        // Height h of the whole tree: smallest h with cap(h) >= n, where
+        // cap(h) = 1 + k + ... + k^h.
+        let mut cap = 1usize; // cap(0)
+        let mut level_cap = 1usize; // k^0
+        let mut h = 0usize;
+        while cap < n {
+            h += 1;
+            level_cap = level_cap.saturating_mul(k);
+            cap = cap.saturating_add(level_cap);
+        }
+        // Each child is a tree of height <= h - 1. Fully-interior part per
+        // child: cap(h - 2) nodes; the last level (k^{h-1} slots per
+        // child) is filled left to right.
+        let mut interior = 0usize; // cap(h-2)
+        let mut lc = 1usize;
+        for _ in 0..h.saturating_sub(1) {
+            interior += lc;
+            lc *= k;
+        }
+        let last_total = rest.saturating_sub(interior * k);
+        debug_assert!(rest >= interior * k, "n={n} k={k} h={h}");
+        // With interior nodes every child is non-empty; otherwise (h <= 1)
+        // each child is a single last-level node.
+        let count = if h == 0 {
+            0
+        } else if interior > 0 {
+            k
+        } else {
+            last_total.min(k)
+        };
+        CompleteSplit {
+            interior,
+            per_child: lc,
+            last_total,
+            count,
         }
     }
-    debug_assert_eq!(sizes.iter().sum::<usize>(), rest);
-    sizes
+
+    /// Size of child `i < count`.
+    #[inline]
+    fn size(&self, i: usize) -> usize {
+        self.interior
+            + self
+                .per_child
+                .min(self.last_total.saturating_sub(i * self.per_child))
+    }
 }
 
 #[cfg(test)]
@@ -468,6 +494,43 @@ mod tests {
                 let sizes = complete_child_sizes(n, k);
                 assert_eq!(sizes.iter().sum::<usize>(), n - 1, "n={n} k={k}");
                 assert!(sizes.len() <= k);
+            }
+        }
+    }
+
+    /// The last level filled one child at a time, as a reference for the
+    /// closed form.
+    fn child_sizes_by_filling(n: usize, k: usize) -> Vec<usize> {
+        let mut h = 0u32;
+        while (0..=h).map(|e| k.pow(e)).sum::<usize>() < n {
+            h += 1;
+        }
+        if h == 0 {
+            return Vec::new();
+        }
+        let interior: usize = (0..h - 1).map(|e| k.pow(e)).sum();
+        let per_child = k.pow(h - 1);
+        let mut last = n - 1 - interior * k;
+        let mut sizes = Vec::new();
+        for _ in 0..k {
+            let take = last.min(per_child);
+            last -= take;
+            if interior + take > 0 {
+                sizes.push(interior + take);
+            }
+        }
+        sizes
+    }
+
+    #[test]
+    fn complete_sizes_match_filling_the_last_level() {
+        for k in 2..=10 {
+            for n in 1..2000 {
+                assert_eq!(
+                    complete_child_sizes(n, k),
+                    child_sizes_by_filling(n, k),
+                    "n={n} k={k}"
+                );
             }
         }
     }

@@ -57,13 +57,45 @@ impl KstTree {
         strategy: SplayStrategy,
         policy: WindowPolicy,
     ) -> ServeCost {
+        self.splay_until_hinted(z, boundary, strategy, policy, false)
+    }
+
+    /// [`KstTree::splay_until`]; `hinted` says the rows of `z`'s path are
+    /// already on their way (see [`KstTree::distance_lca_hinting`]).
+    fn splay_until_hinted(
+        &mut self,
+        z: NodeIdx,
+        boundary: NodeIdx,
+        strategy: SplayStrategy,
+        policy: WindowPolicy,
+        hinted: bool,
+    ) -> ServeCost {
+        match self.k() {
+            2 => self.splay_until_k::<2>(z, boundary, strategy, policy, hinted),
+            3 => self.splay_until_k::<3>(z, boundary, strategy, policy, hinted),
+            4 => self.splay_until_k::<4>(z, boundary, strategy, policy, hinted),
+            _ => self.splay_until_k::<0>(z, boundary, strategy, policy, hinted),
+        }
+    }
+
+    /// [`KstTree::splay_until_hinted`] for arity `K` (`0`: the runtime
+    /// arity): the arity dispatch happens once per splay, not once per
+    /// step.
+    fn splay_until_k<const K: usize>(
+        &mut self,
+        z: NodeIdx,
+        boundary: NodeIdx,
+        strategy: SplayStrategy,
+        policy: WindowPolicy,
+        hinted: bool,
+    ) -> ServeCost {
         let span = strategy.span();
-        let mut stats = ServeCost::default();
+        let (mut rotations, mut links_changed) = (0u64, 0u64);
         if self.scratch_path.len() < span {
             // Cold: a tree whose scratch was never reserved for this span.
             self.reserve_scratch(span);
         }
-        if self.prefetch_rows() {
+        if !hinted && self.prefetch_rows() {
             // Every row on the way to `boundary` is about to be rotated and
             // likely misses cache: start all of them moving at once.
             let mut a = self.parent(z);
@@ -93,10 +125,15 @@ impl KstTree {
                 start -= 1;
                 path[start] = q;
             }
-            stats += self.restructure(&path[start..span], policy);
+            rotations += (span - 1 - start) as u64;
+            links_changed += self.restructure_k::<K>(&path[start..span], policy);
         }
         self.scratch_path = path;
-        stats
+        ServeCost {
+            rotations,
+            links_changed,
+            ..ServeCost::default()
+        }
     }
 
     /// The SplayNet discipline for request `(nu, nv)` with `w` their LCA:
@@ -112,14 +149,29 @@ impl KstTree {
         strategy: SplayStrategy,
         policy: WindowPolicy,
     ) -> ServeCost {
+        self.splay_pair_hinted(nu, nv, w, strategy, policy, false)
+    }
+
+    /// [`KstTree::splay_pair`]; `hinted` says `distance_lca_hinting` has
+    /// already hinted the rows of both paths, so the splays skip their own
+    /// prefetch walks.
+    pub(crate) fn splay_pair_hinted(
+        &mut self,
+        nu: NodeIdx,
+        nv: NodeIdx,
+        w: NodeIdx,
+        strategy: SplayStrategy,
+        policy: WindowPolicy,
+        hinted: bool,
+    ) -> ServeCost {
         let stats = if w == nu {
-            self.splay_until(nv, nu, strategy, policy)
+            self.splay_until_hinted(nv, nu, strategy, policy, hinted)
         } else if w == nv {
-            self.splay_until(nu, nv, strategy, policy)
+            self.splay_until_hinted(nu, nv, strategy, policy, hinted)
         } else {
-            let mut stats = self.splay_until(nu, self.parent(w), strategy, policy);
+            let mut stats = self.splay_until_hinted(nu, self.parent(w), strategy, policy, hinted);
             // nv stayed inside the subtree now rooted at nu.
-            stats += self.splay_until(nv, nu, strategy, policy);
+            stats += self.splay_until_hinted(nv, nu, strategy, policy, hinted);
             stats
         };
         debug_assert_eq!(self.distance(nu, nv), 1);

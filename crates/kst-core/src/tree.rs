@@ -35,7 +35,7 @@
 //!
 //! The `scratch_*` fields are reusable arenas for [`restructure`] and
 //! [`splay_until`] (`crate::restructure` / `crate::splay`): merged element /
-//! slot buffers, the access path, per-path slot positions, and per-path
+//! slot buffers, the access path, per-slot link provenance, and per-path
 //! key-gap positions. The contract is:
 //!
 //! * the serve-path buffers are **index-addressed**:
@@ -96,8 +96,9 @@ pub struct KstTree {
     pub(crate) scratch_slots: Vec<NodeIdx>,
     /// … the access path buffer threaded through `splay_until` …
     pub(crate) scratch_path: Vec<NodeIdx>,
-    /// … per-path-node slot positions used by the single-pass merge …
-    pub(crate) scratch_pos: Vec<usize>,
+    /// … per-merged-slot link provenance (the path index each slot keeps
+    /// its link with) …
+    pub(crate) scratch_orig: Vec<usize>,
     /// … and per-path-node key-gap positions, maintained incrementally
     /// across the re-form steps of one restructure.
     pub(crate) scratch_gaps: Vec<usize>,
@@ -165,7 +166,7 @@ impl KstTree {
             scratch_elems: Vec::new(),
             scratch_slots: Vec::new(),
             scratch_path: Vec::new(),
-            scratch_pos: Vec::new(),
+            scratch_orig: Vec::new(),
             scratch_gaps: Vec::new(),
             scratch_parents: Vec::new(),
         };
@@ -437,22 +438,35 @@ impl KstTree {
         // 2. Verify the subtree under `r` is exactly the range: the range
         //    is closed under children, and every node but `r` has its
         //    parent inside it, so climbing from any range node reaches `r`.
+        //    Two branch-free folds decide it; only a violation re-walks
+        //    the range to name the offending key.
         let (base, last) = (key_to_idx(lo), key_to_idx(hi));
-        for v in base..=last {
-            for &c in self.children(v) {
+        let (b, e) = (base as usize, last as usize + 1);
+        let outside = |x: NodeIdx| x.wrapping_sub(base) as usize >= size;
+        let stray_child = self.children[b * k..e * k]
+            .iter()
+            .fold(false, |bad, &c| bad | ((c != NIL) & outside(c)));
+        let stray_parent = (base..=last)
+            .zip(&self.parent[b..e])
+            .fold(false, |bad, (v, &p)| bad | ((v != r) & outside(p)));
+        if stray_child | stray_parent {
+            for v in base..=last {
+                for &c in self.children(v) {
+                    assert!(
+                        c == NIL || (base <= c && c <= last),
+                        "key {} under key {} violates [{lo},{hi}]: not a subtree range",
+                        idx_to_key(c),
+                        idx_to_key(v)
+                    );
+                }
+                let p = self.parent(v);
                 assert!(
-                    c == NIL || (base <= c && c <= last),
-                    "key {} under key {} violates [{lo},{hi}]: not a subtree range",
-                    idx_to_key(c),
+                    v == r || (base <= p && p <= last),
+                    "key {} hangs from outside [{lo},{hi}] besides range root {rk}: not a subtree range",
                     idx_to_key(v)
                 );
             }
-            let p = self.parent(v);
-            assert!(
-                v == r || (base <= p && p <= last),
-                "key {} hangs from outside [{lo},{hi}] besides range root {rk}: not a subtree range",
-                idx_to_key(v)
-            );
+            unreachable!("the folds and the walk disagree on [{lo},{hi}]");
         }
         // 3. Keep the range's parent pointers, re-form the range in place
         //    and reattach.
@@ -1059,8 +1073,34 @@ impl KstTree {
     /// the other's instead of serializing two full root walks. Both paths
     /// return bit-identical results — the differential oracles pin this.
     pub fn distance_lca(&self, u: NodeIdx, v: NodeIdx) -> (u64, NodeIdx) {
+        self.distance_lca_with::<false>(u, v)
+    }
+
+    /// [`KstTree::distance_lca`] that, on a tree past the prefetch
+    /// threshold, also hints the rows of both endpoints and of every node
+    /// the aligned climb passes, the LCA included: exactly the rows the
+    /// SplayNet discipline rotates next, so its splays need not walk the
+    /// two paths again to hint them.
+    pub(crate) fn distance_lca_hinting(&self, u: NodeIdx, v: NodeIdx) -> (u64, NodeIdx) {
+        self.distance_lca_with::<true>(u, v)
+    }
+
+    /// [`KstTree::distance_lca`], hinting rows when `ROWS` is set.
+    fn distance_lca_with<const ROWS: bool>(&self, u: NodeIdx, v: NodeIdx) -> (u64, NodeIdx) {
         if u == v {
             return (0, u);
+        }
+        let rows = ROWS && self.prefetch_rows();
+        let hint = |x: NodeIdx| {
+            if rows {
+                self.prefetch_row(x);
+            } else {
+                crate::prefetch::prefetch_read(&self.parent, x as usize);
+            }
+        };
+        if rows {
+            self.prefetch_row(u);
+            self.prefetch_row(v);
         }
         let (du, dv) = if !self.depth.is_empty() {
             (
@@ -1097,19 +1137,19 @@ impl KstTree {
         let (mut da, mut db) = (du, dv);
         while da > db {
             a = self.parent[a as usize];
-            crate::prefetch::prefetch_read(&self.parent, a as usize);
+            hint(a);
             da -= 1;
         }
         while db > da {
             b = self.parent[b as usize];
-            crate::prefetch::prefetch_read(&self.parent, b as usize);
+            hint(b);
             db -= 1;
         }
         while a != b {
             a = self.parent[a as usize];
             b = self.parent[b as usize];
-            crate::prefetch::prefetch_read(&self.parent, a as usize);
-            crate::prefetch::prefetch_read(&self.parent, b as usize);
+            hint(a);
+            hint(b);
             da -= 1;
         }
         ((du - da + (dv - da)) as u64, a)
@@ -1131,7 +1171,7 @@ impl KstTree {
         grow_to(&mut self.scratch_elems, merged, 0);
         grow_to(&mut self.scratch_slots, merged + 1, NIL);
         grow_to(&mut self.scratch_path, span, NIL);
-        grow_to(&mut self.scratch_pos, span, 0);
+        grow_to(&mut self.scratch_orig, merged + 1, 0);
         grow_to(&mut self.scratch_gaps, span, 0);
     }
 

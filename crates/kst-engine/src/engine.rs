@@ -697,13 +697,78 @@ impl<N: Network> ShardedEngine<N> {
             }
         }
         demand.decay_merge();
-        let pairs = demand.pairs_sorted();
-        if report.obs.mode != ObsMode::Off {
-            let mut load = vec![0u64; shards];
-            for &(u, v, w) in &pairs {
-                load[self.map.shard_of(u)] += w;
-                load[self.map.shard_of(v)] += w;
+        let rc = self.cfg.reshard;
+        // Candidates: the 2(S−1) single-boundary shifts. Candidate 2b
+        // grows shard b with the low end of b+1 (positive delta); 2b + 1
+        // donates b's high end to b+1 (negative delta). `runs[c]` is the
+        // candidate's migrating key run, donor and receiver, `None` where
+        // the shift is not allowed.
+        let mut runs = vec![None; 2 * (shards - 1)];
+        for (c, run) in runs.iter_mut().enumerate() {
+            let (b, grow_left) = (c / 2, c % 2 == 0);
+            let (donor, receiver) = if grow_left { (b + 1, b) } else { (b, b + 1) };
+            let donor_range = self.map.range(donor);
+            let l = rc
+                .budget
+                .min(donor_range.len().saturating_sub(ReshardConfig::MIN_SHARD));
+            if l == 0 {
+                continue;
             }
+            let recv_len = self.map.range(receiver).len();
+            if (recv_len + l) as u64 * 100 * shards as u64
+                > ReshardConfig::MAX_IMBALANCE_PCT * self.map.n() as u64
+            {
+                continue;
+            }
+            let (mlo, mhi) = if grow_left {
+                (donor_range.lo, donor_range.lo + l as NodeKey - 1)
+            } else {
+                (donor_range.hi - l as NodeKey + 1, donor_range.hi)
+            };
+            *run = Some((mlo, mhi, donor, receiver, l));
+        }
+        // Score every candidate in one pass over the live pairs. A shift
+        // changes a pair only when exactly one endpoint migrates: healed
+        // when the other endpoint sits in the receiver (the pair becomes
+        // intra-shard), broken when it sits in the donor. An endpoint in
+        // shard s can only migrate with s's low-end run (candidate
+        // 2(s−1)) or its high-end run (2s + 1), so each pair touches at
+        // most four candidates, and at most two when both endpoints share
+        // a shard.
+        let obs = report.obs.mode != ObsMode::Off;
+        let mut load = vec![0u64; if obs { shards } else { 0 }];
+        let mut gains = vec![0i64; runs.len()];
+        let mut live = false;
+        for (u, v, w) in demand.pairs() {
+            live = true;
+            let (su, sv) = (self.map.shard_of(u), self.map.shard_of(v));
+            if obs {
+                load[su] += w;
+                load[sv] += w;
+            }
+            let ends = [su, sv];
+            for &s in &ends[..if su == sv { 1 } else { 2 }] {
+                let low_end = s.checked_sub(1).map(|b| 2 * b);
+                let high_end = (s + 1 < shards).then_some(2 * s + 1);
+                for c in [low_end, high_end].into_iter().flatten() {
+                    let Some((mlo, mhi, donor, receiver, _)) = runs[c] else {
+                        continue;
+                    };
+                    let mu = u >= mlo && u <= mhi;
+                    let mv = v >= mlo && v <= mhi;
+                    if mu == mv {
+                        continue;
+                    }
+                    let so = if mu { sv } else { su };
+                    if so == receiver {
+                        gains[c] += w as i64;
+                    } else if so == donor {
+                        gains[c] -= w as i64;
+                    }
+                }
+            }
+        }
+        if obs {
             let total: u64 = load.iter().sum();
             // Hottest shard's demand share over the uniform share,
             // ×100 — integer arithmetic, so the surface is
@@ -713,57 +778,22 @@ impl<N: Network> ShardedEngine<N> {
                 Histogram::record(&mut report.obs.imbalance, pct);
             }
         }
-        if pairs.is_empty() {
+        if !live {
             return;
         }
-        let rc = self.cfg.reshard;
-        // Plan: the best of the 2(S−1) single-boundary shifts. Positive
-        // delta grows shard b with the low end of b+1; negative donates
-        // b's high end to b+1. Ties keep the first candidate in loop
-        // order (lowest boundary, grow-left before grow-right), so the
-        // plan is deterministic.
+        // Plan: the best candidate. Ties keep the first in candidate order
+        // (lowest boundary, grow-left before grow-right), so the plan is
+        // deterministic.
         let mut best: Option<(i64, usize, isize)> = None;
-        for b in 0..shards - 1 {
-            for dir in [1isize, -1] {
-                let (donor, receiver) = if dir > 0 { (b + 1, b) } else { (b, b + 1) };
-                let donor_range = self.map.range(donor);
-                let l = rc
-                    .budget
-                    .min(donor_range.len().saturating_sub(ReshardConfig::MIN_SHARD));
-                if l == 0 {
-                    continue;
-                }
-                let recv_len = self.map.range(receiver).len();
-                if (recv_len + l) as u64 * 100 * shards as u64
-                    > ReshardConfig::MAX_IMBALANCE_PCT * self.map.n() as u64
-                {
-                    continue;
-                }
-                let (mlo, mhi) = if dir > 0 {
-                    (donor_range.lo, donor_range.lo + l as NodeKey - 1)
-                } else {
-                    (donor_range.hi - l as NodeKey + 1, donor_range.hi)
-                };
-                let mut gain = 0i64;
-                for &(u, v, w) in &pairs {
-                    let mu = u >= mlo && u <= mhi;
-                    let mv = v >= mlo && v <= mhi;
-                    if mu == mv {
-                        continue;
-                    }
-                    let other = if mu { v } else { u };
-                    let so = self.map.shard_of(other);
-                    if so == receiver {
-                        gain += w as i64; // healed: the pair becomes intra-shard
-                    } else if so == donor {
-                        gain -= w as i64; // broken: the pair becomes cross-shard
-                    }
-                }
-                if gain >= rc.min_gain.min(i64::MAX as u64) as i64
-                    && best.is_none_or(|(bg, _, _)| gain > bg)
-                {
-                    best = Some((gain, b, dir * l as isize));
-                }
+        for (c, (run, &gain)) in runs.iter().zip(&gains).enumerate() {
+            let Some((_, _, _, _, l)) = *run else {
+                continue;
+            };
+            let dir = if c % 2 == 0 { 1isize } else { -1 };
+            if gain >= rc.min_gain.min(i64::MAX as u64) as i64
+                && best.is_none_or(|(bg, _, _)| gain > bg)
+            {
+                best = Some((gain, c / 2, dir * l as isize));
             }
         }
         let Some((_gain, b, delta)) = best else {

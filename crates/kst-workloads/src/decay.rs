@@ -81,6 +81,17 @@ fn round_fp(v: u64) -> u64 {
     (v + HALF) >> FRAC
 }
 
+/// Sums two fixed-point counts of the pair packed as `p`. Panics in every
+/// build, naming the pair, when the sum does not fit: a wrapped count
+/// would silently turn heavy demand into light demand.
+#[inline]
+fn add_fp(a: u64, b: u64, p: u64) -> u64 {
+    a.checked_add(b).unwrap_or_else(|| {
+        let (u, v) = unpack(p);
+        panic!("demand for pair ({u},{v}) overflows the fixed-point ledger")
+    })
+}
+
 /// Per-epoch decay multiplier `2^(−1/half_life)` in [`FRAC`]-bit
 /// fixed-point; 0 for `half_life = 0` (no memory). Clamped to strictly
 /// below 1.0: past `half_life ≈ 90 852` the rounded multiplier would
@@ -225,7 +236,7 @@ impl EwmaLedger {
         fresh.dedup_by(|e, kept| {
             let same = e.0 == kept.0;
             if same {
-                kept.1 += e.1;
+                kept.1 = add_fp(kept.1, e.1, kept.0);
             }
             same
         });
@@ -324,7 +335,9 @@ impl EwmaLedger {
         let mut put = |ledger: &mut [(u64, u64)], w: &mut usize, p: u64, fp: u64| {
             *w -= 1;
             ledger[*w] = (p, fp);
-            total += fp;
+            total = total
+                .checked_add(fp)
+                .unwrap_or_else(|| panic!("total demand overflows the fixed-point ledger"));
             let (u, v) = unpack(p);
             fold(u, v, fp);
         };
@@ -336,7 +349,7 @@ impl EwmaLedger {
             }
             let mut fp = ((fp as u128 * lam as u128) >> FRAC) as u64;
             if fresh[j].0 == p {
-                fp += fresh[j].1;
+                fp = add_fp(fp, fresh[j].1, p);
                 j -= 1;
             }
             if fp > 0 {
@@ -367,16 +380,19 @@ impl EwmaLedger {
     /// All smoothed `(u, v, count)` entries with nonzero rounded count, in
     /// canonical row-major order (the ledger's own order: no sort).
     pub fn pairs_sorted(&self) -> Vec<(NodeKey, NodeKey, u64)> {
-        self.live()
-            .iter()
-            .filter_map(|&(p, fp)| {
-                let c = round_fp(fp);
-                (c > 0).then(|| {
-                    let (u, v) = unpack(p);
-                    (u, v, c)
-                })
+        self.pairs().collect()
+    }
+
+    /// [`EwmaLedger::pairs_sorted`] without the copy: the same entries,
+    /// in the same order, read straight from the ledger.
+    pub fn pairs(&self) -> impl Iterator<Item = (NodeKey, NodeKey, u64)> + '_ {
+        self.live().iter().filter_map(|&(p, fp)| {
+            let c = round_fp(fp);
+            (c > 0).then(|| {
+                let (u, v) = unpack(p);
+                (u, v, c)
             })
-            .collect()
+        })
     }
 }
 
@@ -714,6 +730,37 @@ mod tests {
     #[should_panic(expected = "demand weight 281474976710656 exceeds the fixed-point cap")]
     fn record_rejects_a_weight_past_the_fixed_point_cap() {
         EwmaLedger::new(4, 0).record_many(1, 2, (u64::MAX >> FRAC) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand for pair (1,2) overflows the fixed-point ledger")]
+    fn coalesce_rejects_a_pair_sum_past_the_fixed_point_cap() {
+        let cap = u64::MAX >> FRAC;
+        let mut l = EwmaLedger::new(4, 0);
+        l.record_many(1, 2, cap);
+        l.record_many(1, 2, cap);
+        l.decay_merge();
+    }
+
+    #[test]
+    #[should_panic(expected = "demand for pair (1,2) overflows the fixed-point ledger")]
+    fn merge_rejects_a_pair_sum_past_the_fixed_point_cap() {
+        let cap = u64::MAX >> FRAC;
+        let mut l = EwmaLedger::new(4, 1);
+        l.record_many(1, 2, cap);
+        l.decay_merge();
+        l.record_many(1, 2, cap);
+        l.decay_merge();
+    }
+
+    #[test]
+    #[should_panic(expected = "total demand overflows the fixed-point ledger")]
+    fn merge_rejects_a_total_past_the_fixed_point_cap() {
+        let cap = u64::MAX >> FRAC;
+        let mut l = EwmaLedger::new(4, 0);
+        l.record_many(1, 2, cap);
+        l.record_many(3, 4, cap);
+        l.decay_merge();
     }
 
     #[test]
