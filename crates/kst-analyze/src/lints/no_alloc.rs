@@ -5,7 +5,9 @@
 //! per-shard `shard_step`, router booking and `worker_loop`, and the
 //! kst-obs recorders `Histogram::record`, `Tracer::record`,
 //! `ObsCollector::observe` and friends) and flags every transitive call
-//! to an allocating API.
+//! to an allocating API. On a whole-workspace run a root that names no
+//! non-test library function is a finding too, so a deleted or renamed
+//! hot-path entry cannot leave a stale root behind.
 //! Resolution is by name — an over-approximation that trades precision
 //! for zero dependencies — so every cold-by-design boundary (epoch
 //! rebuilds, ledger growth) is cut explicitly with a
@@ -36,13 +38,8 @@ const ROOT_NAMES: &[(&str, Option<&str>)] = &[
     ("distance_lca", None),
     ("worker_loop", None),
     ("shard_step", None),
-    // Depth-cache hot paths: the armed O(1) depth lookup, its parent-walk
-    // fallback, the cache drop on restructure (`Vec::new()` never
-    // allocates, and frees are outside the probe's contract), and the
-    // prefetch hint issued on every climb step of `distance_lca`.
-    ("depth", Some("KstTree")),
-    ("depth_walk", Some("KstTree")),
-    ("disarm_depth_cache", Some("KstTree")),
+    // The prefetch hint issued on every climb step of `distance_lca`
+    // and of `splay_until`'s walk.
     ("prefetch_read", None),
     // kst-engine dispatch helpers: the shared ShardMap routing
     // decomposition, the router booking, and the inline serve entry
@@ -129,6 +126,7 @@ pub fn run(model: &Model, out: &mut Vec<Finding>) {
     // Per-function call events, with nested fn bodies carved out.
     let mut calls: BTreeMap<(usize, usize), Vec<CallEvent>> = BTreeMap::new();
     let mut roots: Vec<(usize, usize)> = Vec::new();
+    let mut matched = vec![false; ROOT_NAMES.len()];
     for (fi, file) in model.files.iter().enumerate() {
         if file.class != FileClass::Core {
             continue;
@@ -144,13 +142,20 @@ pub fn run(model: &Model, out: &mut Vec<Finding>) {
                 .map(|g| g.body)
                 .collect();
             calls.insert((fi, ni), extract_calls(&file.lx.tokens, f.body, &nested));
-            let is_root = ROOT_NAMES.iter().any(|&(name, qual)| {
-                name == f.name && (qual.is_none() || qual == f.qual.as_deref())
-            });
+            let mut is_root = false;
+            for (m, &(name, qual)) in matched.iter_mut().zip(ROOT_NAMES) {
+                if name == f.name && (qual.is_none() || qual == f.qual.as_deref()) {
+                    *m = true;
+                    is_root = true;
+                }
+            }
             if is_root {
                 roots.push((fi, ni));
             }
         }
+    }
+    if model.workspace {
+        stale_roots(model, &matched, out);
     }
 
     // BFS from the roots; `parent` reconstructs the reach chain for
@@ -210,6 +215,34 @@ pub fn run(model: &Model, out: &mut Vec<Finding>) {
                 }
             }
         }
+    }
+}
+
+/// Reports every `ROOT_NAMES` entry that matched no non-test library
+/// function, pinned to the `ROOT_NAMES` table (line 1 when this file is
+/// not in the model).
+fn stale_roots(model: &Model, matched: &[bool], out: &mut Vec<Finding>) {
+    const TABLE_FILE: &str = "crates/kst-analyze/src/lints/no_alloc.rs";
+    let line = model
+        .files
+        .iter()
+        .find(|f| f.rel == TABLE_FILE)
+        .and_then(|f| f.lx.tokens.iter().find(|t| t.text == "ROOT_NAMES"))
+        .map_or(1, |t| t.line);
+    for (&(name, qual), &hit) in ROOT_NAMES.iter().zip(matched) {
+        if hit {
+            continue;
+        }
+        let what = match qual {
+            Some(q) => format!("{q}::{name}"),
+            None => name.to_string(),
+        };
+        out.push(Finding {
+            file: TABLE_FILE.to_string(),
+            line,
+            lint: ID,
+            message: format!("hot-path root `{what}` matches no non-test library function"),
+        });
     }
 }
 

@@ -142,6 +142,9 @@ pub struct Model {
     pub root: PathBuf,
     /// Parsed files, sorted by relative path.
     pub files: Vec<SourceFile>,
+    /// True for a whole-workspace load; checks that need every library
+    /// file in view (stale no-alloc roots) run only then.
+    pub workspace: bool,
 }
 
 /// Classifies a workspace-relative path.
@@ -205,6 +208,7 @@ impl Model {
         Ok(Model {
             root: root.to_path_buf(),
             files,
+            workspace: true,
         })
     }
 
@@ -221,6 +225,7 @@ impl Model {
         Ok(Model {
             root: root.to_path_buf(),
             files: vec![parse_file(rel, class, krate.to_string(), &src)],
+            workspace: false,
         })
     }
 }

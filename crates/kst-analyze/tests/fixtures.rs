@@ -198,3 +198,21 @@ fn bad_suppressions_are_flagged() {
     // site; the misspelled one does not, so that unwrap stays flagged.
     assert_eq!(of_lint(&findings, "panic-surface").len(), 1, "{findings:?}");
 }
+
+#[test]
+fn stale_no_alloc_roots_are_flagged_in_workspace_mode() {
+    // A workspace load of a crate that defines none of the hot-path
+    // roots: every root is stale, and each is named. The single-file
+    // fixture runs above never report stale roots.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/forbid_present");
+    let findings = kst_analyze::analyze_workspace(&root).expect("fixture readable");
+    let hits = of_lint(&findings, "no-alloc");
+    let msgs: Vec<&str> = hits.iter().map(|f| f.message.as_str()).collect();
+    for root in ["`distance_lca`", "`splay_until`", "`ShardMap::shard_of`"] {
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains(root) && m.contains("matches no")),
+            "{root} not reported stale: {msgs:?}"
+        );
+    }
+}

@@ -192,7 +192,9 @@ impl KPlusOneSplayNet {
         if self.tree.parent(v) == anchor {
             return ServeCost::default();
         }
-        self.tree.splay_until(v, anchor, self.strategy, self.policy)
+        // The anchor is an ancestor by construction, and the serve's
+        // `distance_lca` climb passed every row of this path.
+        self.tree.splay_to(v, anchor, self.strategy, self.policy)
     }
 }
 

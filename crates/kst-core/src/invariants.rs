@@ -12,7 +12,6 @@
 //!    strictly between elements `j-1` and `j`.
 //! 4. the global element multiset has `n (k - 1)` values (conservation is
 //!    asserted by callers comparing snapshots across operations).
-//! 5. an armed depth cache is exact for every node.
 
 use crate::key::{image_key, key_image, NodeIdx, RoutingKey, NIL};
 use crate::tree::KstTree;
@@ -103,19 +102,6 @@ pub fn validate(t: &KstTree) -> Result<(), String> {
     }
     if t.element_multiset().len() != n * (k - 1) {
         return Err("element multiset size mismatch".into());
-    }
-    // 5. armed depth cache is exact for every node (disarmed is vacuous).
-    if t.depth_cache_armed() {
-        for v in t.nodes() {
-            let cached = t.depth(v);
-            let walked = t.depth_walk(v);
-            if cached != walked {
-                return Err(format!(
-                    "key {}: cached depth {cached} != walked depth {walked}",
-                    v + 1
-                ));
-            }
-        }
     }
     Ok(())
 }

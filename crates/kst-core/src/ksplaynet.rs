@@ -84,9 +84,8 @@ impl KSplayNet {
             return ServeCost::default();
         }
         // As in `serve`: the LCA climb starts the splay paths' rows moving.
-        let (_, w) = self.tree.distance_lca_hinting(nu, nv);
-        self.tree
-            .splay_pair_hinted(nu, nv, w, self.strategy, self.policy, true)
+        let (_, w) = self.tree.distance_lca(nu, nv);
+        self.tree.splay_pair(nu, nv, w, self.strategy, self.policy)
     }
 }
 
@@ -119,10 +118,8 @@ impl Network for KSplayNet {
         // One pointer chase yields both the routing charge and the splay
         // target, and its climb starts the rows of both splay paths moving,
         // so the splays need not walk them again.
-        let (routing, w) = self.tree.distance_lca_hinting(nu, nv);
-        let adjust = self
-            .tree
-            .splay_pair_hinted(nu, nv, w, self.strategy, self.policy, true);
+        let (routing, w) = self.tree.distance_lca(nu, nv);
+        let adjust = self.tree.splay_pair(nu, nv, w, self.strategy, self.policy);
         ServeCost { routing, ..adjust }
     }
 

@@ -4,10 +4,13 @@
 //! `parent` array; once a tree is deep enough that the array falls out of
 //! LLC, every step is a full memory round-trip. Issuing a prefetch for the
 //! *next* step's cache line while the current step is still in flight hides
-//! part of that latency. A prefetch is purely a hint — it has no
-//! architectural effect, cannot fault, and never changes observable
-//! behaviour — so the helper is safe to call with any index and compiles to
-//! nothing on architectures without the intrinsic.
+//! part of that latency. On a tree past the prefetch threshold the climb
+//! hints the routing-element and child rows of every node it passes
+//! instead, which are the rows the splays after it rotate; `splay_until`'s
+//! ancestor climb does the same for its own path. A prefetch is purely a
+//! hint — it has no architectural effect, cannot fault, and never changes
+//! observable behaviour — so the helper is safe to call with any index and
+//! compiles to nothing on architectures without the intrinsic.
 
 /// Hints the CPU to pull `slice[idx]` toward the L1 cache.
 ///

@@ -63,8 +63,8 @@ impl KstTree {
     ///   copies, and `0` in either parameter reads the runtime value
     ///   instead, which covers every other arity and the `Deep(d)` paths.
     ///   With both fixed, every loop has a constant trip count and unrolls
-    ///   into straight-line code. `splay_until` picks the arity once per
-    ///   splay, not once per step;
+    ///   into straight-line code. A splay picks the arity once per splay,
+    ///   not once per step;
     /// * **counts and selects, not searches** — the slot a path node
     ///   hangs from and every key-gap position are counts of smaller
     ///   elements, the window rank is computed for every candidate start,
@@ -88,8 +88,10 @@ impl KstTree {
     ///   is read straight through the final window removal instead of
     ///   from a compacted copy.
     ///
-    /// Prefetching is `splay_until`'s: once the tree outgrows cache it
-    /// hints the rows of the whole splay path before the first step.
+    /// Prefetching is the caller's: once the tree outgrows cache,
+    /// `splay_until` hints the rows of the whole splay path before the
+    /// first step, and a network serve's `distance_lca` climb hints both
+    /// splay paths of `splay_pair`.
     pub fn restructure(&mut self, path: &[NodeIdx], policy: WindowPolicy) -> ServeCost {
         let links_changed = match self.k() {
             2 => self.restructure_k::<2>(path, policy),
@@ -106,8 +108,8 @@ impl KstTree {
 
     /// [`KstTree::restructure`] for arity `K` (`0`: the runtime arity),
     /// returning `links_changed`: picks the kernel copy for the path
-    /// length. `splay_until` dispatches on the arity once per splay and
-    /// calls this for every step.
+    /// length. A splay dispatches on the arity once per splay and calls
+    /// this for every step.
     #[inline(always)]
     pub(crate) fn restructure_k<const K: usize>(
         &mut self,
@@ -141,11 +143,6 @@ impl KstTree {
         let km1 = k - 1;
         debug_assert!(self.is_downward_path(path), "not a downward path");
 
-        // A rotation window reattaches whole subtrees, so exact depth-cache
-        // maintenance would cost O(moved subtrees), not O(path): disarm it
-        // in O(1) instead (releasing memory is not an allocation, so the
-        // zero-alloc serve contract is untouched).
-        self.disarm_depth_cache();
         if self.scratch_gaps.len() < d {
             // Only a hand-built path longer than every reserved span gets
             // here; network constructors reserve their strategy's span.

@@ -2,12 +2,18 @@
 //! steps with a final k-semi-splay, exactly mirroring the classic splay-tree
 //! discipline (zig-zig/zig-zag doubles with a final zig) whose potential
 //! argument Theorem 12 transfers to the k-ary rotations
-//! ([`KstTree::splay_until`]); and, built from it, the SplayNet discipline
-//! that makes a request's two endpoints adjacent ([`KstTree::splay_pair`]).
-//! Both return the summed restructure cost as a [`ServeCost`] with
-//! `routing` = 0.
+//! ([`KstTree::splay_until`]); and, built from the same splay, the SplayNet
+//! discipline that makes a request's two endpoints adjacent
+//! ([`KstTree::splay_pair`]). Both return the summed restructure cost as a
+//! [`ServeCost`] with `routing` = 0.
+//!
+//! Prefetching follows the one walk each caller already makes: the public
+//! `splay_until` climbs from `z` to `boundary` to check the boundary is an
+//! ancestor, hinting every row it passes on a large tree, while
+//! `splay_pair` walks nothing, because the `distance_lca` climb that found
+//! its LCA hinted both splay paths.
 
-use crate::key::{NodeIdx, NIL};
+use crate::key::{idx_to_key, NodeIdx, NIL};
 use crate::net::ServeCost;
 use crate::restructure::WindowPolicy;
 use crate::tree::KstTree;
@@ -45,11 +51,15 @@ impl SplayStrategy {
 impl KstTree {
     /// Splays `z` upward until its parent is `boundary` (`NIL` splays to the
     /// root). All restructures happen strictly below `boundary`, which is
-    /// never moved. Panics if `boundary` is not an ancestor of `z`.
+    /// never moved. Panics, in every build and before anything moves, if
+    /// `boundary` is not an ancestor of `z`.
     ///
-    /// Path extraction fills the tree's scratch path arena from its far
-    /// end, leaving each step's path top-first in a suffix, so repeated
-    /// splay steps — and repeated serves — allocate nothing.
+    /// The check is one climb from `z` to `boundary`, which on a tree past
+    /// the prefetch threshold also hints every row on the way: all of them
+    /// are about to be rotated and likely miss cache. Path extraction fills
+    /// the tree's scratch path arena from its far end, leaving each step's
+    /// path top-first in a suffix, so repeated splay steps — and repeated
+    /// serves — allocate nothing.
     pub fn splay_until(
         &mut self,
         z: NodeIdx,
@@ -57,52 +67,55 @@ impl KstTree {
         strategy: SplayStrategy,
         policy: WindowPolicy,
     ) -> ServeCost {
-        self.splay_until_hinted(z, boundary, strategy, policy, false)
+        let rows = self.prefetch_rows();
+        let mut a = self.parent(z);
+        while a != boundary {
+            assert!(
+                a != NIL,
+                "splay_until: key {} is not an ancestor of key {}",
+                idx_to_key(boundary),
+                idx_to_key(z)
+            );
+            if rows {
+                self.prefetch_row(a);
+            }
+            a = self.parent(a);
+        }
+        self.splay_to(z, boundary, strategy, policy)
     }
 
-    /// [`KstTree::splay_until`]; `hinted` says the rows of `z`'s path are
-    /// already on their way (see [`KstTree::distance_lca_hinting`]).
-    fn splay_until_hinted(
+    /// [`KstTree::splay_until`] without the climb: the caller knows
+    /// `boundary` is an ancestor of `z` (debug builds still check) and has
+    /// hinted the path's rows itself where that pays. Dispatches on the
+    /// arity once per splay, not once per step.
+    pub(crate) fn splay_to(
         &mut self,
         z: NodeIdx,
         boundary: NodeIdx,
         strategy: SplayStrategy,
         policy: WindowPolicy,
-        hinted: bool,
     ) -> ServeCost {
         match self.k() {
-            2 => self.splay_until_k::<2>(z, boundary, strategy, policy, hinted),
-            3 => self.splay_until_k::<3>(z, boundary, strategy, policy, hinted),
-            4 => self.splay_until_k::<4>(z, boundary, strategy, policy, hinted),
-            _ => self.splay_until_k::<0>(z, boundary, strategy, policy, hinted),
+            2 => self.splay_to_k::<2>(z, boundary, strategy, policy),
+            3 => self.splay_to_k::<3>(z, boundary, strategy, policy),
+            4 => self.splay_to_k::<4>(z, boundary, strategy, policy),
+            _ => self.splay_to_k::<0>(z, boundary, strategy, policy),
         }
     }
 
-    /// [`KstTree::splay_until_hinted`] for arity `K` (`0`: the runtime
-    /// arity): the arity dispatch happens once per splay, not once per
-    /// step.
-    fn splay_until_k<const K: usize>(
+    /// [`KstTree::splay_to`] for arity `K` (`0`: the runtime arity).
+    fn splay_to_k<const K: usize>(
         &mut self,
         z: NodeIdx,
         boundary: NodeIdx,
         strategy: SplayStrategy,
         policy: WindowPolicy,
-        hinted: bool,
     ) -> ServeCost {
         let span = strategy.span();
         let (mut rotations, mut links_changed) = (0u64, 0u64);
         if self.scratch_path.len() < span {
             // Cold: a tree whose scratch was never reserved for this span.
             self.reserve_scratch(span);
-        }
-        if !hinted && self.prefetch_rows() {
-            // Every row on the way to `boundary` is about to be rotated and
-            // likely misses cache: start all of them moving at once.
-            let mut a = self.parent(z);
-            while a != boundary {
-                self.prefetch_row(a);
-                a = self.parent(a);
-            }
         }
         let mut path = std::mem::take(&mut self.scratch_path);
         loop {
@@ -141,6 +154,10 @@ impl KstTree {
     /// otherwise splays `nu` into `w`'s position (strictly below
     /// `parent(w)`) and then `nv` up to be a child of `nu`. The endpoints
     /// are adjacent afterwards, and nothing at or above `parent(w)` moves.
+    ///
+    /// `w` must be the LCA, as [`KstTree::distance_lca`] returns it: the
+    /// splays skip `splay_until`'s ancestor check and prefetch walk,
+    /// because that climb has already hinted the rows of both paths.
     pub fn splay_pair(
         &mut self,
         nu: NodeIdx,
@@ -149,29 +166,14 @@ impl KstTree {
         strategy: SplayStrategy,
         policy: WindowPolicy,
     ) -> ServeCost {
-        self.splay_pair_hinted(nu, nv, w, strategy, policy, false)
-    }
-
-    /// [`KstTree::splay_pair`]; `hinted` says `distance_lca_hinting` has
-    /// already hinted the rows of both paths, so the splays skip their own
-    /// prefetch walks.
-    pub(crate) fn splay_pair_hinted(
-        &mut self,
-        nu: NodeIdx,
-        nv: NodeIdx,
-        w: NodeIdx,
-        strategy: SplayStrategy,
-        policy: WindowPolicy,
-        hinted: bool,
-    ) -> ServeCost {
         let stats = if w == nu {
-            self.splay_until_hinted(nv, nu, strategy, policy, hinted)
+            self.splay_to(nv, nu, strategy, policy)
         } else if w == nv {
-            self.splay_until_hinted(nu, nv, strategy, policy, hinted)
+            self.splay_to(nu, nv, strategy, policy)
         } else {
-            let mut stats = self.splay_until_hinted(nu, self.parent(w), strategy, policy, hinted);
+            let mut stats = self.splay_to(nu, self.parent(w), strategy, policy);
             // nv stayed inside the subtree now rooted at nu.
-            stats += self.splay_until_hinted(nv, nu, strategy, policy, hinted);
+            stats += self.splay_to(nv, nu, strategy, policy);
             stats
         };
         debug_assert_eq!(self.distance(nu, nv), 1);
@@ -276,5 +278,17 @@ mod tests {
         // previously-splayed node stays shallow (a hallmark of splaying)
         assert!(t.depth(v) <= 2);
         validate(&t).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "key 40 is not an ancestor of key 1")]
+    fn splay_until_rejects_a_boundary_off_the_path() {
+        // Keys 1 and 40 sit on opposite spines of the balanced k = 3 tree;
+        // without the check a release build indexed the parent arena at
+        // `NIL` instead.
+        let mut t = KstTree::balanced(3, 40);
+        let (z, b) = (t.node_of(1), t.node_of(40));
+        assert_ne!(t.lca(z, b), b, "key 40 must not be an ancestor of key 1");
+        t.splay_until(z, b, SplayStrategy::KSplay, WindowPolicy::Paper);
     }
 }

@@ -46,8 +46,8 @@
 //!   this. A longer path re-sizes them once;
 //! * lengths only ever grow; contents are meaningless between operations,
 //!   and `Clone` copies the span-sized buffers along with the tree;
-//! * `splay_until` `std::mem::take`s `scratch_path` for a walk and moves it
-//!   back before returning (a panic at worst leaves it empty).
+//! * a splay `std::mem::take`s `scratch_path` for a walk and moves it back
+//!   before returning (a panic at worst leaves it empty).
 //!
 //! [`restructure`]: KstTree::restructure
 //! [`splay_until`]: KstTree::splay_until
@@ -76,19 +76,6 @@ pub struct KstTree {
     pub(crate) elems: Vec<RoutingKey>,
     /// Flat `n × k` child slots (`NIL` = empty).
     pub(crate) children: Vec<NodeIdx>,
-    /// Depth cache (root = 0), `u32` to keep the 10⁸-node footprint at
-    /// 4 B/node. **Armed or disarmed as a whole**: when non-empty it holds
-    /// the exact depth of *every* node and `distance_lca` skips its two
-    /// O(depth) pre-walks; when empty the pre-walks run as before. All
-    /// non-rotating mutation paths (`from_shape`/`write_fragment`,
-    /// `patch_subtree`, `extract_range`/`absorb_fragment`) maintain it
-    /// exactly; [`KstTree::restructure`] disarms it in O(1) on entry,
-    /// because a rotation window reattaches whole subtrees and exact
-    /// maintenance would cost O(subtree), not O(path). Nets that never
-    /// rotate (the lazy family) therefore stay armed for their entire
-    /// lifetime, which is exactly the distance-dominated regime where the
-    /// pre-walks were the bill.
-    depth: Vec<u32>,
     /// Scratch arenas reused by the serve path (see the module docs for the
     /// reuse contract): merged routing elements …
     pub(crate) scratch_elems: Vec<RoutingKey>,
@@ -135,8 +122,6 @@ struct RangeLoc {
     /// The exact enclosing gap `(glo, ghi)` of `slot`.
     glo: RoutingKey,
     ghi: RoutingKey,
-    /// Descent steps, i.e. `root`'s depth.
-    depth: u32,
 }
 
 impl KstTree {
@@ -162,7 +147,6 @@ impl KstTree {
             parent: vec![NIL; n],
             elems: vec![0; n * (k - 1)],
             children: vec![NIL; n * k],
-            depth: vec![0; n],
             scratch_elems: Vec::new(),
             scratch_slots: Vec::new(),
             scratch_path: Vec::new(),
@@ -170,7 +154,7 @@ impl KstTree {
             scratch_gaps: Vec::new(),
             scratch_parents: Vec::new(),
         };
-        let root = t.write_fragment(shape, &layout, 1, 0, RoutingKey::MAX, 0);
+        let root = t.write_fragment(shape, &layout, 1, 0, RoutingKey::MAX);
         t.root = root;
         t
     }
@@ -211,10 +195,6 @@ impl KstTree {
     /// subtree. In the unconstrained full-build gap neither addition ever
     /// binds and the produced elements are identical to the historical
     /// `from_shape` output.
-    /// `base_depth` is the tree depth at which the fragment's root lands
-    /// (its attachment point's depth + 1, or 0 for a full build); when the
-    /// depth cache is armed the materialization fills it alongside the
-    /// other arenas.
     fn write_fragment(
         &mut self,
         shape: &ShapeTree,
@@ -222,7 +202,6 @@ impl KstTree {
         first_key: NodeKey,
         glo: RoutingKey,
         ghi: RoutingKey,
-        base_depth: u32,
     ) -> NodeIdx {
         let k = self.k;
         let km1 = k - 1;
@@ -240,14 +219,9 @@ impl KstTree {
         let mut slot_of_chunk: Vec<usize> = Vec::with_capacity(k);
         let mut chunk_size: Vec<u64> = Vec::with_capacity(k);
         let mut items: Vec<Item> = Vec::with_capacity(k + 1);
-        let armed = !self.depth.is_empty();
-        let mut stack: Vec<(u32, RoutingKey, RoutingKey, u32)> =
-            vec![(shape.root, glo, ghi, base_depth)];
-        while let Some((v, lo, hi, d)) = stack.pop() {
+        let mut stack: Vec<(u32, RoutingKey, RoutingKey)> = vec![(shape.root, glo, ghi)];
+        while let Some((v, lo, hi)) = stack.pop() {
             let vi = (first + v) as usize;
-            if armed {
-                self.depth[vi] = d;
-            }
             // Children by key; the own key follows those below it.
             let cs = layout.children(v);
             let gap = cs.partition_point(|&c| c < v);
@@ -371,7 +345,7 @@ impl KstTree {
                 self.parent[ci as usize] = vi as NodeIdx;
                 let slo = if slot == 0 { lo } else { elems[slot - 1] };
                 let shi = if slot == k - 1 { hi } else { elems[slot] };
-                stack.push((ch, slo, shi, d + 1));
+                stack.push((ch, slo, shi));
             }
         }
         first + shape.root
@@ -422,8 +396,7 @@ impl KstTree {
             .layout(k)
             // ksan-allow: panic-surface patch contract — an invalid fragment is a caller bug and validate carries the diagnostic
             .expect("fragment incompatible with requested arity");
-        // 1. Locate the range root; its depth seeds the depth cache for
-        //    the re-formed fragment.
+        // 1. Locate the range root.
         let loc = self.locate_range(lo, hi);
         let (r, anchor) = (loc.root, loc.anchor);
         assert!(
@@ -473,7 +446,7 @@ impl KstTree {
         let mut old = std::mem::take(&mut self.scratch_parents);
         old.clear();
         old.extend_from_slice(&self.parent[base as usize..=last as usize]);
-        let new_root = self.write_fragment(fragment, &layout, lo, loc.glo, loc.ghi, loc.depth);
+        let new_root = self.write_fragment(fragment, &layout, lo, loc.glo, loc.ghi);
         self.set_parent(new_root, anchor);
         if anchor == NIL {
             self.set_root(new_root);
@@ -513,7 +486,6 @@ impl KstTree {
             slot: usize::MAX,
             glo: 0,
             ghi: RoutingKey::MAX,
-            depth: 0,
         };
         loop {
             let r = loc.root;
@@ -538,23 +510,21 @@ impl KstTree {
             if loc.root == NIL {
                 return loc;
             }
-            loc.depth += 1;
         }
     }
 
     /// The deepest node on the `end` boundary spine (always the first
-    /// child slot for `Low`, the last for `High`) and its depth.
-    fn boundary_spine(&self, end: End) -> (NodeIdx, u32) {
+    /// child slot for `Low`, the last for `High`).
+    fn boundary_spine(&self, end: End) -> NodeIdx {
         let slot = match end {
             End::Low => 0,
             End::High => self.k - 1,
         };
-        let (mut w, mut depth) = (self.root, 0u32);
+        let mut w = self.root;
         while self.children(w)[slot] != NIL {
             w = self.children(w)[slot];
-            depth += 1;
         }
-        (w, depth)
+        w
     }
 
     /// Captures the shape of the subtree rooted at `r`, so the subtree can
@@ -747,12 +717,9 @@ impl KstTree {
         let new_n = n - size;
         if hi as usize == n && lo > 1 {
             // High run: keys 1..=new_n keep their numbers; drop the tail.
-            // Detaching a subtree leaves every survivor's depth unchanged,
-            // so the (possibly disarmed = empty) cache just truncates.
             self.parent.truncate(new_n);
             self.elems.truncate(new_n * km1);
             self.children.truncate(new_n * k);
-            self.depth.truncate(new_n);
         } else {
             // Low run: renumber keys down by f = hi. Remaining elements
             // below image(f+1) (leading empty-slot values) are compressed
@@ -788,15 +755,9 @@ impl KstTree {
                     self.elems[i * km1 + j] = if e >= next_img { e - img_f } else { e };
                 }
             }
-            // Renumbering is a pure index shift: survivor depths are
-            // unchanged (no-op on a disarmed = empty cache).
-            if !self.depth.is_empty() {
-                self.depth.copy_within(f.., 0);
-            }
             self.parent.truncate(new_n);
             self.elems.truncate(new_n * km1);
             self.children.truncate(new_n * k);
-            self.depth.truncate(new_n);
             self.root -= f as NodeIdx;
         }
         self.n = new_n;
@@ -835,17 +796,13 @@ impl KstTree {
         self.parent.resize(new_n, NIL);
         self.elems.resize(new_n * km1, 0);
         self.children.resize(new_n * k, NIL);
-        let armed = !self.depth.is_empty();
-        if armed {
-            self.depth.resize(new_n, 0);
-        }
         self.n = new_n;
         match end {
             End::High => {
                 // Deepest right-boundary node; its last gap is (max
                 // element, MAX) and every new image lies above it. The
                 // fragment hangs one level below it.
-                let (w, dw) = self.boundary_spine(End::High);
+                let w = self.boundary_spine(End::High);
                 let glo = self.elems(w)[km1 - 1];
                 debug_assert!(glo < key_image((old_n + 1) as NodeKey));
                 let root_frag = self.write_fragment(
@@ -854,15 +811,13 @@ impl KstTree {
                     (old_n + 1) as NodeKey,
                     glo,
                     RoutingKey::MAX,
-                    dw + 1,
                 );
                 self.children_mut(w)[k - 1] = root_frag;
                 self.set_parent(root_frag, w);
             }
             End::Low => {
                 // Renumber existing keys up by f: shift arena windows and
-                // translate elements by image(f). Depths are untouched by
-                // renumbering — the cache shifts as a block.
+                // translate elements by image(f).
                 let img_f = key_image(f as NodeKey);
                 let add = |v: NodeIdx| if v == NIL { NIL } else { v + f as NodeIdx };
                 for i in (0..old_n).rev() {
@@ -875,16 +830,13 @@ impl KstTree {
                         self.elems[ni * km1 + j] = self.elems[i * km1 + j] + img_f;
                     }
                 }
-                if armed {
-                    self.depth.copy_within(0..old_n, f);
-                }
                 self.root += f as NodeIdx;
                 // Deepest left-boundary node; its first gap is (0, first
                 // element) and holds every new image with room to spare.
-                let (w, dw) = self.boundary_spine(End::Low);
+                let w = self.boundary_spine(End::Low);
                 let ghi = self.elems(w)[0];
                 debug_assert!(ghi > img_f);
-                let root_frag = self.write_fragment(fragment, &layout, 1, 0, ghi, dw + 1);
+                let root_frag = self.write_fragment(fragment, &layout, 1, 0, ghi);
                 self.children_mut(w)[0] = root_frag;
                 self.set_parent(root_frag, w);
             }
@@ -1009,18 +961,8 @@ impl KstTree {
             .expect("child not attached to parent")
     }
 
-    /// Depth of `v` (root = 0). O(1) while the depth cache is armed,
-    /// O(depth) parent walk after a restructure disarmed it.
+    /// Depth of `v` (root = 0): an O(depth) parent walk.
     pub fn depth(&self, v: NodeIdx) -> usize {
-        if !self.depth.is_empty() {
-            return self.depth[v as usize] as usize;
-        }
-        self.depth_walk(v)
-    }
-
-    /// Depth of `v` by fresh parent walk, ignoring the cache. The
-    /// coherence tests diff this against the armed cache.
-    pub fn depth_walk(&self, v: NodeIdx) -> usize {
         let mut d = 0usize;
         let mut w = v;
         while self.parent[w as usize] != NIL {
@@ -1028,25 +970,6 @@ impl KstTree {
             d += 1;
         }
         d
-    }
-
-    /// Whether the depth cache is armed (exact for every node). Armed from
-    /// construction; the first [`KstTree::restructure`] disarms it for the
-    /// tree's remaining lifetime.
-    #[inline]
-    pub fn depth_cache_armed(&self) -> bool {
-        !self.depth.is_empty()
-    }
-
-    /// Disarms the depth cache in O(1) by releasing its arena. Called on
-    /// entry by every rotation window (see the field docs for why exact
-    /// maintenance under rotations is off the table). Releasing memory is
-    /// outside the zero-allocation contract (`alloc_probe` counts
-    /// allocations, not frees), and `Vec::new` never allocates.
-    pub(crate) fn disarm_depth_cache(&mut self) {
-        if !self.depth.is_empty() {
-            self.depth = Vec::new();
-        }
     }
 
     /// Lowest common ancestor of `u` and `v`. O(depth).
@@ -1064,33 +987,21 @@ impl KstTree {
     /// the splay target come out of the same pointer chase instead of
     /// six-plus redundant root walks.
     ///
-    /// While the depth cache is armed the two O(depth) depth pre-walks
-    /// collapse to two O(1) lookups and only the aligned climb chases
-    /// pointers (with software prefetch hints one step ahead — see
-    /// [`crate::prefetch`]). Disarmed, the pre-walks run but are
-    /// **interleaved**: the two parent chains are independent, so
-    /// alternating their loads lets the cache misses of one chain overlap
-    /// the other's instead of serializing two full root walks. Both paths
-    /// return bit-identical results — the differential oracles pin this.
+    /// The two depth pre-walks to the root are **interleaved**: the two
+    /// parent chains are independent, so alternating their loads lets the
+    /// cache misses of one chain overlap the other's instead of
+    /// serializing two full root walks. The aligned climb then issues a
+    /// prefetch hint one step ahead (see [`crate::prefetch`]): for the
+    /// next parent slot, or, on a tree past the prefetch threshold, for
+    /// the rows of both endpoints and of every node it passes, the LCA
+    /// included. Those are exactly the rows the SplayNet discipline
+    /// rotates next, so [`KstTree::splay_pair`] need not walk the two
+    /// paths again to hint them.
     pub fn distance_lca(&self, u: NodeIdx, v: NodeIdx) -> (u64, NodeIdx) {
-        self.distance_lca_with::<false>(u, v)
-    }
-
-    /// [`KstTree::distance_lca`] that, on a tree past the prefetch
-    /// threshold, also hints the rows of both endpoints and of every node
-    /// the aligned climb passes, the LCA included: exactly the rows the
-    /// SplayNet discipline rotates next, so its splays need not walk the
-    /// two paths again to hint them.
-    pub(crate) fn distance_lca_hinting(&self, u: NodeIdx, v: NodeIdx) -> (u64, NodeIdx) {
-        self.distance_lca_with::<true>(u, v)
-    }
-
-    /// [`KstTree::distance_lca`], hinting rows when `ROWS` is set.
-    fn distance_lca_with<const ROWS: bool>(&self, u: NodeIdx, v: NodeIdx) -> (u64, NodeIdx) {
         if u == v {
             return (0, u);
         }
-        let rows = ROWS && self.prefetch_rows();
+        let rows = self.prefetch_rows();
         let hint = |x: NodeIdx| {
             if rows {
                 self.prefetch_row(x);
@@ -1102,37 +1013,29 @@ impl KstTree {
             self.prefetch_row(u);
             self.prefetch_row(v);
         }
-        let (du, dv) = if !self.depth.is_empty() {
-            (
-                self.depth[u as usize] as usize,
-                self.depth[v as usize] as usize,
-            )
-        } else {
-            let (mut au, mut av) = (u, v);
-            let (mut du, mut dv) = (0usize, 0usize);
-            loop {
-                let pu = self.parent[au as usize];
-                let pv = self.parent[av as usize];
-                match (pu != NIL, pv != NIL) {
-                    (true, true) => {
-                        au = pu;
-                        av = pv;
-                        du += 1;
-                        dv += 1;
-                    }
-                    (true, false) => {
-                        au = pu;
-                        du += 1;
-                    }
-                    (false, true) => {
-                        av = pv;
-                        dv += 1;
-                    }
-                    (false, false) => break,
+        let (mut au, mut av) = (u, v);
+        let (mut du, mut dv) = (0usize, 0usize);
+        loop {
+            let pu = self.parent[au as usize];
+            let pv = self.parent[av as usize];
+            match (pu != NIL, pv != NIL) {
+                (true, true) => {
+                    au = pu;
+                    av = pv;
+                    du += 1;
+                    dv += 1;
                 }
+                (true, false) => {
+                    au = pu;
+                    du += 1;
+                }
+                (false, true) => {
+                    av = pv;
+                    dv += 1;
+                }
+                (false, false) => break,
             }
-            (du, dv)
-        };
+        }
         let (mut a, mut b) = (u, v);
         let (mut da, mut db) = (du, dv);
         while da > db {

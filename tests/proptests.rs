@@ -27,13 +27,42 @@ fn edges_by_distance<N: Network>(net: &N, n: usize) -> std::collections::BTreeSe
     s
 }
 
-/// Asserts the tree's depth cache is armed and every cached depth equals
-/// a fresh parent-walk recomputation — the coherence contract behind the
-/// O(1) `distance_lca` fast path.
-fn check_armed_depths(t: &KstTree) -> Result<(), TestCaseError> {
-    prop_assert!(t.depth_cache_armed(), "depth cache unexpectedly disarmed");
-    for v in t.nodes() {
-        prop_assert_eq!(t.depth(v), t.depth_walk(v), "node key {}", v + 1);
+/// Checks `distance_lca(u, v)` for every node pair against the naive
+/// definition: the LCA is the first node on `v`'s ancestor list (`v`
+/// included) that is also on `u`'s, and the distance sums the two list
+/// positions.
+fn check_distance_lca(t: &KstTree) -> Result<(), TestCaseError> {
+    let nil = ksan::core::key::NIL;
+    let ancestors: Vec<Vec<u32>> = t
+        .nodes()
+        .map(|mut v| {
+            let mut a = vec![v];
+            while t.parent(v) != nil {
+                v = t.parent(v);
+                a.push(v);
+            }
+            a
+        })
+        .collect();
+    // Position of each node on `u`'s ancestor list, `usize::MAX` off it.
+    let mut pos_u = vec![usize::MAX; t.n()];
+    for u in t.nodes() {
+        let au = &ancestors[u as usize];
+        for (i, &x) in au.iter().enumerate() {
+            pos_u[x as usize] = i;
+        }
+        for v in t.nodes() {
+            let (iv, &lca) = ancestors[v as usize]
+                .iter()
+                .enumerate()
+                .find(|&(_, &x)| pos_u[x as usize] != usize::MAX)
+                .expect("every ancestor list ends at the root");
+            let want = ((pos_u[lca as usize] + iv) as u64, lca);
+            prop_assert_eq!(t.distance_lca(u, v), want, "keys {} and {}", u + 1, v + 1);
+        }
+        for &x in au {
+            pos_u[x as usize] = usize::MAX;
+        }
     }
     Ok(())
 }
@@ -610,22 +639,22 @@ proptest! {
     }
 
     #[test]
-    fn depth_cache_stays_exact_under_armed_patch_extract_absorb(
+    fn distance_lca_stays_exact_under_patch_extract_absorb(
         k_idx in 0usize..3,
         n in 12usize..=90,
         m in 12usize..=90,
         seed in 0u64..500,
     ) {
-        // The armed depth cache must equal a fresh parent-walk
-        // recomputation for every node after ANY sequence of the
-        // non-rotating mutations: `from_shape`, `patch_subtree`, and the
-        // resharding surgery pair `extract_range`/`absorb_fragment`.
-        // (Rotations disarm the cache — covered by the next test.)
+        // `distance_lca` must match the naive ancestor-list reference on
+        // every pair after ANY sequence of the non-rotating mutations:
+        // `from_shape`, `patch_subtree`, and the resharding surgery pair
+        // `extract_range`/`absorb_fragment`. (Rotations are covered by
+        // the next test.)
         let k = [2usize, 3, 5][k_idx];
         let mut a = KstTree::from_shape(k, &ShapeTree::balanced_kary(n, k));
         let mut b = KstTree::from_shape(k, &ShapeTree::balanced_kary(m, k));
-        check_armed_depths(&a)?;
-        check_armed_depths(&b)?;
+        check_distance_lca(&a)?;
+        check_distance_lca(&b)?;
 
         let mut x = seed;
         let mut lcg = move || {
@@ -642,7 +671,7 @@ proptest! {
             let (lo, hi) = subtree_key_span(&a, v);
             let size = (hi - lo + 1) as usize;
             a.patch_subtree(lo, hi, &ShapeTree::balanced_kary(size, k));
-            check_armed_depths(&a)?;
+            check_distance_lca(&a)?;
         }
 
         // Boundary surgery in both directions: a low run of `a` grafted
@@ -651,54 +680,51 @@ proptest! {
         let take = 1 + (lcg() % (a.n() as u64 / 2)) as u32;
         let (frag, _) = a.extract_range(1, take);
         b.absorb_fragment(End::High, &frag);
-        check_armed_depths(&a)?;
-        check_armed_depths(&b)?;
+        check_distance_lca(&a)?;
+        check_distance_lca(&b)?;
 
         let give = 1 + (lcg() % (b.n() as u64 / 2)) as u32;
         let bn = b.n() as u32;
         let (frag, _) = b.extract_range(bn - give + 1, bn);
         a.absorb_fragment(End::Low, &frag);
-        check_armed_depths(&a)?;
-        check_armed_depths(&b)?;
+        check_distance_lca(&a)?;
+        check_distance_lca(&b)?;
 
         validate(&a).map_err(TestCaseError::fail)?;
         validate(&b).map_err(TestCaseError::fail)?;
     }
 
     #[test]
-    fn rotations_disarm_the_depth_cache_but_depths_stay_correct(
+    fn distance_lca_stays_exact_under_ksplay_serves(
         k_idx in 0usize..3,
         n in 8usize..=80,
         seed in 0u64..300,
     ) {
-        // Restructuring drops the cache (exact maintenance through
-        // rotations would cost O(moved subtrees)); `depth()` must then
-        // fall back to the parent walk and stay correct for every node.
+        // k-splay serves rotate whole subtrees to new depths; afterwards
+        // `distance_lca` must still match the naive reference on every
+        // pair.
         let k = [2usize, 3, 5][k_idx];
         let mut net = KSplayNet::balanced(k, n);
-        prop_assert!(net.tree().depth_cache_armed(), "fresh build must arm");
+        check_distance_lca(net.tree())?;
         let trace = gens::zipf(n, 60, 1.1, seed);
         for &(u, v) in trace.requests() {
             net.serve(u, v);
         }
         let t = net.tree();
-        prop_assert!(!t.depth_cache_armed(), "serves must disarm");
-        for v in t.nodes() {
-            prop_assert_eq!(t.depth(v), t.depth_walk(v), "node key {}", v + 1);
-        }
+        check_distance_lca(t)?;
         validate(t).map_err(TestCaseError::fail)?;
     }
 
     #[test]
-    fn lazy_net_depth_cache_survives_rebuilds_armed_and_exact(
+    fn lazy_net_distance_lca_stays_exact_across_rebuilds(
         k_idx in 0usize..3,
         seed in 0u64..300,
         incremental in proptest::bool::ANY,
     ) {
         // Lazy nets never rotate — their trees mutate only through
-        // `from_shape` rebuilds and `patch_subtree` — so the cache must
-        // stay armed (O(1) `distance_lca` depths) across arbitrarily many
-        // request/rebuild cycles, with exact depths throughout.
+        // `from_shape` rebuilds and `patch_subtree` — and `distance_lca`
+        // must match the naive reference on every pair after arbitrarily
+        // many request/rebuild cycles.
         let k = [2usize, 3, 5][k_idx];
         let n = 200;
         let trace = gens::zipf(n, 400, 1.2, seed);
@@ -713,7 +739,7 @@ proptest! {
                 net.serve(u, v);
             }
             prop_assert!(net.rebuilds() >= 1, "α must have fired");
-            check_armed_depths(net.tree())?;
+            check_distance_lca(net.tree())?;
         } else {
             let mut net =
                 LazyKaryNet::new(k, n, 120, ksan::core::lazy::weight_balanced_rebuilder(k));
@@ -721,7 +747,7 @@ proptest! {
                 net.serve(u, v);
             }
             prop_assert!(net.rebuilds() >= 1, "α must have fired");
-            check_armed_depths(net.tree())?;
+            check_distance_lca(net.tree())?;
         }
     }
 

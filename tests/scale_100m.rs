@@ -15,23 +15,21 @@
 //! ## Memory budget
 //!
 //! The documented peak-RSS budget is **9216 MiB (9 GiB)**. Per-node audit
-//! for k = 4 (the depth cache is deliberately `u32`, not `usize`):
+//! for k = 4:
 //!
 //! | array       | bytes/node | 10⁸ nodes |
 //! |-------------|-----------:|----------:|
 //! | parent      |          4 |    0.4 GB |
 //! | elems (k−1) |         24 |    2.4 GB |
 //! | children (k)|         16 |    1.6 GB |
-//! | depth cache |          4 |    0.4 GB |
-//! | **total**   |     **48** | **4.8 GB**|
+//! | **total**   |     **44** | **4.4 GB**|
 //!
-//! No interval bounds are stored: a node's interval is the slot gap of
-//! its parent link. Steady state is 4.4 GB: each shard's depth cache is
-//! released at its first splay (k-splay nets disarm on serve). The peak
-//! is during construction: all 16 armed shard arenas (4.8 GB) plus up to
-//! `build_threads ≤ 4` overlapping `from_shape` transients (~0.6 GB per
-//! 6.25·10⁶-node shard: shape child lists, key ranges, traversal order)
-//! ≈ 7.2 GB worst case; the trace and report windows add a few MB. NUMA
+//! No interval bounds and no depths are stored: a node's interval is the
+//! slot gap of its parent link, and `distance_lca` walks the parent chains
+//! for depths. Steady state is 4.4 GB. The peak is during construction:
+//! all 16 shard arenas (4.4 GB) plus up to `build_threads ≤ 4`
+//! overlapping `from_shape` transients (~0.6 GB per 6.25·10⁶-node shard:
+//! shape child lists, key ranges, traversal order) ≈ 6.8 GB worst case; the trace and report windows add a few MB. NUMA
 //! pinning and mmap-backed arenas remain out of scope (no libc/registry
 //! access) — recorded in the ROADMAP.
 

@@ -9,12 +9,12 @@
 //! ## Memory budget
 //!
 //! The documented peak-RSS budget is **512 MiB**. Breakdown for k = 4,
-//! n = 10⁶: the arena tree itself is ~48 MB (parents 4 MB, elements 24 MB,
-//! child slots 16 MB, depth cache 4 MB — released at the first splay);
+//! n = 10⁶: the arena tree itself is ~44 MB (parents 4 MB, elements 24 MB,
+//! child slots 16 MB);
 //! `from_shape` construction transients (shape children lists, key ranges,
 //! traversal order) peak at roughly another ~100 MB and are freed before
 //! serving; the trace and test harness add a few MB. The budget leaves ~3×
-//! headroom over the expected ~155 MB peak while still catching any
+//! headroom over the expected ~150 MB peak while still catching any
 //! per-node `Vec` regression or quadratic blow-up (per-node heap boxing at
 //! this scale costs hundreds of MB immediately).
 

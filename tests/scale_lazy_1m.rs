@@ -14,8 +14,8 @@
 //! The documented peak-RSS budget is **512 MiB** (the same envelope as
 //! the reactive net's `scale_1m` test). Breakdown for k = 4, n = 10⁶,
 //! per test:
-//! - the arena tree is 48 MB (48 B per node: three 8 B routing elements,
-//!   four 4 B child slots, the parent and the depth cache);
+//! - the arena tree is 44 MB (44 B per node: three 8 B routing elements,
+//!   four 4 B child slots and the parent);
 //! - the lazy ledger's dense per-key arrays are 24 MB (24 B per key: the
 //!   weight prefix, the planned baselines and the dirty prefix);
 //! - a rebuild re-forms the tree in place, so it adds only the new shape
@@ -25,7 +25,7 @@
 //!   distinct pairs, well under 1 MB, versus the 8 TB a dense matrix
 //!   would demand.
 //!
-//! That is about 80 MB of arrays per test; rebuild transients, the
+//! That is about 76 MB of arrays per test; rebuild transients, the
 //! trace and the runtime bring the standalone test's peak to 111 MiB
 //! when it runs alone (x86-64 Linux, release build). The two tests share
 //! one process and by default run at the same time, which measured a

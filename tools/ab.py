@@ -3,6 +3,7 @@
 
     python3 tools/ab.py [--workload W ...] [--pairs N] [--seconds S]
                         [--seed N] [--trace 0|1] BASE CHANGE
+    python3 tools/ab.py --bench NAME [--bench NAME ...] [--pairs N] BASE CHANGE
     python3 tools/ab.py --clean
 
 Run from anywhere inside the repository. Checks BASE and CHANGE (any git
@@ -20,6 +21,14 @@ where none is given), a two-sided sign-test p-value over the non-tied
 pairs, and the host's core count, then one JSON line per workload:
 
     {"ab": {"workload": ..., "metrics": {name: {"ratio": ..., ...}}}}
+
+`--bench NAME` compares a criterion bench of the `kst-bench` package
+instead: each run is `cargo bench -p kst-bench --bench NAME` in the side's
+worktree, writing a fresh `KSAN_BENCH_JSON` file, and every benchmark in
+it is one metric (ns per iteration, lower is better). The JSON lines read
+`{"ab": {"bench": ..., "metrics": {...}}}`. `KSAN_BENCH_MEASURE_MS` in
+the environment sets each benchmark's measuring time, as for a plain
+`cargo bench`.
 
 Comparing a revision with itself (HEAD HEAD) is an A/A run: it measures
 the noise floor of the host. Exits 1 when a run fails or a side reports
@@ -89,10 +98,15 @@ def side_env():
     return env
 
 
-def build(path):
+def build(path, benches=()):
     """Builds the benchmark once up front, so no pair pays for a build."""
-    cmd = ["cargo", "build", "--release", "--offline", "--quiet",
-           "--manifest-path", os.path.join(path, "perfbench", "Cargo.toml")]
+    if benches:
+        cmd = ["cargo", "bench", "--offline", "--quiet", "--no-run", "-p", "kst-bench"]
+        for name in benches:
+            cmd += ["--bench", name]
+    else:
+        cmd = ["cargo", "build", "--release", "--offline", "--quiet",
+               "--manifest-path", os.path.join(path, "perfbench", "Cargo.toml")]
     done = subprocess.run(cmd, cwd=path, env=side_env(), timeout=BUILD_TIMEOUT_S)
     if done.returncode != 0:
         fail(f"build in {path} failed with exit code {done.returncode}")
@@ -116,6 +130,28 @@ def run_once(path, workload, args):
             nproc = json.loads(line[len("stamp "):]).get("nproc")
     values = {name: m["value"] for name, m in result["metrics"].items()}
     return values, bool(result["correct"]) and result["failed"] == 0, nproc
+
+
+def run_bench(path, name):
+    """One criterion bench run: {benchmark: ns per iteration}."""
+    out = os.path.join(path, ".bench_build", f"ab-{name}.jsonl")
+    if os.path.exists(out):
+        os.remove(out)
+    env = side_env()
+    # Absolute: cargo runs bench binaries from the package directory.
+    env["KSAN_BENCH_JSON"] = out
+    cmd = ["cargo", "bench", "--offline", "--quiet", "-p", "kst-bench", "--bench", name]
+    done = subprocess.run(cmd, cwd=path, env=env, capture_output=True,
+                          text=True, timeout=RUN_TIMEOUT_S)
+    if done.returncode != 0 or not os.path.exists(out):
+        sys.stderr.write(done.stderr)
+        fail(f"bench {name} in {path} failed with exit code {done.returncode}")
+    values = {}
+    with open(out) as f:
+        for line in f:
+            rec = json.loads(line)
+            values[rec["bench"]] = rec["ns_per_iter"]
+    return values
 
 
 def directions(root):
@@ -166,19 +202,33 @@ def summarize(base, change, better):
     return out
 
 
+def print_table(stats, pairs):
+    width = max([24] + [len(name) for name in stats])
+    print(f"  {'metric':<{width}} {'base median [q1, q3]':>30} "
+          f"{'change median [q1, q3]':>30} {'ratio':>7} {'wins':>6} {'p':>7}")
+    for name, s in stats.items():
+        b, c = s["base"], s["change"]
+        ratio = f"{s['ratio']:.3f}" if s["ratio"] is not None else "-"
+        print(f"  {name:<{width}} {b['median']:>12.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
+              f"{'':>1} {c['median']:>12.4g} [{c['q1']:.4g}, {c['q3']:.4g}] "
+              f"{ratio:>7} {s['wins']:>3}/{pairs:<2} {s['p']:>7.4f}")
+
+
+def report_bench(bench, args, shas, nproc, stats):
+    print(f"ab bench {bench}: {args.pairs} pairs, nproc {nproc}, "
+          f"base {shas[0][:12]}, change {shas[1][:12]}")
+    print_table(stats, args.pairs)
+    print(json.dumps({"ab": {
+        "bench": bench, "pairs": args.pairs, "nproc": nproc,
+        "base": shas[0], "change": shas[1], "metrics": stats}}))
+
+
 def report(workload, args, shas, nproc, correct, stats):
     pairs = args.pairs
     print(f"ab {workload}: seed {args.seed}, {pairs} pairs of {args.seconds:g} s runs, "
           f"nproc {nproc}, base {shas[0][:12]}, change {shas[1][:12]}, "
           f"correct {correct}")
-    print(f"  {'metric':<24} {'base median [q1, q3]':>30} "
-          f"{'change median [q1, q3]':>30} {'ratio':>7} {'wins':>6} {'p':>7}")
-    for name, s in stats.items():
-        b, c = s["base"], s["change"]
-        ratio = f"{s['ratio']:.3f}" if s["ratio"] is not None else "-"
-        print(f"  {name:<24} {b['median']:>12.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
-              f"{'':>1} {c['median']:>12.4g} [{c['q1']:.4g}, {c['q3']:.4g}] "
-              f"{ratio:>7} {s['wins']:>3}/{pairs:<2} {s['p']:>7.4f}")
+    print_table(stats, pairs)
     print(json.dumps({"ab": {
         "workload": workload, "seed": args.seed, "seconds": args.seconds,
         "trace": int(args.trace), "pairs": pairs, "nproc": nproc,
@@ -192,6 +242,8 @@ def main():
     ap.add_argument("change", nargs="?", help="changed revision")
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="workload to run (repeatable; default: all three)")
+    ap.add_argument("--bench", action="append",
+                    help="kst-bench criterion bench to run instead (repeatable)")
     ap.add_argument("--pairs", type=int, default=8)
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--seed", type=int, default=1)
@@ -207,13 +259,18 @@ def main():
         ap.error("BASE and CHANGE revisions are required")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.bench and args.workload:
+        ap.error("--bench and --workload are exclusive")
     workloads = args.workload or list(WORKLOADS)
 
     shas = [git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
             for rev in (args.base, args.change)]
     paths = [worktree(root, sha) for sha in shas]
     for path in dict.fromkeys(paths):
-        build(path)
+        build(path, args.bench or ())
+    if args.bench:
+        compare_benches(args, shas, paths)
+        return
 
     runs = {w: ([], []) for w in workloads}
     correct = {w: True for w in workloads}
@@ -237,6 +294,24 @@ def main():
         report(w, args, shas, nproc, correct[w],
                summarize(runs[w][0], runs[w][1], better))
     sys.exit(0 if all(correct.values()) else 1)
+
+
+def compare_benches(args, shas, paths):
+    runs = {b: ([], []) for b in args.bench}
+    for i in range(args.pairs):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        for bench in args.bench:
+            for side in order:
+                runs[bench][side].append(run_bench(paths[side], bench))
+            print(f"ab pair {i + 1}/{args.pairs} bench {bench} done", file=sys.stderr)
+    for bench in args.bench:
+        base, change = runs[bench]
+        names = [n for n in base[0] if all(n in r for r in base + change)]
+        if not names:
+            fail(f"bench {bench} recorded no benchmark on both sides")
+        stats = summarize([{n: r[n] for n in names} for r in base],
+                          [{n: r[n] for n in names} for r in change], {})
+        report_bench(bench, args, shas, os.cpu_count(), stats)
 
 
 if __name__ == "__main__":
