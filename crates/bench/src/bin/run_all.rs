@@ -10,8 +10,8 @@
 //! (9·W independent cells) and Table 8 over the workload grid, so the
 //! thread pool (`KSAN_THREADS`, default: all cores) stays saturated
 //! across workloads. The engine section replays each workload through
-//! `KSAN_SHARDS` keyspace shards (default 4) on the engine's own worker
-//! pool (`KSAN_BATCH` tunes dispatch batching). The observability
+//! `KSAN_SHARDS` keyspace shards (default 4) on the engine's own lanes
+//! (`KSAN_BATCH` sets the requests per serve round). The observability
 //! section replays each workload through the lazy rebuild engine with
 //! wall-clock recording on, writing `results/observability.md`,
 //! `results/observability.json`, and a chrome://tracing dump

@@ -2,7 +2,8 @@
 //!
 //! Builds a call-graph approximation rooted at the hot-path entry points
 //! (`serve`, `restructure`, `splay_until`, `distance_lca`, the engine's
-//! per-shard `shard_step`, router booking and `worker_loop`, and the
+//! round function `serve_round`, its lane drain `drain_lane`, per-shard
+//! `shard_step` and router booking, and the
 //! kst-obs recorders `Histogram::record`, `Tracer::record`,
 //! `ObsCollector::observe` and friends) and flags every transitive call
 //! to an allocating API. On a whole-workspace run a root that names no
@@ -36,15 +37,16 @@ const ROOT_NAMES: &[(&str, Option<&str>)] = &[
     ("restructure", None),
     ("splay_until", None),
     ("distance_lca", None),
-    ("worker_loop", None),
+    ("serve_round", Some("ShardedEngine")),
+    ("drain_lane", None),
     ("shard_step", None),
     // The prefetch hint issued on every climb step of `distance_lca`
     // and of `splay_until`'s walk.
     ("prefetch_read", None),
-    // kst-engine dispatch helpers: the shared ShardMap routing
-    // decomposition, the router booking, and the inline serve entry
+    // kst-engine round helpers: the shared ShardMap routing
+    // decomposition, the router booking, and the one-request serve entry
     // point must stay allocation-free outside the documented cold paths
-    // (epoch-boundary resharding, threaded setup/teardown).
+    // (epoch-boundary resharding, the per-round spawn and join).
     ("route_request", None),
     ("book_router", None),
     ("serve_one", Some("ShardedEngine")),

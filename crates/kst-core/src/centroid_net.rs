@@ -226,7 +226,9 @@ impl Network for KPlusOneSplayNet {
             // Same subtree: exactly the k-ary SplayNet discipline, confined
             // to the subtree (the boundary chain never includes c1/c2
             // strictly below, so the centroids cannot move).
-            cost += self.tree.splay_pair(nu, nv, w, self.strategy, self.policy);
+            cost += self
+                .tree
+                .splay_pair_at(nu, nv, w, self.strategy, self.policy);
         } else {
             // Different subtrees (or an endpoint is a centroid): splay each
             // non-centroid endpoint to its subtree root; the route then goes

@@ -85,7 +85,8 @@ impl KSplayNet {
         }
         // As in `serve`: the LCA climb starts the splay paths' rows moving.
         let (_, w) = self.tree.distance_lca(nu, nv);
-        self.tree.splay_pair(nu, nv, w, self.strategy, self.policy)
+        self.tree
+            .splay_pair_at(nu, nv, w, self.strategy, self.policy)
     }
 }
 
@@ -119,7 +120,9 @@ impl Network for KSplayNet {
         // target, and its climb starts the rows of both splay paths moving,
         // so the splays need not walk them again.
         let (routing, w) = self.tree.distance_lca(nu, nv);
-        let adjust = self.tree.splay_pair(nu, nv, w, self.strategy, self.policy);
+        let adjust = self
+            .tree
+            .splay_pair_at(nu, nv, w, self.strategy, self.policy);
         ServeCost { routing, ..adjust }
     }
 

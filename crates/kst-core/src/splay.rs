@@ -10,8 +10,10 @@
 //! Prefetching follows the one walk each caller already makes: the public
 //! `splay_until` climbs from `z` to `boundary` to check the boundary is an
 //! ancestor, hinting every row it passes on a large tree, while
-//! `splay_pair` walks nothing, because the `distance_lca` climb that found
-//! its LCA hinted both splay paths.
+//! the networks' serves call the crate-private `splay_pair_at`, which walks
+//! nothing, because the `distance_lca` climb that found its LCA hinted
+//! both splay paths (the public `splay_pair` repeats that climb to check
+//! its LCA).
 
 use crate::key::{idx_to_key, NodeIdx, NIL};
 use crate::net::ServeCost;
@@ -155,10 +157,35 @@ impl KstTree {
     /// `parent(w)`) and then `nv` up to be a child of `nu`. The endpoints
     /// are adjacent afterwards, and nothing at or above `parent(w)` moves.
     ///
-    /// `w` must be the LCA, as [`KstTree::distance_lca`] returns it: the
-    /// splays skip `splay_until`'s ancestor check and prefetch walk,
-    /// because that climb has already hinted the rows of both paths.
+    /// Panics, in every build and before anything moves, if `nu == nv` or
+    /// `w` is not the LCA of `nu` and `nv`. The check is one
+    /// [`KstTree::distance_lca`] climb; the networks' serves, which have
+    /// just made that climb, skip it.
     pub fn splay_pair(
+        &mut self,
+        nu: NodeIdx,
+        nv: NodeIdx,
+        w: NodeIdx,
+        strategy: SplayStrategy,
+        policy: WindowPolicy,
+    ) -> ServeCost {
+        let (ku, kv) = (idx_to_key(nu), idx_to_key(nv));
+        assert!(nu != nv, "splay_pair: both endpoints are key {ku}");
+        let lca = self.lca(nu, nv);
+        assert!(
+            w == lca,
+            "splay_pair: key {} is not the LCA of keys {ku} and {kv} (key {} is)",
+            idx_to_key(w),
+            idx_to_key(lca)
+        );
+        self.splay_pair_at(nu, nv, w, strategy, policy)
+    }
+
+    /// [`KstTree::splay_pair`] without the check: `w` is the LCA, as the
+    /// caller's [`KstTree::distance_lca`] returned it, and that climb has
+    /// already hinted the rows of both splay paths, so nothing walks them
+    /// again.
+    pub(crate) fn splay_pair_at(
         &mut self,
         nu: NodeIdx,
         nv: NodeIdx,
@@ -290,5 +317,26 @@ mod tests {
         let (z, b) = (t.node_of(1), t.node_of(40));
         assert_ne!(t.lca(z, b), b, "key 40 must not be an ancestor of key 1");
         t.splay_until(z, b, SplayStrategy::KSplay, WindowPolicy::Paper);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 1 is not the LCA of keys 1 and 40")]
+    fn splay_pair_rejects_a_w_that_is_not_the_lca() {
+        // Keys 1 and 40 sit on opposite spines of the balanced k = 3 tree,
+        // so their LCA is the root; without the check a release build
+        // indexed the parent arena at `NIL` instead.
+        let mut t = KstTree::balanced(3, 40);
+        let (nu, nv) = (t.node_of(1), t.node_of(40));
+        t.splay_pair(nu, nv, nu, SplayStrategy::KSplay, WindowPolicy::Paper);
+    }
+
+    #[test]
+    fn splay_pair_with_the_lca_makes_the_endpoints_adjacent() {
+        let mut t = KstTree::balanced(3, 40);
+        let (nu, nv) = (t.node_of(1), t.node_of(40));
+        let w = t.lca(nu, nv);
+        t.splay_pair(nu, nv, w, SplayStrategy::KSplay, WindowPolicy::Paper);
+        assert_eq!(t.distance(nu, nv), 1);
+        validate(&t).unwrap();
     }
 }

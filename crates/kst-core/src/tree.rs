@@ -952,15 +952,6 @@ impl KstTree {
         key_to_idx(key)
     }
 
-    /// Slot index of `child` within `parent`'s child array.
-    pub fn slot_of(&self, parent: NodeIdx, child: NodeIdx) -> usize {
-        self.children(parent)
-            .iter()
-            .position(|&c| c == child)
-            // ksan-allow: panic-surface structural invariant — callers pass a (parent, child) edge read from the tree itself
-            .expect("child not attached to parent")
-    }
-
     /// Depth of `v` (root = 0): an O(depth) parent walk.
     pub fn depth(&self, v: NodeIdx) -> usize {
         let mut d = 0usize;
@@ -995,7 +986,7 @@ impl KstTree {
     /// next parent slot, or, on a tree past the prefetch threshold, for
     /// the rows of both endpoints and of every node it passes, the LCA
     /// included. Those are exactly the rows the SplayNet discipline
-    /// rotates next, so [`KstTree::splay_pair`] need not walk the two
+    /// rotates next, so a network serve's splays need not walk the two
     /// paths again to hint them.
     pub fn distance_lca(&self, u: NodeIdx, v: NodeIdx) -> (u64, NodeIdx) {
         if u == v {

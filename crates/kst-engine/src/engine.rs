@@ -1,5 +1,5 @@
-//! The sharded serving engine: per-shard networks, per-shard request
-//! queues, batched dispatch, and explicit cross-shard cost accounting.
+//! The sharded serving engine: per-shard networks served in rounds on
+//! lanes of shards, and explicit cross-shard cost accounting.
 //!
 //! # Cost model
 //!
@@ -43,7 +43,7 @@
 //! requests, a pair-only decaying ledger ([`kst_workloads::EwmaLedger`],
 //! no per-key arrays at any keyspace size) accumulates cross-shard pair
 //! demand, and at every epoch boundary a two-phase **plan/apply**
-//! rebalance runs on the dispatcher thread:
+//! rebalance runs on the calling thread:
 //!
 //! 1. **Plan** — evaluate the `2(S − 1)` single-boundary shifts (each
 //!    boundary, each direction, up to [`ReshardConfig::budget`] keys)
@@ -64,14 +64,19 @@
 //!    key set has a hole (k-splaying can leave an ancestor's key inside a
 //!    child's slot gap) arrives re-ranked, with some links changed.
 //!
-//! Because shards are fully independent and the dispatcher enqueues
-//! operations in trace order — and resharding runs between epochs, on
-//! the dispatcher, from a thread-count-independent ledger — every shard
-//! observes the *same* operation sequence no matter how many worker
-//! threads drain the queues. The inline path and the workers serve that
-//! sequence through the same per-shard step and book the router through
-//! the same function, so the threaded run is bit-identical to the inline
-//! one, with or without resharding, which the differential tests assert.
+//! # Serving in rounds
+//!
+//! Every request goes through one round function, for
+//! [`ShardedEngine::run_trace`] and [`ShardedEngine::serve_one`] alike: it
+//! routes a round of requests in trace order into one bucket per **lane**
+//! (`min(threads, S)` contiguous blocks of shards), booking the router as
+//! it goes, then drains each bucket in order through the one per-shard
+//! step — the first busy lane on the calling thread, each further one on
+//! a scoped worker. Shards share no state, so a shard's costs depend only
+//! on the order of its own operations, which routing in trace order fixes;
+//! resharding plans between epochs from a ledger the lanes never touch. So
+//! costs are bit-identical for any thread count and round size, which the
+//! differential tests assert.
 
 use crate::obs::{record_handoff, stamp, ObsMode, ObsReport, SPAN_EVENTS};
 use crate::shard::ShardMap;
@@ -80,11 +85,6 @@ use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
 use kst_sim::obs::ObsCollector;
 use kst_sim::Metrics;
 use kst_workloads::{EwmaLedger, KeyRange, NodeKey, Trace};
-use std::sync::mpsc;
-
-/// How many filled batches may queue per worker before the dispatcher
-/// blocks (bounds engine memory regardless of trace length).
-const QUEUE_DEPTH: usize = 4;
 
 /// Topology of the top-level router over the shard gateways.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -153,11 +153,15 @@ impl ReshardConfig {
 pub struct EngineConfig {
     /// Number of keyspace shards `S` (clamped to `1..=n` at build time).
     pub shards: usize,
-    /// Worker threads draining the shard queues. `1` (or one shard)
-    /// serves inline — no threads, no channels, same totals.
+    /// Threads serving each round: the shards split into `min(threads, S)`
+    /// lanes of contiguous blocks, and a round's non-empty lanes run on
+    /// the calling thread plus one scoped worker each. `1` (or one shard)
+    /// never spawns. The totals are the same for any value.
     pub threads: usize,
-    /// Dispatch batch size `B`: cross-thread handoff is amortized over
-    /// `B` requests per channel send.
+    /// Requests per round (`KSAN_BATCH`). A round is routed whole, then
+    /// its lanes serve, so each round with two or more busy lanes spawns
+    /// and joins once. The default, 4096, is [`ReshardConfig::on`]'s
+    /// epoch, so a resharding run spawns once per epoch.
     pub batch: usize,
     /// Worker threads for **shard construction** (`ShardedEngine::new`).
     /// `1` (the default) builds shards sequentially in shard order —
@@ -186,7 +190,7 @@ impl Default for EngineConfig {
         EngineConfig {
             shards: 1,
             threads: kst_sim::par::default_threads(),
-            batch: 1024,
+            batch: 4096,
             build_threads: 1,
             router_hops: 2,
             spine: SpineMode::Star,
@@ -259,7 +263,7 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style batch size override.
+    /// Builder-style round size override.
     pub fn with_batch(mut self, batch: usize) -> EngineConfig {
         self.batch = batch;
         self
@@ -400,7 +404,7 @@ impl EngineReport {
     }
 }
 
-/// One queued shard operation. `half` distinguishes the gateway
+/// One routed shard operation. `half` distinguishes the gateway
 /// half-serves of cross-shard requests (cost booked to the router's
 /// cross-shard account) from whole intra-shard requests.
 #[derive(Debug, Clone, Copy)]
@@ -412,9 +416,8 @@ struct Op {
 }
 
 /// Routes one request through the shard map — the single decomposition
-/// point shared by the sequential serve path and the threaded
-/// dispatcher, so the [`ShardMap`] lookup and the gateway half-serve
-/// rules live in exactly one place.
+/// point of the round function, so the [`ShardMap`] lookup and the
+/// gateway half-serve rules live in exactly one place.
 ///
 /// `emit(op)` fires once for an intra-shard request
 /// (`half == false`, locally remapped endpoints) or up to twice for a
@@ -457,18 +460,17 @@ fn route_request(
 /// The engine's one per-shard step: serves `op` on its shard's net,
 /// observes it when the shard has a collector (timed when the engine
 /// carries a clock), and books it — a whole intra-shard request into the
-/// shard's own account, a gateway half-serve into the cross-shard
-/// account without counting a request. The inline path and every worker
-/// run this against the same per-shard op order, which is what makes
-/// threaded costs and deterministic histograms bit-identical to inline
-/// ones. Allocation-free.
+/// shard's own account, a gateway half-serve into the lane's cross-shard
+/// share without counting a request. Every lane runs this against the
+/// same per-shard op order, which is what makes costs and deterministic
+/// histograms bit-identical across lane counts. Allocation-free.
 fn shard_step<N: Network>(
     net: &mut N,
     col: Option<&mut ObsCollector>,
     clock: Option<Stopwatch>,
     op: Op,
     intra: &mut Metrics,
-    cross: &mut Metrics,
+    cross: &mut ServeCost,
 ) -> ServeCost {
     // Qualified observe calls so kst-analyze's name-based call graph
     // resolves them exactly.
@@ -522,9 +524,9 @@ fn book_router(
 }
 
 /// A sharded serving engine: `S` independent shard networks plus the
-/// top-level router spine, replaying traces either sequentially or on a
-/// worker pool with batched per-shard queues, optionally rebalancing the
-/// partition between epochs (live resharding).
+/// top-level router spine, serving requests in rounds on lanes of
+/// contiguous shard blocks, optionally rebalancing the partition between
+/// epochs (live resharding).
 pub struct ShardedEngine<N> {
     map: ShardMap,
     nets: Vec<N>,
@@ -542,6 +544,18 @@ pub struct ShardedEngine<N> {
     /// stamps (span `ts`, rebuild pauses) is an offset from it, so all
     /// threads share one time base.
     clock: Option<Stopwatch>,
+    /// One bucket per lane (`min(threads, S)` of them), kept across
+    /// rounds and runs so each keeps its capacity.
+    buckets: Vec<Bucket>,
+}
+
+/// One lane's bucket: the ops routed to its shards this round, in trace
+/// order, then what draining them charged (cross-shard share, all ops).
+#[derive(Default)]
+struct Bucket {
+    ops: Vec<Op>,
+    cross: ServeCost,
+    cost: ServeCost,
 }
 
 impl<N: Network> ShardedEngine<N> {
@@ -604,6 +618,7 @@ impl<N: Network> ShardedEngine<N> {
             SpineMode::KSplay { k } if shards >= 2 => Some(KSplayNet::balanced(k.max(2), shards)),
             _ => None,
         };
+        let lanes = cfg.threads.clamp(1, shards);
         ShardedEngine {
             map,
             nets,
@@ -611,6 +626,7 @@ impl<N: Network> ShardedEngine<N> {
             demand,
             clock: (cfg.obs == ObsMode::WallClock).then(Stopwatch::start),
             cfg,
+            buckets: (0..lanes).map(|_| Bucket::default()).collect(),
         }
     }
 
@@ -634,58 +650,13 @@ impl<N: Network> ShardedEngine<N> {
         self.spine.as_ref()
     }
 
-    /// Serves one request on the calling thread, folding its cost into
-    /// `report` (and into `report.obs`'s collectors, if it has any) and
-    /// returning the request's combined [`ServeCost`] (cross-shard: both
-    /// gateway half-serves plus the router's charge). Runs the same
-    /// per-shard step and router booking as [`ShardedEngine::run_trace`].
-    ///
-    /// # Panics
-    ///
-    /// If an endpoint lies outside the keyspace `1..=n` or `u == v`.
-    pub fn serve_one(&mut self, u: NodeKey, v: NodeKey, report: &mut EngineReport) -> ServeCost {
-        let n = self.map.n();
-        for key in [u, v] {
-            assert!(
-                key >= 1 && key as usize <= n,
-                "key {key} outside keyspace 1..={n}"
-            );
-        }
-        assert!(u != v, "self-request ({u}, {v}): endpoints must differ");
-        self.serve_request(u, v, report)
-    }
-
-    /// [`ShardedEngine::serve_one`] without the endpoint checks, for
-    /// requests a [`Trace`] has already validated.
-    fn serve_request(&mut self, u: NodeKey, v: NodeKey, report: &mut EngineReport) -> ServeCost {
-        let EngineReport {
-            per_shard,
-            cross,
-            router_hops,
-            obs,
-            ..
-        } = report;
-        let (nets, clock) = (&mut self.nets, self.clock);
-        let mut c = ServeCost::default();
-        let routed = route_request(&self.map, u, v, |op| {
-            let s = op.shard as usize;
-            let (net, book) = (&mut nets[s], &mut per_shard[s]);
-            c += shard_step(net, obs.per_shard.get_mut(s), clock, op, book, cross);
-        });
-        if let Some(pair) = routed {
-            let spine = self.spine.as_mut();
-            c += book_router(spine, self.cfg.router_hops, pair, cross, router_hops);
-        }
-        c
-    }
-
     /// The epoch-boundary rebalance: folds the epoch's cross-shard
     /// demand into the decaying ledger, plans the best single boundary
     /// shift, and applies it by splicing the boundary run between the
-    /// neighbouring shard trees. Runs between epochs on the dispatching
-    /// thread (cold path — the serve path itself stays allocation-free);
-    /// deterministic given the trace and config, independent of the
-    /// worker/batch layout.
+    /// neighbouring shard trees. Runs between epochs on the calling thread
+    /// (cold path — the serve path itself stays allocation-free);
+    /// deterministic given the trace and config, independent of the lane
+    /// and round layout.
     fn reshard_boundary(&mut self, chunk: &[(NodeKey, NodeKey)], report: &mut EngineReport) {
         let Some(demand) = self.demand.as_mut() else {
             return;
@@ -841,35 +812,59 @@ impl<N: Network> ShardedEngine<N> {
 }
 
 impl<N: Network + Send> ShardedEngine<N> {
-    /// Replays the trace into one report. With live resharding on, the
-    /// trace is served in epochs of [`ReshardConfig::epoch`] requests,
-    /// each followed by the epoch-boundary rebalance; otherwise the whole
-    /// trace is one epoch. Each epoch is served inline on the calling
-    /// thread when one worker (or one shard) would run anyway, and on
-    /// `min(threads, shards)` workers with per-worker queues and batched
-    /// dispatch otherwise. Both run the same per-shard step over the same
-    /// per-shard op order, so totals are bit-identical across thread and
-    /// batch configs — including under live resharding, whose epoch
-    /// boundaries and migration decisions are fixed by the trace alone.
+    /// Serves one request on the calling thread as a one-request round on
+    /// one lane, folding its cost into `report` (and into `report.obs`'s
+    /// collectors, if it has any) and returning the request's combined
+    /// [`ServeCost`] (cross-shard: both gateway half-serves plus the
+    /// router's charge). [`ShardedEngine::run_trace`] serves through the
+    /// same round. Allocation-free once the lane's bucket has held a
+    /// request's ops.
+    ///
+    /// # Panics
+    ///
+    /// If an endpoint lies outside the keyspace `1..=n` or `u == v`.
+    pub fn serve_one(&mut self, u: NodeKey, v: NodeKey, report: &mut EngineReport) -> ServeCost {
+        let n = self.map.n();
+        for key in [u, v] {
+            assert!(
+                key >= 1 && key as usize <= n,
+                "key {key} outside keyspace 1..={n}"
+            );
+        }
+        assert!(u != v, "self-request ({u}, {v}): endpoints must differ");
+        self.serve_round(&[(u, v)], 1, report)
+    }
+
+    /// Replays the trace into one report, in rounds of
+    /// [`EngineConfig::batch`] requests on `min(threads, shards)` lanes.
+    /// With live resharding on, the rounds fill epochs of
+    /// [`ReshardConfig::epoch`] requests, each followed by the
+    /// epoch-boundary rebalance; otherwise the whole trace is one epoch.
     pub fn run_trace(&mut self, trace: &Trace) -> EngineReport {
         assert_eq!(trace.n(), self.map.n(), "trace keyspace != engine keyspace");
         let shards = self.map.shards();
+        let lanes = self.buckets.len();
         let mut report = EngineReport::new(shards);
         report.obs = ObsReport::with_config(shards, self.cfg.obs);
+        if report.obs.mode != ObsMode::Off {
+            report.obs.workers = (shards + 1..shards + 1 + lanes)
+                .map(|track| Tracer::with_capacity(track as u32, SPAN_EVENTS))
+                .collect();
+        }
+        let batch = self.cfg.batch.max(1);
+        // A request routes to at most two ops, so no round outgrows this.
+        for bucket in &mut self.buckets {
+            bucket.ops.reserve(2 * batch.min(trace.len()));
+        }
         let resharding = self.demand.is_some();
         let epoch = if resharding {
             self.cfg.reshard.epoch.max(1)
         } else {
             trace.len().max(1)
         };
-        let workers = self.cfg.threads.min(shards).max(1);
         for chunk in trace.requests().chunks(epoch) {
-            if workers == 1 {
-                for &(u, v) in chunk {
-                    self.serve_request(u, v, &mut report);
-                }
-            } else {
-                self.run_slice_threaded(chunk, workers, &mut report);
+            for round in chunk.chunks(batch) {
+                self.serve_round(round, lanes, &mut report);
             }
             if resharding {
                 self.reshard_boundary(chunk, &mut report);
@@ -878,132 +873,113 @@ impl<N: Network + Send> ShardedEngine<N> {
         report
     }
 
-    /// Serves one slice on `workers` scoped threads, writing into
-    /// `report`. Worker `s % workers` borrows shard `s` — its net, its
-    /// intra-shard account and its collector — for the slice. The
-    /// dispatcher walks the slice in order, routes each request, appends
-    /// the shard ops to per-worker batches (a full batch is one channel
-    /// send) and books the router itself: FIFO channels and a single
-    /// dispatcher preserve each shard's op order, and the spine's
-    /// adjustment sequence is independent of the worker layout.
-    fn run_slice_threaded(
+    /// The engine's one serve path (see the module docs): lane `l` of
+    /// `lanes` holds shards `l·S/lanes .. (l+1)·S/lanes`. Returns the
+    /// round's summed cost. Allocation-free when one lane is busy and the
+    /// buckets already hold the round's ops.
+    fn serve_round(
         &mut self,
         requests: &[(NodeKey, NodeKey)],
-        workers: usize,
+        lanes: usize,
         report: &mut EngineReport,
-    ) {
-        let batch = self.cfg.batch.max(1);
+    ) -> ServeCost {
+        let shards = self.map.shards();
         let (clock, star_hops) = (self.clock, self.cfg.router_hops);
+        let (cross, router_hops) = (&mut report.cross, &mut report.router_hops);
+        let buckets = &mut self.buckets[..lanes];
+        let mut cost = ServeCost::default();
+        for &(u, v) in requests {
+            let routed = route_request(&self.map, u, v, |op| {
+                let lane = ((op.shard as usize + 1) * lanes - 1) / shards;
+                buckets[lane].ops.push(op);
+            });
+            if let Some(pair) = routed {
+                cost += book_router(self.spine.as_mut(), star_hops, pair, cross, router_hops);
+            }
+        }
         let obs = &mut report.obs;
-        let observed = obs.mode != ObsMode::Off;
-        if observed {
-            let shards = self.map.shards();
-            for w in obs.workers.len()..workers {
-                let tracer = Tracer::with_capacity((shards + 1 + w) as u32, SPAN_EVENTS);
-                obs.workers.push(tracer);
-            }
+        if obs.mode != ObsMode::Off {
+            record_handoff(obs, buckets.iter().map(|b| b.ops.len()), clock);
         }
-        let mut tracers = obs.workers.iter_mut();
-        let mut lanes: Vec<Lane<N>> = (0..workers)
-            .map(|id| Lane {
+
+        let (mut nets, mut books) = (&mut self.nets[..], &mut report.per_shard[..]);
+        let (mut cols, mut tracers) = (&mut obs.per_shard[..], obs.workers.iter_mut());
+        let mut first = 0;
+        let mut busy = buckets.iter_mut().enumerate().filter_map(|(id, bucket)| {
+            let end = (id + 1) * shards / lanes;
+            let len = end - first;
+            let lane = Lane {
                 id,
-                shards: Vec::new(),
+                first,
+                nets: split_front(&mut nets, len),
+                books: split_front(&mut books, len),
+                cols: split_front(&mut cols, len),
                 tracer: tracers.next(),
-                cross: Metrics::default(),
-            })
-            .collect();
-        let mut cols = obs.per_shard.iter_mut();
-        let books = report.per_shard.iter_mut();
-        for (s, (net, book)) in self.nets.iter_mut().zip(books).enumerate() {
-            lanes[s % workers].shards.push((net, book, cols.next()));
-        }
-
-        std::thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for lane in lanes {
-                let (tx, rx) = mpsc::sync_channel::<Vec<Op>>(QUEUE_DEPTH);
-                senders.push(tx);
-                handles.push(scope.spawn(move || worker_loop(lane, rx, workers, clock)));
-            }
-
-            let mut buffers: Vec<Vec<Op>> =
-                (0..workers).map(|_| Vec::with_capacity(batch)).collect();
-            let mut send = |buffers: &mut Vec<Vec<Op>>, w: usize, buffered: usize, next: usize| {
-                if observed {
-                    let len = buffers[w].len();
-                    let (sizes, depth) = (&mut obs.batch_sizes, &mut obs.queue_depth);
-                    record_handoff(sizes, depth, &mut obs.dispatcher, w, len, buffered, clock);
-                }
-                let ops = std::mem::replace(&mut buffers[w], Vec::with_capacity(next));
-                // ksan-allow: panic-surface a closed queue means the scoped worker panicked; propagating is correct
-                senders[w].send(ops).expect("engine worker hung up");
+                bucket,
             };
-            for &(u, v) in requests {
-                let routed = route_request(&self.map, u, v, |op| {
-                    let w = op.shard as usize % workers;
-                    buffers[w].push(op);
-                    if buffers[w].len() == batch {
-                        let buffered = buffers.iter().map(Vec::len).sum();
-                        send(&mut buffers, w, buffered, batch);
-                    }
-                });
-                if let Some(pair) = routed {
-                    let (cross, hops) = (&mut report.cross, &mut report.router_hops);
-                    book_router(self.spine.as_mut(), star_hops, pair, cross, hops);
-                }
-            }
-            for w in 0..workers {
-                let len = buffers[w].len();
-                if len > 0 {
-                    send(&mut buffers, w, len, 0);
-                }
-            }
-            drop(senders); // close the queues: workers drain and return
-
-            for handle in handles {
-                // ksan-allow: panic-surface join fails only if the worker panicked; re-panicking propagates it
-                let cross = handle.join().expect("engine worker panicked");
-                report.cross.merge(&cross);
-            }
+            first = end;
+            (!lane.bucket.ops.is_empty()).then_some(lane)
         });
+        if let Some(own) = busy.next() {
+            let mut rest = busy.peekable();
+            if rest.peek().is_none() {
+                drain_lane(own, clock);
+            } else {
+                std::thread::scope(|scope| {
+                    for lane in rest {
+                        scope.spawn(move || drain_lane(lane, clock));
+                    }
+                    drain_lane(own, clock);
+                });
+            }
+        }
+        for bucket in buckets {
+            *cross += std::mem::take(&mut bucket.cross);
+            cost += std::mem::take(&mut bucket.cost);
+        }
+        cost
     }
 }
 
-/// What one worker borrows while it drains its queue: the shards
-/// `s ≡ id (mod workers)` in ascending order — each one's net,
-/// intra-shard account and collector (none when observability is off) —
-/// and its batch timeline; plus its own share of the cross-shard
-/// half-serve cost.
+/// Splits the first `len` items (all of them, if fewer) off the front of
+/// `rest`.
+fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let all = std::mem::take(rest);
+    let (head, tail) = all.split_at_mut(len.min(all.len()));
+    *rest = tail;
+    head
+}
+
+/// What one lane borrows for a round: the nets, intra-shard accounts and
+/// collectors (none when observability is off) of its shards, the first
+/// of which is shard `first`; its timeline; and its bucket.
 struct Lane<'a, N> {
     id: usize,
-    shards: Vec<(&'a mut N, &'a mut Metrics, Option<&'a mut ObsCollector>)>,
+    first: usize,
+    nets: &'a mut [N],
+    books: &'a mut [Metrics],
+    cols: &'a mut [ObsCollector],
     tracer: Option<&'a mut Tracer>,
-    cross: Metrics,
+    bucket: &'a mut Bucket,
 }
 
-/// Drains one worker's queue through [`shard_step`] — the per-shard step
-/// the inline path runs, fed the same per-shard op order — and returns
-/// the lane's cross-shard share once the dispatcher closes the queue.
-/// Allocation-free.
-fn worker_loop<N: Network>(
-    mut lane: Lane<'_, N>,
-    rx: mpsc::Receiver<Vec<Op>>,
-    workers: usize,
-    clock: Option<Stopwatch>,
-) -> Metrics {
-    while let Ok(ops) = rx.recv() {
-        if let Some(tracer) = lane.tracer.as_deref_mut() {
-            let (len, id) = (ops.len() as u64, lane.id as u64);
-            Tracer::record_timed(tracer, EventKind::ShardDispatch, len, id, stamp(clock), 0);
-        }
-        for op in ops {
-            let i = op.shard as usize / workers;
-            let (net, book, col) = &mut lane.shards[i];
-            shard_step(*net, col.as_deref_mut(), clock, op, book, &mut lane.cross);
-        }
+/// Drains one lane's bucket in order through [`shard_step`], summing its
+/// cross-shard share and its cost into the bucket. Allocation-free.
+fn drain_lane<N: Network>(lane: Lane<'_, N>, clock: Option<Stopwatch>) {
+    let Bucket { ops, cross, cost } = lane.bucket;
+    if let Some(tracer) = lane.tracer {
+        let (len, id) = (ops.len() as u64, lane.id as u64);
+        Tracer::record_timed(tracer, EventKind::ShardDispatch, len, id, stamp(clock), 0);
     }
-    lane.cross
+    // Sums in locals: the loop's stores to the books could alias the
+    // bucket's fields as far as the compiler knows.
+    let (mut lane_cross, mut lane_cost) = (ServeCost::default(), ServeCost::default());
+    for op in ops.drain(..) {
+        let i = op.shard as usize - lane.first;
+        let (net, book) = (&mut lane.nets[i], &mut lane.books[i]);
+        lane_cost += shard_step(net, lane.cols.get_mut(i), clock, op, book, &mut lane_cross);
+    }
+    (*cross, *cost) = (lane_cross, lane_cost);
 }
 
 impl ShardedEngine<kst_core::KSplayNet> {

@@ -5,8 +5,8 @@
 //! one-tree-one-core to datacenter scale: the keyspace is partitioned into
 //! `S` contiguous shards, each shard runs one independent
 //! [`kst_core::Network`] (k-ary SplayNet, k-semi-splay, centroid, lazy —
-//! anything implementing the trait), and traces replay through a pool of
-//! worker threads with per-shard request queues and batched dispatch.
+//! anything implementing the trait), and traces replay in rounds whose
+//! lanes of contiguous shards serve on scoped threads.
 //! Cross-shard requests route via a top-level **router spine** with an
 //! explicit, documented cost model (see [`engine`]): a flat star by
 //! default, or a self-adjusting k-splay network over the shard gateways
@@ -26,12 +26,11 @@
 //! * for any `S`, the per-shard partials [`Metrics::merge`] to exactly the
 //!   totals standalone nets over each shard's keyspace would report for
 //!   the intra-shard traffic;
-//! * the threaded run is bit-identical to the inline run — both serve
-//!   every shard operation through the same per-shard step and book the
-//!   router through the same function, the single dispatcher fixes each
-//!   shard's operation order, shards never share state, the spine is
-//!   served on the dispatcher, and resharding plans from a
-//!   thread-count-independent demand ledger between epochs;
+//! * the run is bit-identical for any thread count and round size —
+//!   every request goes through one round function, which routes in
+//!   trace order (fixing each shard's operation order and the spine's)
+//!   and serves every op through one per-shard step, shards never share
+//!   state, and resharding plans between epochs;
 //! * with the star spine and resharding off (the defaults), the engine is
 //!   bit-identical to the original fixed-router, fixed-partition engine
 //!   on every network type;

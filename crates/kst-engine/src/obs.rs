@@ -1,11 +1,11 @@
 //! Engine-level observability: the per-shard collectors, the
-//! dispatcher/worker timelines, and the exporters.
+//! dispatcher/lane timelines, and the exporters.
 //!
 //! Each shard's observations land in one [`ObsCollector`] (cost,
 //! rebuild-size and rebuild-pause histograms plus a span ring), fed by the
-//! engine's single per-shard step on both the inline and the threaded
-//! path. The serve path never branches on [`ObsMode`]: the mode is read
-//! when the engine is built (it carries a clock only under
+//! engine's single per-shard step on whichever lane serves the shard. The
+//! per-op serve path never branches on [`ObsMode`]: the mode is read when the
+//! engine is built (it carries a clock only under
 //! [`ObsMode::WallClock`]) and when a report is built ("off" means the
 //! report holds no collectors).
 //!
@@ -15,13 +15,14 @@
 //!
 //! * **Deterministic** — the per-shard cost histograms and rebuild-size
 //!   histograms. These are built purely from `ServeCost` units over each
-//!   shard's operation sequence, and the dispatcher fixes that sequence
-//!   regardless of worker/batch configuration — so they are
-//!   **bit-identical** across inline, threaded, and any batch size
+//!   shard's operation sequence, and routing in trace order fixes that
+//!   sequence regardless of thread/batch configuration — so they are
+//!   **bit-identical** across any thread count and round size
 //!   (`tests/engine_differential.rs` asserts it). [`ObsReport`]'s
 //!   `PartialEq` compares exactly these surfaces.
-//! * **Wall-clock / topology-dependent** — rebuild pause times, batch
-//!   size and queue occupancy distributions, and the span timelines.
+//! * **Wall-clock / layout-dependent** — rebuild pause times, the
+//!   per-round bucket size and routed-ops distributions, and the span
+//!   timelines.
 //!   These describe *one particular run* and are excluded from
 //!   equality. Wall-clock fields are only populated under
 //!   [`ObsMode::WallClock`], stamped from the engine's run-origin
@@ -32,7 +33,7 @@ use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
 use kst_sim::obs::ObsCollector;
 
 /// Span-ring capacity of every tracer an observed run keeps (each
-/// shard's, the dispatcher's and each worker's timeline): the newest
+/// shard's, the dispatcher's and each lane's timeline): the newest
 /// events survive, older ones are overwritten.
 pub const SPAN_EVENTS: usize = 4096;
 
@@ -85,18 +86,19 @@ pub struct ObsReport {
     /// Per-shard collectors, indexed by shard id. Empty when mode is
     /// [`ObsMode::Off`].
     pub per_shard: Vec<ObsCollector>,
-    /// Ops per dispatched batch (threaded runs only; topology-dependent,
+    /// Ops per non-empty lane bucket per round (layout-dependent,
     /// excluded from equality).
     pub batch_sizes: Histogram,
-    /// Total ops buffered across all workers at each batch handoff — a
-    /// queue-occupancy proxy (threaded runs only; excluded from
-    /// equality).
+    /// Ops routed per round, all lanes together (layout-dependent,
+    /// excluded from equality).
     pub queue_depth: Histogram,
-    /// The dispatcher's span timeline (batch handoffs; track = shard
-    /// count).
+    /// The routing thread's span timeline: one `BatchHandoff` per
+    /// non-empty lane bucket per round (track = shard count).
     pub dispatcher: Tracer,
-    /// Per-worker span timelines (batch receipts; track = shard count +
-    /// 1 + worker index).
+    /// Per-lane span timelines: one `ShardDispatch` per bucket the lane
+    /// drains (track = shard count + 1 + lane index). `run_trace` gives
+    /// every lane one; a report from `EngineReport::new` has none, so
+    /// `serve_one` records no lane spans into it.
     pub workers: Vec<Tracer>,
     /// Keys moved per applied live-resharding migration. Deterministic
     /// (a pure function of the trace and the reshard config) and part of
@@ -247,7 +249,7 @@ impl ObsReport {
 
     /// Dumps every span ring in chrome://tracing Trace Event Format
     /// (load at `chrome://tracing` or ui.perfetto.dev): one track per
-    /// shard, one for the dispatcher, one per worker.
+    /// shard, one for the dispatcher, one per lane.
     pub fn to_chrome_trace(&self) -> String {
         let mut tracers: Vec<&Tracer> = Vec::new();
         let mut labels: Vec<String> = Vec::new();
@@ -259,7 +261,7 @@ impl ObsReport {
         labels.push(String::from("dispatcher"));
         for (w, t) in self.workers.iter().enumerate() {
             tracers.push(t);
-            labels.push(format!("worker-{w}"));
+            labels.push(format!("lane-{w}"));
         }
         let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
         trace_events_json(&tracers, &label_refs)
@@ -271,31 +273,25 @@ pub(crate) fn stamp(clock: Option<Stopwatch>) -> u64 {
     clock.map_or(0, |origin| origin.elapsed_us())
 }
 
-/// Records one batch handoff on the dispatcher surfaces of an observed
-/// report (`batch_sizes`, `queue_depth`, `dispatcher`): batch size,
-/// queue-occupancy proxy, and a `BatchHandoff` span. It takes the three
-/// surfaces, not the report, because the threaded dispatcher records
-/// while its workers borrow the report's per-shard collectors.
+/// Records one round's handoff on an observed report, after routing and
+/// before any lane serves: for each lane whose bucket is non-empty, its op
+/// count into `batch_sizes` and a `BatchHandoff` span (lane, ops) on the
+/// `dispatcher` timeline; then the ops routed in the round into
+/// `queue_depth`. `lens` gives the bucket lengths in lane order.
 pub(crate) fn record_handoff(
-    batch_sizes: &mut Histogram,
-    queue_depth: &mut Histogram,
-    dispatcher: &mut Tracer,
-    worker: usize,
-    batch_len: usize,
-    buffered: usize,
+    obs: &mut ObsReport,
+    lens: impl Iterator<Item = usize>,
     clock: Option<Stopwatch>,
 ) {
-    Histogram::record(batch_sizes, batch_len as u64);
-    Histogram::record(queue_depth, buffered as u64);
-    let ts = stamp(clock);
-    Tracer::record_timed(
-        dispatcher,
-        EventKind::BatchHandoff,
-        worker as u64,
-        batch_len as u64,
-        ts,
-        0,
-    );
+    let mut routed = 0;
+    for (lane, len) in lens.enumerate().filter(|&(_, len)| len > 0) {
+        let (lane, len) = (lane as u64, len as u64);
+        routed += len;
+        Histogram::record(&mut obs.batch_sizes, len);
+        let (tracer, ts) = (&mut obs.dispatcher, stamp(clock));
+        Tracer::record_timed(tracer, EventKind::BatchHandoff, lane, len, ts, 0);
+    }
+    Histogram::record(&mut obs.queue_depth, routed);
 }
 
 #[cfg(test)]
@@ -324,12 +320,7 @@ mod tests {
         // Same deterministic stream, wildly different wall-clock fields.
         a.per_shard[0].observe_timed(1, 2, cost, 10, 5);
         b.per_shard[0].observe_timed(1, 2, cost, 99_000, 800);
-        let (sizes, depth, clock) = (
-            &mut a.batch_sizes,
-            &mut a.queue_depth,
-            Some(Stopwatch::start()),
-        );
-        record_handoff(sizes, depth, &mut a.dispatcher, 0, 64, 64, clock);
+        record_handoff(&mut a, [64].into_iter(), Some(Stopwatch::start()));
         assert_eq!(a, b);
         // ... but a diverging cost stream is detected.
         b.per_shard[1].observe(3, 4, cost);
@@ -371,12 +362,7 @@ mod tests {
             rebuild_nodes: 20,
         };
         r.per_shard[1].observe_timed(5, 6, cost, 120, 30);
-        let (sizes, depth, clock) = (
-            &mut r.batch_sizes,
-            &mut r.queue_depth,
-            Some(Stopwatch::start()),
-        );
-        record_handoff(sizes, depth, &mut r.dispatcher, 1, 256, 300, clock);
+        record_handoff(&mut r, [44, 256].into_iter(), Some(Stopwatch::start()));
         let js = r.to_json();
         assert!(js.starts_with("{\"mode\":\"wall\""));
         for key in [

@@ -7,9 +7,8 @@
 //! neighbouring shards at epoch ends ([`ShardMap::shift_boundary`]); each
 //! shift bumps the map's **version** and drops the uniform fast path, so
 //! lookups fall back to an O(log S) binary search over the range table —
-//! still allocation-free and branch-cheap on the dispatch path. Both the
-//! sequential and the threaded dispatch paths route through this one
-//! implementation.
+//! still allocation-free and branch-cheap on the engine's one routing
+//! path.
 
 use kst_workloads::{partition_keyspace, KeyRange, NodeKey};
 

@@ -15,8 +15,8 @@
 //! * [`sim`] (`kst-sim`) — the cost-model simulator and experiment
 //!   harness;
 //! * [`engine`] (`kst-engine`) — the sharded, multi-threaded
-//!   trace-serving engine (contiguous keyspace shards, per-shard queues,
-//!   batched dispatch, explicit cross-shard router cost model);
+//!   trace-serving engine (contiguous keyspace shards served in rounds on
+//!   lanes of shards, explicit cross-shard router cost model);
 //! * [`obs`] (`kst-obs`) — deterministic observability: log-bucketed
 //!   mergeable cost histograms, a ring-buffer span tracer, the audited
 //!   wall-clock surface, and JSON/chrome-trace exporters;

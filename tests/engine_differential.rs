@@ -17,10 +17,13 @@
 //!    beats the static partition on total cost;
 //! 7. a parallel shard build (`EngineConfig::build_threads`) produces an
 //!    engine bit-identical to the sequential build on every network type
-//!    × shard count.
+//!    × shard count;
+//! 8. `serve_one`, called per request, rebuilds `run_trace`'s report
+//!    exactly, and its returned costs sum to that report's total.
 
 use ksan::engine::{
-    EngineConfig, EngineReport, ObsMode, ReshardConfig, ReshardReport, ShardedEngine, SpineMode,
+    EngineConfig, EngineReport, ObsMode, ObsReport, ReshardConfig, ReshardReport, ShardedEngine,
+    SpineMode,
 };
 use ksan::prelude::*;
 use ksan::sim::experiments::centroid_rebuilder;
@@ -545,5 +548,41 @@ fn parallel_build_is_bit_identical_to_sequential_on_every_network_type() {
             )
         });
         assert_parallel_build_identical("ClassicSplayNet", shards, ClassicSplayNet::balanced);
+    }
+}
+
+#[test]
+fn serve_one_per_request_rebuilds_the_run_trace_report() {
+    // Guarantee 8: `serve_one` serves a one-request round on one lane,
+    // `run_trace` serves rounds on `min(threads, S)` lanes, and both reach
+    // the per-shard step through the same round function. Per-request
+    // serving must rebuild the run's report exactly, the deterministic
+    // observability surfaces included, and its returned costs must sum to
+    // the report's total.
+    let n = 240;
+    let trace = gens::uniform(n, 4000, 47);
+    for (shards, threads) in [(3usize, 2usize), (5, 4), (8, 3)] {
+        for spine in [SpineMode::Star, SpineMode::KSplay { k: 2 }] {
+            let label = format!("shards={shards} threads={threads} {spine:?}");
+            let cfg = EngineConfig::default()
+                .with_shards(shards)
+                .with_threads(threads)
+                .with_batch(97)
+                .with_spine(spine)
+                .with_obs(ObsMode::Deterministic);
+            let whole = ShardedEngine::ksplay(3, n, cfg.clone()).run_trace(&trace);
+            assert!(whole.cross.requests > 0, "{label}: traffic must cross");
+
+            let mut engine = ShardedEngine::ksplay(3, n, cfg);
+            let mut report = EngineReport::new(shards);
+            report.obs = ObsReport::with_config(shards, ObsMode::Deterministic);
+            let mut sum = ServeCost::default();
+            for &(u, v) in trace.requests() {
+                sum += engine.serve_one(u, v, &mut report);
+            }
+            assert_eq!(report, whole, "{label}");
+            assert_eq!(sum, report.total().cost(), "{label}: returned costs");
+            assert_eq!(report.total().requests, 4000, "{label}");
+        }
     }
 }

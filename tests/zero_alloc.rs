@@ -12,6 +12,7 @@
 
 use ksan::core::alloc_probe::{self, CountingAlloc};
 use ksan::core::lazy::LazyKaryNet;
+use ksan::engine::{ObsMode, ObsReport};
 use ksan::prelude::*;
 use ksan::sim::ObsCollector;
 
@@ -206,6 +207,53 @@ fn serve_paths_never_allocate() {
         assert!(
             report.cross.requests > 0,
             "steady traffic must cross shards"
+        );
+    }
+
+    // The engine's round path on two lanes: routing, bucket pushes and
+    // lane drains allocate nothing per op, so a run allocates its report
+    // and each round's spawn and join, whatever the round size. Two
+    // engines serve the same number of rounds, of 512 and of 4096
+    // requests. The counter is per-thread: it sees the routing, the spawn
+    // and join, and the lane this thread drains; the spawned lane runs
+    // the same `drain_lane`.
+    {
+        let (n, rounds) = (400, 6);
+        let warmed = |batch: usize| {
+            let cfg = EngineConfig::default()
+                .with_shards(4)
+                .with_threads(2)
+                .with_batch(batch);
+            let mut eng = ShardedEngine::ksplay(3, n, cfg);
+            eng.run_trace(&gens::uniform(n, rounds * batch, 31));
+            eng
+        };
+        let (mut small, mut large) = (warmed(512), warmed(4096));
+        let small_trace = gens::uniform(n, rounds * 512, 32);
+        let large_trace = gens::uniform(n, rounds * 4096, 33);
+        let ((), per_round) = alloc_probe::count_allocations(|| {
+            std::thread::scope(|scope| {
+                scope.spawn(|| ());
+            });
+        });
+        let (_, per_report) = alloc_probe::count_allocations(|| {
+            (
+                EngineReport::new(4),
+                ObsReport::with_config(4, ObsMode::Off),
+            )
+        });
+        let (rep, small_allocs) = alloc_probe::count_allocations(|| small.run_trace(&small_trace));
+        assert!(rep.cross.requests > 0, "uniform traffic must cross shards");
+        let (_, large_allocs) = alloc_probe::count_allocations(|| large.run_trace(&large_trace));
+        assert_eq!(
+            small_allocs, large_allocs,
+            "the round path allocated per op (512- vs 4096-request rounds)"
+        );
+        let bound = per_report + rounds as u64 * per_round;
+        assert!(
+            small_allocs <= bound,
+            "{small_allocs} allocations for {rounds} rounds, more than the \
+             report and the rounds' spawn and join ({bound})"
         );
     }
 
