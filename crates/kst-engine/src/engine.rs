@@ -68,15 +68,15 @@
 //!
 //! Every request goes through one round function, for
 //! [`ShardedEngine::run_trace`] and [`ShardedEngine::serve_one`] alike: it
-//! routes a round of requests in trace order into one bucket per **lane**
-//! (`min(threads, S)` contiguous blocks of shards), booking the router as
-//! it goes, then drains each bucket in order through the one per-shard
-//! step — the first busy lane on the calling thread, each further one on
-//! a scoped worker. Shards share no state, so a shard's costs depend only
-//! on the order of its own operations, which routing in trace order fixes;
-//! resharding plans between epochs from a ledger the lanes never touch. So
-//! costs are bit-identical for any thread count and round size, which the
-//! differential tests assert.
+//! routes a round in trace order, each op into its shard's bucket, and
+//! books the router as it goes. Then **lane** `l` of `T = min(threads, S)`
+//! drains the buckets of shards `l·S/T .. (l+1)·S/T` one after another
+//! through the one per-shard step: the first busy lane on the calling
+//! thread, each further one on a scoped worker. Shards share no state, so
+//! a shard's costs depend only on the order of its own operations, which
+//! routing in trace order fixes; resharding plans between epochs from a
+//! ledger the lanes never touch. So costs are bit-identical for any thread
+//! count and round size, which the differential tests assert.
 
 use crate::obs::{record_handoff, stamp, ObsMode, ObsReport, SPAN_EVENTS};
 use crate::shard::ShardMap;
@@ -154,8 +154,8 @@ pub struct EngineConfig {
     /// Number of keyspace shards `S` (clamped to `1..=n` at build time).
     pub shards: usize,
     /// Threads serving each round: the shards split into `min(threads, S)`
-    /// lanes of contiguous blocks, and a round's non-empty lanes run on
-    /// the calling thread plus one scoped worker each. `1` (or one shard)
+    /// lanes of contiguous blocks, and a round's busy lanes run on the
+    /// calling thread plus one scoped worker each. `1` (or one shard)
     /// never spawns. The totals are the same for any value.
     pub threads: usize,
     /// Requests per round (`KSAN_BATCH`). A round is routed whole, then
@@ -212,17 +212,17 @@ impl EngineConfig {
     pub fn from_env() -> EngineConfig {
         let mut cfg = EngineConfig::default();
         let get = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok());
-        if let Some(v) = get("KSAN_SHARDS") {
-            cfg.shards = v.max(1);
-        }
-        if let Some(v) = get("KSAN_THREADS") {
-            cfg.threads = v.max(1);
-        }
-        if let Some(v) = get("KSAN_BATCH") {
-            cfg.batch = v.max(1);
-        }
-        if let Some(v) = get("KSAN_BUILD_THREADS") {
-            cfg.build_threads = v.max(1);
+        for (key, knob) in [
+            ("KSAN_SHARDS", &mut cfg.shards),
+            ("KSAN_THREADS", &mut cfg.threads),
+            ("KSAN_BATCH", &mut cfg.batch),
+            ("KSAN_BUILD_THREADS", &mut cfg.build_threads),
+            ("KSAN_RESHARD_EPOCH", &mut cfg.reshard.epoch),
+            ("KSAN_RESHARD_BUDGET", &mut cfg.reshard.budget),
+        ] {
+            if let Some(v) = get(key) {
+                *knob = v.max(1);
+            }
         }
         match std::env::var("KSAN_SPINE").ok().as_deref() {
             Some("ksplay") => {
@@ -235,12 +235,6 @@ impl EngineConfig {
         }
         if let Ok(v) = std::env::var("KSAN_RESHARD") {
             cfg.reshard.enabled = matches!(v.as_str(), "on" | "1" | "true");
-        }
-        if let Some(v) = get("KSAN_RESHARD_EPOCH") {
-            cfg.reshard.epoch = v.max(1);
-        }
-        if let Some(v) = get("KSAN_RESHARD_BUDGET") {
-            cfg.reshard.budget = v.max(1);
         }
         if let Some(m) = std::env::var("KSAN_OBS")
             .ok()
@@ -404,12 +398,11 @@ impl EngineReport {
     }
 }
 
-/// One routed shard operation. `half` distinguishes the gateway
-/// half-serves of cross-shard requests (cost booked to the router's
-/// cross-shard account) from whole intra-shard requests.
+/// One routed operation on its shard's local keys. `half` distinguishes
+/// the gateway half-serves of cross-shard requests (cost booked to the
+/// router's cross-shard account) from whole intra-shard requests.
 #[derive(Debug, Clone, Copy)]
 struct Op {
-    shard: u32,
     a: NodeKey,
     b: NodeKey,
     half: bool,
@@ -419,7 +412,7 @@ struct Op {
 /// point of the round function, so the [`ShardMap`] lookup and the
 /// gateway half-serve rules live in exactly one place.
 ///
-/// `emit(op)` fires once for an intra-shard request
+/// `emit(shard, op)` fires once for an intra-shard request
 /// (`half == false`, locally remapped endpoints) or up to twice for a
 /// cross-shard one (`half == true`, each endpoint toward its own
 /// gateway; an endpoint that *is* its gateway emits nothing). Returns
@@ -429,30 +422,26 @@ fn route_request(
     map: &ShardMap,
     u: NodeKey,
     v: NodeKey,
-    mut emit: impl FnMut(Op),
+    mut emit: impl FnMut(usize, Op),
 ) -> Option<(usize, usize)> {
-    let local = |s: usize, a: NodeKey, b: NodeKey, half: bool| {
+    let mut local = |s: usize, a: NodeKey, b: NodeKey, half: bool| {
         let r = map.range(s);
-        Op {
-            shard: s as u32,
-            a: r.to_local(a),
-            b: r.to_local(b),
-            half,
-        }
+        let (a, b) = (r.to_local(a), r.to_local(b));
+        emit(s, Op { a, b, half });
     };
     let su = map.shard_of(u);
     let sv = map.shard_of(v);
     if su == sv {
-        emit(local(su, u, v, false));
+        local(su, u, v, false);
         return None;
     }
     let gu = map.gateway(su);
     if u != gu {
-        emit(local(su, u, gu, true));
+        local(su, u, gu, true);
     }
     let gv = map.gateway(sv);
     if v != gv {
-        emit(local(sv, gv, v, true));
+        local(sv, gv, v, true);
     }
     Some((su, sv))
 }
@@ -460,7 +449,7 @@ fn route_request(
 /// The engine's one per-shard step: serves `op` on its shard's net,
 /// observes it when the shard has a collector (timed when the engine
 /// carries a clock), and books it — a whole intra-shard request into the
-/// shard's own account, a gateway half-serve into the lane's cross-shard
+/// shard's own account, a gateway half-serve into the shard's cross
 /// share without counting a request. Every lane runs this against the
 /// same per-shard op order, which is what makes costs and deterministic
 /// histograms bit-identical across lane counts. Allocation-free.
@@ -544,12 +533,12 @@ pub struct ShardedEngine<N> {
     /// stamps (span `ts`, rebuild pauses) is an offset from it, so all
     /// threads share one time base.
     clock: Option<Stopwatch>,
-    /// One bucket per lane (`min(threads, S)` of them), kept across
-    /// rounds and runs so each keeps its capacity.
+    /// One bucket per shard, kept across rounds and runs so each keeps
+    /// its capacity.
     buckets: Vec<Bucket>,
 }
 
-/// One lane's bucket: the ops routed to its shards this round, in trace
+/// One shard's bucket: the ops routed to the shard this round, in trace
 /// order, then what draining them charged (cross-shard share, all ops).
 #[derive(Default)]
 struct Bucket {
@@ -618,7 +607,6 @@ impl<N: Network> ShardedEngine<N> {
             SpineMode::KSplay { k } if shards >= 2 => Some(KSplayNet::balanced(k.max(2), shards)),
             _ => None,
         };
-        let lanes = cfg.threads.clamp(1, shards);
         ShardedEngine {
             map,
             nets,
@@ -626,7 +614,7 @@ impl<N: Network> ShardedEngine<N> {
             demand,
             clock: (cfg.obs == ObsMode::WallClock).then(Stopwatch::start),
             cfg,
-            buckets: (0..lanes).map(|_| Bucket::default()).collect(),
+            buckets: (0..shards).map(|_| Bucket::default()).collect(),
         }
     }
 
@@ -817,14 +805,19 @@ impl<N: Network + Send> ShardedEngine<N> {
     /// collectors, if it has any) and returning the request's combined
     /// [`ServeCost`] (cross-shard: both gateway half-serves plus the
     /// router's charge). [`ShardedEngine::run_trace`] serves through the
-    /// same round. Allocation-free once the lane's bucket has held a
-    /// request's ops.
+    /// same round. Allocation-free once a `run_trace` has sized the buckets.
     ///
     /// # Panics
     ///
-    /// If an endpoint lies outside the keyspace `1..=n` or `u == v`.
+    /// If an endpoint lies outside the keyspace `1..=n`, if `u == v`, or
+    /// if `report`'s accounts or collectors are not one per shard.
     pub fn serve_one(&mut self, u: NodeKey, v: NodeKey, report: &mut EngineReport) -> ServeCost {
-        let n = self.map.n();
+        let (n, shards) = (self.map.n(), self.map.shards());
+        let (books, cols) = (report.per_shard.len(), report.obs.per_shard.len());
+        assert!(
+            books == shards && (cols == 0 || cols == shards),
+            "report has {books} shard accounts and {cols} collectors for {shards} shards"
+        );
         for key in [u, v] {
             assert!(
                 key >= 1 && key as usize <= n,
@@ -843,7 +836,7 @@ impl<N: Network + Send> ShardedEngine<N> {
     pub fn run_trace(&mut self, trace: &Trace) -> EngineReport {
         assert_eq!(trace.n(), self.map.n(), "trace keyspace != engine keyspace");
         let shards = self.map.shards();
-        let lanes = self.buckets.len();
+        let lanes = self.cfg.threads.clamp(1, shards);
         let mut report = EngineReport::new(shards);
         report.obs = ObsReport::with_config(shards, self.cfg.obs);
         if report.obs.mode != ObsMode::Off {
@@ -852,9 +845,9 @@ impl<N: Network + Send> ShardedEngine<N> {
                 .collect();
         }
         let batch = self.cfg.batch.max(1);
-        // A request routes to at most two ops, so no round outgrows this.
+        // A request routes at most one op per shard, so no round outgrows this.
         for bucket in &mut self.buckets {
-            bucket.ops.reserve(2 * batch.min(trace.len()));
+            bucket.ops.reserve(batch.min(trace.len()));
         }
         let resharding = self.demand.is_some();
         let epoch = if resharding {
@@ -873,8 +866,7 @@ impl<N: Network + Send> ShardedEngine<N> {
         report
     }
 
-    /// The engine's one serve path (see the module docs): lane `l` of
-    /// `lanes` holds shards `l·S/lanes .. (l+1)·S/lanes`. Returns the
+    /// The engine's one serve path (see the module docs). Returns the
     /// round's summed cost. Allocation-free when one lane is busy and the
     /// buckets already hold the round's ops.
     fn serve_round(
@@ -886,39 +878,34 @@ impl<N: Network + Send> ShardedEngine<N> {
         let shards = self.map.shards();
         let (clock, star_hops) = (self.clock, self.cfg.router_hops);
         let (cross, router_hops) = (&mut report.cross, &mut report.router_hops);
-        let buckets = &mut self.buckets[..lanes];
         let mut cost = ServeCost::default();
         for &(u, v) in requests {
-            let routed = route_request(&self.map, u, v, |op| {
-                let lane = ((op.shard as usize + 1) * lanes - 1) / shards;
-                buckets[lane].ops.push(op);
-            });
+            let routed = route_request(&self.map, u, v, |s, op| self.buckets[s].ops.push(op));
             if let Some(pair) = routed {
                 cost += book_router(self.spine.as_mut(), star_hops, pair, cross, router_hops);
             }
         }
+        let lane_shards = |l: usize| l * shards / lanes..(l + 1) * shards / lanes;
         let obs = &mut report.obs;
         if obs.mode != ObsMode::Off {
-            record_handoff(obs, buckets.iter().map(|b| b.ops.len()), clock);
+            let lens = (0..lanes).map(|l| queued(&self.buckets[lane_shards(l)]));
+            record_handoff(obs, lens, clock);
         }
 
         let (mut nets, mut books) = (&mut self.nets[..], &mut report.per_shard[..]);
-        let (mut cols, mut tracers) = (&mut obs.per_shard[..], obs.workers.iter_mut());
-        let mut first = 0;
-        let mut busy = buckets.iter_mut().enumerate().filter_map(|(id, bucket)| {
-            let end = (id + 1) * shards / lanes;
-            let len = end - first;
+        let (mut cols, mut buckets) = (&mut obs.per_shard[..], &mut self.buckets[..]);
+        let mut tracers = obs.workers.iter_mut();
+        let mut busy = (0..lanes).filter_map(|id| {
+            let len = lane_shards(id).len();
             let lane = Lane {
                 id,
-                first,
                 nets: split_front(&mut nets, len),
                 books: split_front(&mut books, len),
                 cols: split_front(&mut cols, len),
                 tracer: tracers.next(),
-                bucket,
+                buckets: split_front(&mut buckets, len),
             };
-            first = end;
-            (!lane.bucket.ops.is_empty()).then_some(lane)
+            (queued(lane.buckets) > 0).then_some(lane)
         });
         if let Some(own) = busy.next() {
             let mut rest = busy.peekable();
@@ -933,7 +920,7 @@ impl<N: Network + Send> ShardedEngine<N> {
                 });
             }
         }
-        for bucket in buckets {
+        for bucket in &mut self.buckets {
             *cross += std::mem::take(&mut bucket.cross);
             cost += std::mem::take(&mut bucket.cost);
         }
@@ -950,36 +937,43 @@ fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     head
 }
 
-/// What one lane borrows for a round: the nets, intra-shard accounts and
-/// collectors (none when observability is off) of its shards, the first
-/// of which is shard `first`; its timeline; and its bucket.
+/// The ops routed into `buckets` this round.
+fn queued(buckets: &[Bucket]) -> usize {
+    buckets.iter().map(|b| b.ops.len()).sum()
+}
+
+/// What one lane borrows for a round: the nets, intra-shard accounts,
+/// collectors (none when observability is off) and buckets of its block
+/// of shards, and its timeline.
 struct Lane<'a, N> {
     id: usize,
-    first: usize,
     nets: &'a mut [N],
     books: &'a mut [Metrics],
     cols: &'a mut [ObsCollector],
     tracer: Option<&'a mut Tracer>,
-    bucket: &'a mut Bucket,
+    buckets: &'a mut [Bucket],
 }
 
-/// Drains one lane's bucket in order through [`shard_step`], summing its
-/// cross-shard share and its cost into the bucket. Allocation-free.
+/// Drains a lane's buckets in order through [`shard_step`], one shard
+/// after another, leaving each shard's cross share and cost in its
+/// bucket. Allocation-free.
 fn drain_lane<N: Network>(lane: Lane<'_, N>, clock: Option<Stopwatch>) {
-    let Bucket { ops, cross, cost } = lane.bucket;
     if let Some(tracer) = lane.tracer {
-        let (len, id) = (ops.len() as u64, lane.id as u64);
-        Tracer::record_timed(tracer, EventKind::ShardDispatch, len, id, stamp(clock), 0);
+        let (ops, id) = (queued(lane.buckets) as u64, lane.id as u64);
+        Tracer::record_timed(tracer, EventKind::ShardDispatch, ops, id, stamp(clock), 0);
     }
-    // Sums in locals: the loop's stores to the books could alias the
-    // bucket's fields as far as the compiler knows.
-    let (mut lane_cross, mut lane_cost) = (ServeCost::default(), ServeCost::default());
-    for op in ops.drain(..) {
-        let i = op.shard as usize - lane.first;
-        let (net, book) = (&mut lane.nets[i], &mut lane.books[i]);
-        lane_cost += shard_step(net, lane.cols.get_mut(i), clock, op, book, &mut lane_cross);
+    let mut cols = lane.cols.iter_mut();
+    let shards = lane.nets.iter_mut().zip(lane.books).zip(lane.buckets);
+    for ((net, book), Bucket { ops, cross, cost }) in shards {
+        let mut col = cols.next();
+        // Sums in locals: the loop's stores to the book could alias the
+        // bucket's fields as far as the compiler knows.
+        let (mut shard_cross, mut shard_cost) = (ServeCost::default(), ServeCost::default());
+        for op in ops.drain(..) {
+            shard_cost += shard_step(net, col.as_deref_mut(), clock, op, book, &mut shard_cross);
+        }
+        (*cross, *cost) = (shard_cross, shard_cost);
     }
-    (*cross, *cost) = (lane_cross, lane_cost);
 }
 
 impl ShardedEngine<kst_core::KSplayNet> {
@@ -1140,6 +1134,12 @@ mod tests {
     #[should_panic(expected = "self-request (7, 7)")]
     fn serve_one_rejects_a_self_request() {
         two_shard_engine().serve_one(7, 7, &mut EngineReport::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "report has 1 shard accounts and 0 collectors for 2 shards")]
+    fn serve_one_rejects_a_report_for_another_shard_count() {
+        two_shard_engine().serve_one(7, 9, &mut EngineReport::new(1));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! one-tree-one-core to datacenter scale: the keyspace is partitioned into
 //! `S` contiguous shards, each shard runs one independent
 //! [`kst_core::Network`] (k-ary SplayNet, k-semi-splay, centroid, lazy —
-//! anything implementing the trait), and traces replay in rounds whose
-//! lanes of contiguous shards serve on scoped threads.
+//! anything implementing the trait), and traces replay in rounds: routing
+//! fills one bucket per shard, and lanes of contiguous shards drain them.
 //! Cross-shard requests route via a top-level **router spine** with an
 //! explicit, documented cost model (see [`engine`]): a flat star by
 //! default, or a self-adjusting k-splay network over the shard gateways

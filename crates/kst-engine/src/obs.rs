@@ -21,7 +21,7 @@
 //!   (`tests/engine_differential.rs` asserts it). [`ObsReport`]'s
 //!   `PartialEq` compares exactly these surfaces.
 //! * **Wall-clock / layout-dependent** — rebuild pause times, the
-//!   per-round bucket size and routed-ops distributions, and the span
+//!   per-round lane-load and routed-ops distributions, and the span
 //!   timelines.
 //!   These describe *one particular run* and are excluded from
 //!   equality. Wall-clock fields are only populated under
@@ -86,17 +86,17 @@ pub struct ObsReport {
     /// Per-shard collectors, indexed by shard id. Empty when mode is
     /// [`ObsMode::Off`].
     pub per_shard: Vec<ObsCollector>,
-    /// Ops per non-empty lane bucket per round (layout-dependent,
-    /// excluded from equality).
+    /// Ops per busy lane per round, its shards' buckets together
+    /// (layout-dependent, excluded from equality).
     pub batch_sizes: Histogram,
     /// Ops routed per round, all lanes together (layout-dependent,
     /// excluded from equality).
     pub queue_depth: Histogram,
-    /// The routing thread's span timeline: one `BatchHandoff` per
-    /// non-empty lane bucket per round (track = shard count).
+    /// The routing thread's span timeline: one `BatchHandoff` (lane, ops)
+    /// per busy lane per round (track = shard count).
     pub dispatcher: Tracer,
-    /// Per-lane span timelines: one `ShardDispatch` per bucket the lane
-    /// drains (track = shard count + 1 + lane index). `run_trace` gives
+    /// Per-lane span timelines: one `ShardDispatch` (ops, lane) per round
+    /// the lane is busy (track = shard count + 1 + lane index). `run_trace` gives
     /// every lane one; a report from `EngineReport::new` has none, so
     /// `serve_one` records no lane spans into it.
     pub workers: Vec<Tracer>,
@@ -274,10 +274,11 @@ pub(crate) fn stamp(clock: Option<Stopwatch>) -> u64 {
 }
 
 /// Records one round's handoff on an observed report, after routing and
-/// before any lane serves: for each lane whose bucket is non-empty, its op
-/// count into `batch_sizes` and a `BatchHandoff` span (lane, ops) on the
+/// before any lane serves: for each busy lane, its op count into
+/// `batch_sizes` and a `BatchHandoff` span (lane, ops) on the
 /// `dispatcher` timeline; then the ops routed in the round into
-/// `queue_depth`. `lens` gives the bucket lengths in lane order.
+/// `queue_depth`. `lens` gives each lane's ops (its shards' buckets
+/// together) in lane order.
 pub(crate) fn record_handoff(
     obs: &mut ObsReport,
     lens: impl Iterator<Item = usize>,

@@ -15,10 +15,10 @@ pub enum EventKind {
     Serve,
     /// A rebuild plan was applied (args: nodes re-formed, patches).
     RebuildApply,
-    /// A worker processed one dispatched batch (args: ops in batch).
+    /// A lane starts draining its shards' ops for a round (args: ops, lane).
     ShardDispatch,
-    /// The dispatcher handed a batch to a worker queue (args: worker,
-    /// ops in batch).
+    /// Routing finished a round with ops queued for a lane (args: lane
+    /// index, ops in the lane's round).
     BatchHandoff,
     /// A live-resharding migration moved keys across a shard boundary
     /// (args: boundary index, keys moved).
@@ -47,7 +47,7 @@ pub struct SpanEvent {
     /// Event type.
     pub kind: EventKind,
     /// Track (chrome://tracing `tid`): shard id, or a synthetic track
-    /// for the dispatcher/workers.
+    /// for the routing thread or a lane.
     pub track: u32,
     /// First argument (kind-specific, see [`EventKind`]).
     pub a: u64,

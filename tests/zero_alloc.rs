@@ -324,3 +324,34 @@ fn serve_paths_never_allocate() {
         assert_eq!(allocs, 0, "an empty-plan lazy trigger allocated");
     }
 }
+
+/// A shard bucket holds a whole round: a request routes at most one op to
+/// any shard, so `run_trace` reserves one round's worth of ops per shard.
+/// Rounds whose requests all stay inside shard 0 fill that one bucket to
+/// the brim and keep one lane busy, so the replay allocates only its
+/// report: no bucket grows and no worker spawns.
+#[test]
+fn one_shard_rounds_allocate_only_their_report() {
+    let (n, batch, rounds) = (400, 512, 4);
+    let cfg = EngineConfig::default()
+        .with_shards(4)
+        .with_threads(2)
+        .with_batch(batch);
+    let mut eng = ShardedEngine::ksplay(3, n, cfg);
+    let warm = eng.run_trace(&gens::uniform(n, rounds * batch, 41));
+    assert!(warm.cross.requests > 0, "uniform traffic must cross shards");
+    assert_eq!(eng.map().shard_of(1), eng.map().shard_of(2));
+    let hot = Trace::new(n, vec![(1, 2); rounds * batch]);
+    let (_, per_report) = alloc_probe::count_allocations(|| {
+        (
+            EngineReport::new(4),
+            ObsReport::with_config(4, ObsMode::Off),
+        )
+    });
+    let (rep, allocs) = alloc_probe::count_allocations(|| eng.run_trace(&hot));
+    assert_eq!(rep.per_shard[0].requests, (rounds * batch) as u64);
+    assert_eq!(
+        allocs, per_report,
+        "a round held in one shard's bucket allocated beyond its report"
+    );
+}
