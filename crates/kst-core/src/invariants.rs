@@ -70,7 +70,7 @@ pub fn validate(t: &KstTree) -> Result<(), String> {
             }
         }
         for &e in es {
-            if image_key(e).is_some() {
+            if image_key(e, k).is_some() {
                 return Err(format!("key {}: element {e} is a key image", v + 1));
             }
             if e <= lo || e >= hi {
@@ -80,7 +80,7 @@ pub fn validate(t: &KstTree) -> Result<(), String> {
                 ));
             }
         }
-        let img = key_image(v + 1);
+        let img = key_image(v + 1, k);
         if img <= lo || img >= hi {
             return Err(format!("key {} image outside its gap ({lo}, {hi})", v + 1));
         }

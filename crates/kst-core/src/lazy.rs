@@ -257,12 +257,12 @@ impl Rebuild for IncrementalWeightBalanced {
                 let mut lo_j = if j == 0 {
                     a
                 } else {
-                    (es[j - 1] >> crate::key::KEY_SHIFT) as NodeKey + 1
+                    crate::key::floor_key(es[j - 1], k) + 1
                 };
                 let mut hi_j = if j == k - 1 {
                     b
                 } else {
-                    (es[j] >> crate::key::KEY_SHIFT) as NodeKey
+                    crate::key::floor_key(es[j], k)
                 };
                 lo_j = lo_j.max(a);
                 hi_j = hi_j.min(b);

@@ -185,7 +185,7 @@ impl KstTree {
         for w in 0..d - 1 {
             let (eb, cb) = (path[w] as usize * km1, path[w] as usize * k);
             let (row, kids) = (&elems[eb..eb + km1], &children[cb..cb + k]);
-            let img = key_image(idx_to_key(path[w + 1]));
+            let img = key_image(idx_to_key(path[w + 1]), k);
             let p = row.iter().map(|&e| usize::from(e < img)).sum::<usize>();
             assert!(kids[p] == path[w + 1], "not a downward path");
             m_elems[m..m + km1].copy_from_slice(row);
@@ -207,7 +207,7 @@ impl KstTree {
         // Key-gap position of every path node in the merged array, counted
         // once; the window steps below keep them current incrementally.
         for (g, &node) in gaps.iter_mut().zip(path) {
-            let img = key_image(idx_to_key(node));
+            let img = key_image(idx_to_key(node), k);
             *g = m_elems.iter().map(|&e| usize::from(e < img)).sum();
         }
 

@@ -57,14 +57,14 @@ pub struct RoutingLoop;
 /// Routes a packet from `src` to `dst` using only per-node local state.
 pub fn route(t: &KstTree, src: NodeKey, dst: NodeKey) -> Result<RouteTrace, RoutingLoop> {
     let k = t.k();
-    let target = key_image(dst);
+    let target = key_image(dst, k);
     let mut cur = t.node_of(src);
     let mut came_from: NodeIdx = NIL; // previous hop (child or parent)
     let mut hops = vec![cur];
     // Intervals of the root → `cur` path, `cur`'s on top (rule 2), seeded
     // by searching the source's key down from the root: the search
     // property puts it in the slot of the next ancestor at every level.
-    let src_img = key_image(src);
+    let src_img = key_image(src, k);
     let mut intervals = vec![(0, RoutingKey::MAX)];
     let mut w = t.root();
     while w != cur {

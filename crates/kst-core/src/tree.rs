@@ -52,7 +52,9 @@
 //! [`restructure`]: KstTree::restructure
 //! [`splay_until`]: KstTree::splay_until
 
-use crate::key::{idx_to_key, key_image, key_to_idx, NodeIdx, NodeKey, RoutingKey, NIL};
+use crate::key::{
+    check_capacity, idx_to_key, key_image, key_to_idx, NodeIdx, NodeKey, RoutingKey, NIL,
+};
 use crate::net::ServeCost;
 use crate::shape::{Layout, ShapeTree};
 
@@ -127,15 +129,14 @@ struct RangeLoc {
 impl KstTree {
     /// Builds a tree realizing `shape` (shape offset `i` becomes key
     /// `i + 1`) with a valid routing-element layout. Panics if the shape
-    /// fails [`ShapeTree::validate`] at arity `k`.
+    /// fails [`ShapeTree::validate`] at arity `k`, or if its keys exceed
+    /// the 32-bit routing-element space of arity `k`
+    /// ([`crate::key::max_keys`]; checked before anything is allocated).
     pub fn from_shape(k: usize, shape: &ShapeTree) -> KstTree {
         assert!(k >= 2, "arity must be at least 2");
         let n = shape.len();
         assert!(n >= 1, "tree must have at least one node");
-        assert!(
-            (n as u64) < (u32::MAX as u64),
-            "node count must fit in u32 keys"
-        );
+        check_capacity(k, n);
         let layout = shape
             .layout(k)
             // ksan-allow: panic-surface constructor contract — an invalid shape is a caller bug and validate carries the diagnostic
@@ -182,19 +183,49 @@ impl KstTree {
     ///   gap is floored at `gap_lo + size·k + 1`, reserving exactly the
     ///   `size` key images plus `size·(k−1)` elements the chunk's own
     ///   materialization will place inside that gap;
-    /// * **cluster spill** — when the gap's lower boundary leaves no room
-    ///   below the own key image (only possible at the fragment's minimum
-    ///   key), the remaining cluster elements spill to just *above* the
+    /// * **cluster spill** — when the floor leaves too little room below
+    ///   the own key image (only possible when the gap's lower boundary is
+    ///   tight), the remaining cluster elements spill to just *above* the
     ///   image.
     ///
-    /// Feasibility invariant: any gap that previously held a subtree on
-    /// the same key range has at least `size·k` usable values (`size`
-    /// images + `size·(k−1)` elements fit there before), and the
-    /// reservation floor propagates exactly that bound down the fragment,
-    /// so the placement asserts can only trip on a range that never was a
-    /// subtree. In the unconstrained full-build gap neither addition ever
-    /// binds and the produced elements are identical to the historical
-    /// `from_shape` output.
+    /// # Feasibility
+    ///
+    /// Let `G` = `key_image(1, k)`, the image spacing; `G > k`. Placement
+    /// succeeds whenever the fragment's keys `[a, b]` and the gap satisfy
+    /// `lo < a·G`, `b·G < hi` and `hi − lo − 1 ≥ size·k` (room for one
+    /// image and `k − 1` elements per key). Within one node, the floor
+    /// `min_next` is at most `y·G` before an item whose first key is `y`:
+    ///
+    /// * it starts at `lo + 1 ≤ a·G`;
+    /// * a chunk of keys `y..=x` (`m` of them) leaves it at
+    ///   `max(y·G + m·k, x·G + 1)`. Both terms lie below the next image
+    ///   `(x + 1)·G`, the first because it equals `(x + 1)·G − m·(G − k)`
+    ///   and `G > k`. So a separator placed there fits below the next
+    ///   chunk, and the floor after it is again at most `(x + 1)·G`;
+    /// * the own key `y`'s cluster, spill included, ends at most at
+    ///   `y·G + k − 1`, so the floor after it is at most `y·G + k ≤
+    ///   (y + 1)·G`.
+    ///
+    /// This is where `G = k` fails: a spill of `k − 1` values above `y·G`
+    /// followed by a chunk of `m` keys puts the floor at `(y + 1)·G + m·k`,
+    /// exactly the image that the separator after the chunk must stay below.
+    /// A spill past the node's last item (bounded by `hi`, not an image)
+    /// needs the gap size: a floor set by a chunk's last image leaves `G −
+    /// 1 ≥ k − 1` values below the own key, so a spill means the floor is
+    /// `lo + 1` plus the values placed so far, and the last spilled value
+    /// is at most `lo + size·k < hi`. Every child chunk inherits the three
+    /// conditions: the values around its slot bracket its images, and the
+    /// value that closes its gap sits at least `m·k` above the one that
+    /// opens it (the reservation).
+    ///
+    /// Every caller meets them. `from_shape` writes `[1, n]` into `(0,
+    /// MAX)`, which holds `n·k` values since `(n + 1)·G ≤ 2^32`. A patched
+    /// range held a subtree inside its gap before, whose `size` images and
+    /// `size·(k − 1)` elements are distinct values there.
+    /// `absorb_fragment` writes `f` keys into a boundary gap reaching `0`
+    /// or `MAX` past every old image, which the capacity check leaves at
+    /// least `f·G − 1 ≥ f·k` values wide. In the unconstrained full-build
+    /// gap neither addition binds.
     fn write_fragment(
         &mut self,
         shape: &ShapeTree,
@@ -217,7 +248,7 @@ impl KstTree {
         }
         let mut elems: Vec<RoutingKey> = Vec::with_capacity(km1);
         let mut slot_of_chunk: Vec<usize> = Vec::with_capacity(k);
-        let mut chunk_size: Vec<u64> = Vec::with_capacity(k);
+        let mut chunk_size: Vec<RoutingKey> = Vec::with_capacity(k);
         let mut items: Vec<Item> = Vec::with_capacity(k + 1);
         let mut stack: Vec<(u32, RoutingKey, RoutingKey)> = vec![(shape.root, glo, ghi)];
         while let Some((v, lo, hi)) = stack.pop() {
@@ -225,7 +256,7 @@ impl KstTree {
             // Children by key; the own key follows those below it.
             let cs = layout.children(v);
             let gap = cs.partition_point(|&c| c < v);
-            let own = key_image(first_key + v);
+            let own = key_image(first_key + v, k);
             // Items in order: chunks (children) with the own key at `gap`.
             let c = cs.len();
             elems.clear();
@@ -243,11 +274,11 @@ impl KstTree {
                 }
                 let (a, b) = layout.span[ch as usize];
                 items.push(Item {
-                    lo_img: key_image(first_key + a),
-                    hi_img: key_image(first_key + b),
+                    lo_img: key_image(first_key + a, k),
+                    hi_img: key_image(first_key + b, k),
                     chunk: i,
                 });
-                chunk_size.push((b - a + 1) as u64);
+                chunk_size.push(b - a + 1);
             }
             if gap == c {
                 items.push(Item {
@@ -285,7 +316,7 @@ impl KstTree {
                 if it.chunk == usize::MAX {
                     if cluster > 0 {
                         let floor = (last + 1).max(min_next);
-                        let below = own.saturating_sub(floor).min(cluster as u64) as usize;
+                        let below = own.saturating_sub(floor).min(cluster as RoutingKey) as usize;
                         for s in 0..below {
                             elems.push(own - (below - s) as RoutingKey);
                         }
@@ -293,8 +324,8 @@ impl KstTree {
                         min_next = own + 1;
                         let overflow = cluster - below;
                         if overflow > 0 {
-                            // Tight lower boundary (fragment-min image):
-                            // spill the rest just above the own key.
+                            // Tight lower boundary: spill the rest just
+                            // above the own key (see Feasibility).
                             let upper = items.get(i + 1).map(|nx| nx.lo_img).unwrap_or(hi);
                             assert!(
                                 own + (overflow as RoutingKey) < upper,
@@ -314,7 +345,7 @@ impl KstTree {
                     slot_of_chunk[it.chunk] = elems.len();
                     // Reserve room for the chunk's internal images and
                     // elements before anything else may close its gap.
-                    min_next = min_next.saturating_add(chunk_size[it.chunk] * k as u64);
+                    min_next = min_next.saturating_add(chunk_size[it.chunk] * k as RoutingKey);
                     last = last.max(it.hi_img);
                     min_next = min_next.max(last + 1);
                     // Mandatory separator if the next item is also a chunk.
@@ -479,7 +510,7 @@ impl KstTree {
     /// outside the range, both endpoints must route into the same child
     /// slot. O(depth).
     fn locate_range(&self, lo: NodeKey, hi: NodeKey) -> RangeLoc {
-        let (lo_img, hi_img) = (key_image(lo), key_image(hi));
+        let (lo_img, hi_img) = (key_image(lo, self.k), key_image(hi, self.k));
         let mut loc = RangeLoc {
             root: self.root,
             anchor: NIL,
@@ -602,7 +633,15 @@ impl KstTree {
     /// routing element is translated with it; remaining elements *below*
     /// the first surviving key image — leading empty-slot elements left
     /// behind by past rotations — are order-preservingly compressed into
-    /// `1, 2, …` so no transform can underflow.
+    /// `1, 2, …` so no transform can underflow. They must number fewer
+    /// than `key_image(1, k)` to stay below the new first image, which is
+    /// asserted in every build. Rotations only permute element values, so
+    /// they never change how many elements lie below an image: the count
+    /// is set by the last re-forming. A connector leaves the `k − 1`
+    /// elements of key `hi + 1` there at most; anything below the
+    /// connector's gap is what earlier compressions left. Repeated
+    /// shuttling of boundary runs between k-splayed trees (arities 2 to
+    /// 17) never left more than `k − 1`, below the `2^s − 1 ≥ k` room.
     ///
     /// The returned cost counts the connector patch (its links, and one
     /// patch of the connector's nodes when one was needed) plus the
@@ -727,8 +766,8 @@ impl KstTree {
             // every shifted image/element, so global element order — and
             // with it every gap-containment invariant — is preserved.
             let f = size;
-            let img_f = key_image(f as NodeKey);
-            let next_img = key_image((f + 1) as NodeKey);
+            let img_f = key_image(f as NodeKey, k);
+            let next_img = key_image((f + 1) as NodeKey, k);
             let mut small: Vec<(RoutingKey, usize)> = Vec::new();
             for flat in f * km1..n * km1 {
                 if self.elems[flat] < next_img {
@@ -738,7 +777,7 @@ impl KstTree {
             small.sort_unstable();
             debug_assert!(small.windows(2).all(|w| w[0].0 < w[1].0));
             assert!(
-                (small.len() as u64) < key_image(1),
+                small.len() < key_image(1, k) as usize,
                 "routing-element space exhausted"
             );
             for (rank, &(_, flat)) in small.iter().enumerate() {
@@ -778,21 +817,21 @@ impl KstTree {
     /// `links_changed` = the fragment's `f − 1` internal links plus its
     /// anchor link (the donor charged the detach separately).
     /// Cold-path: allocates freely (runs at migration boundaries only).
+    ///
+    /// Panics before anything moves if the `n + f` keys exceed the 32-bit
+    /// routing-element space of arity `k` ([`crate::key::max_keys`]).
     pub fn absorb_fragment(&mut self, end: End, fragment: &ShapeTree) -> ServeCost {
         let k = self.k;
         let km1 = k - 1;
         let f = fragment.len();
         assert!(f >= 1, "cannot absorb an empty fragment");
+        let old_n = self.n;
+        let new_n = old_n + f;
+        check_capacity(k, new_n);
         let layout = fragment
             .layout(k)
             // ksan-allow: panic-surface absorb contract — an invalid fragment is a caller bug and validate carries the diagnostic
             .expect("fragment incompatible with requested arity");
-        let old_n = self.n;
-        let new_n = old_n + f;
-        assert!(
-            (new_n as u64) < (u32::MAX as u64),
-            "node count must fit in u32 keys"
-        );
         self.parent.resize(new_n, NIL);
         self.elems.resize(new_n * km1, 0);
         self.children.resize(new_n * k, NIL);
@@ -804,7 +843,7 @@ impl KstTree {
                 // fragment hangs one level below it.
                 let w = self.boundary_spine(End::High);
                 let glo = self.elems(w)[km1 - 1];
-                debug_assert!(glo < key_image((old_n + 1) as NodeKey));
+                debug_assert!(glo < key_image((old_n + 1) as NodeKey, k));
                 let root_frag = self.write_fragment(
                     fragment,
                     &layout,
@@ -818,7 +857,7 @@ impl KstTree {
             End::Low => {
                 // Renumber existing keys up by f: shift arena windows and
                 // translate elements by image(f).
-                let img_f = key_image(f as NodeKey);
+                let img_f = key_image(f as NodeKey, k);
                 let add = |v: NodeIdx| if v == NIL { NIL } else { v + f as NodeIdx };
                 for i in (0..old_n).rev() {
                     let ni = i + f;
@@ -1245,7 +1284,8 @@ mod tests {
         // just fresh balanced ones.
         use crate::ksplaynet::KSplayNet;
         use crate::net::Network;
-        for k in [2usize, 3, 5] {
+        // k = 3 and 7 leave the least room between images (2^s = k + 1).
+        for k in [2usize, 3, 5, 7] {
             let n = 60usize;
             let mut a = KSplayNet::balanced(k, n);
             let mut b = KSplayNet::balanced(k, n);
@@ -1302,6 +1342,31 @@ mod tests {
                 validate(&t).unwrap_or_else(|e| panic!("k={k} {end:?}: {e}"));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit routing-element space of arity 65536 (at most 32767 keys)")]
+    fn from_shape_checks_capacity_before_allocating() {
+        // 2^15 keys spaced 2^17 apart pass 2^32; the arenas would take
+        // 16 GiB, so the check must fire before any of them exists.
+        let k = 1 << 16;
+        let _ = KstTree::from_shape(k, &ShapeTree::balanced_kary(1 << 15, k));
+    }
+
+    #[test]
+    fn absorb_checks_capacity_before_moving() {
+        let k = 1 << 16;
+        let mut t = KstTree::balanced(k, 1);
+        let frag = ShapeTree::balanced_kary(crate::key::max_keys(k), k);
+        let absorb = std::panic::AssertUnwindSafe(|| t.absorb_fragment(End::High, &frag));
+        let err = std::panic::catch_unwind(absorb).expect_err("absorb past capacity must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or("");
+        assert!(msg.contains("32768 keys exceed"), "{msg}");
+        assert_eq!(t.n(), 1);
+        validate(&t).unwrap();
     }
 
     #[test]

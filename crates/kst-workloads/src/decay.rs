@@ -27,10 +27,12 @@
 //! **Memory.** The smoothed pairs live in one `Vec` sorted by packed
 //! `(u, v)`: 16 B per live pair, nothing per key. The current epoch is a
 //! second `Vec` of packed `(pair, count)` runs, 16 B per entry: a request
-//! appends one entry, and a full buffer is sorted and coalesced in place
-//! (one entry per pair) and grows only when that frees less than half of
-//! it, so its capacity stays below four entries per distinct pair of the
-//! largest epoch so far.
+//! appends one entry, and a full buffer is coalesced in place (one entry
+//! per pair) and grows only when that frees less than half of it, so its
+//! capacity stays below four entries per distinct pair of the largest
+//! epoch so far. A coalesce sorts only the raw records since the last
+//! one and merges their run into the already coalesced prefix, in room
+//! past the run's end that the buffer keeps.
 //! A merge coalesces it once more and merge-joins the sorted run with the
 //! smoothed `Vec` in place, back to front, decaying, pruning and totalling
 //! in the same pass, so iteration is canonical without sorting the ledger,
@@ -92,6 +94,23 @@ fn add_fp(a: u64, b: u64, p: u64) -> u64 {
     })
 }
 
+/// Sorts `run` by pair and sums each pair's entries into the first of
+/// them, moved to the front; returns how many distinct pairs lead `run`.
+fn sum_sorted(run: &mut [(u64, u64)]) -> usize {
+    run.sort_unstable_by_key(|e| e.0);
+    let mut kept = 0;
+    for r in 0..run.len() {
+        let e = run[r];
+        if kept > 0 && run[kept - 1].0 == e.0 {
+            run[kept - 1].1 = add_fp(run[kept - 1].1, e.1, e.0);
+        } else {
+            run[kept] = e;
+            kept += 1;
+        }
+    }
+    kept
+}
+
 /// Per-epoch decay multiplier `2^(−1/half_life)` in [`FRAC`]-bit
 /// fixed-point; 0 for `half_life = 0` (no memory). Clamped to strictly
 /// below 1.0: past `half_life ≈ 90 852` the rounded multiplier would
@@ -133,6 +152,9 @@ pub struct EwmaLedger {
     /// coalesced run and truncates back to the sentinel, so the capacity
     /// carries over between epochs.
     fresh: Vec<(u64, u64)>,
+    /// Length of `fresh`'s coalesced prefix, sentinel included: entries
+    /// from here on are raw records.
+    coalesced: usize,
     /// Smoothed `(pack(u, v), fixed-point count)` entries from index
     /// `start` on, sorted by packed pair (row-major), every count nonzero.
     /// The merge rewrites it in place, so its capacity carries over
@@ -157,6 +179,7 @@ impl EwmaLedger {
             half_life,
             lambda_fp: lambda_fp(half_life),
             fresh: vec![(0, 0)],
+            coalesced: 1,
             smoothed: Vec::new(),
             start: 0,
             total_fp: 0,
@@ -226,22 +249,57 @@ impl EwmaLedger {
     }
 
     /// Sorts the epoch buffer by pair and sums each pair's entries into
-    /// one, in place. If that left the buffer more than half full, it
-    /// grows, so at least as many records as it holds fit before the
-    /// next coalesce.
+    /// one, in place. Only the raw records since the last coalesce are
+    /// sorted and summed; their run is then copied past its end and
+    /// merged into the coalesced prefix back to front. The copy lands in
+    /// the room the summed duplicates freed, or in capacity the buffer
+    /// keeps, so a warmed ledger allocates nothing here. The sums are
+    /// integer, so the result does not depend on how records were
+    /// grouped. If the buffer is left more than half full, it grows, so
+    /// at least as many records as it holds fit before the next coalesce.
     #[inline(never)]
     fn coalesce(&mut self) {
         let fresh = &mut self.fresh;
-        fresh.sort_unstable_by_key(|e| e.0);
-        fresh.dedup_by(|e, kept| {
-            let same = e.0 == kept.0;
-            if same {
-                kept.1 = add_fp(kept.1, e.1, kept.0);
+        let (c, raw_end) = (self.coalesced, fresh.len());
+        let end = c + sum_sorted(&mut fresh[c..]);
+        let run = end - c;
+        let len = if c == 1 || run == 0 {
+            end
+        } else {
+            // The run moves to `end..end + run` (room the summed
+            // duplicates freed, or retained capacity), and the join
+            // writes below `end`: its write cursor `w` never passes an
+            // unread prefix entry, and the sentinel stops the prefix
+            // cursor `i`.
+            if end + run > raw_end {
+                fresh.resize(end + run, (0, 0));
             }
-            same
-        });
-        if fresh.len() > fresh.capacity() / 2 {
-            fresh.reserve(fresh.len());
+            fresh.copy_within(c..end, end);
+            let (mut i, mut w) = (c - 1, end);
+            for j in (end..end + run).rev() {
+                let (p, fp) = fresh[j];
+                while fresh[i].0 > p {
+                    w -= 1;
+                    fresh[w] = fresh[i];
+                    i -= 1;
+                }
+                w -= 1;
+                fresh[w] = if fresh[i].0 == p {
+                    i -= 1;
+                    (p, add_fp(fresh[i + 1].1, fp, p))
+                } else {
+                    (p, fp)
+                };
+            }
+            // Entries 1..=i never moved; close the gap each summed pair
+            // left between them and the merged run.
+            fresh.copy_within(w..end, i + 1);
+            end - (w - i - 1)
+        };
+        fresh.truncate(len);
+        self.coalesced = len;
+        if len > fresh.capacity() / 2 {
+            fresh.reserve(len);
         }
     }
 
@@ -366,6 +424,7 @@ impl EwmaLedger {
         self.start = w;
         self.total_fp = total;
         self.fresh.truncate(1);
+        self.coalesced = 1;
     }
 
     /// Forgets everything: smoothed ledger and current epoch (capacity
@@ -375,6 +434,7 @@ impl EwmaLedger {
         self.start = 0;
         self.total_fp = 0;
         self.fresh.truncate(1);
+        self.coalesced = 1;
     }
 
     /// All smoothed `(u, v, count)` entries with nonzero rounded count, in
@@ -952,6 +1012,33 @@ mod tests {
         assert_eq!(v.weight_mass(15, 35), 3);
         assert_eq!(v.weight_mass(41, 100), 0);
         assert_eq!(v.weight_mass(1, 1_000), 6);
+    }
+
+    #[test]
+    fn coalescing_in_runs_equals_one_sort_of_every_record() {
+        // `epoch_pairs` coalesces mid-epoch, so later records meet a
+        // coalesced prefix: runs with many repeats are joined in the room
+        // their duplicates free, runs of new pairs past the buffer's end.
+        let mut d = EwmaLedger::new(64, 0);
+        let mut want = std::collections::BTreeMap::new();
+        for round in 0..24u32 {
+            let repeats = round % 2 == 0;
+            for i in 0..60u32 {
+                let (u, v) = if repeats {
+                    (1 + (round + i % 4) % 63, 64 - i % 3)
+                } else {
+                    (1 + (round * 61 + i) % 63, 64)
+                };
+                d.record_many(u, v, 1 + u64::from(i % 3));
+                *want.entry((u, v)).or_insert(0u64) += 1 + u64::from(i % 3);
+            }
+            let got: Vec<_> = d.epoch_pairs().collect();
+            let expect: Vec<_> = want.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
+            assert_eq!(got, expect, "round {round}");
+        }
+        d.decay_merge();
+        let expect: Vec<_> = want.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
+        assert_eq!(d.pairs_sorted(), expect);
     }
 
     #[test]

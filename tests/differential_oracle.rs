@@ -31,8 +31,8 @@
 //! before the rewrite.)
 
 use kst_core::{
-    key_image, KPlusOneSplayNet, KSplayNet, KstTree, Membership, Network, NodeKey, SplayStrategy,
-    WindowPolicy,
+    key_image, KPlusOneSplayNet, KSplayNet, KstTree, Membership, Network, NodeKey, RoutingKey,
+    SplayStrategy, WindowPolicy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +45,7 @@ const REF_NIL: u32 = u32::MAX;
 struct RefNode {
     parent: u32,
     /// `k - 1` strictly increasing routing elements.
-    elems: Vec<u64>,
+    elems: Vec<RoutingKey>,
     /// `k` child slots (`REF_NIL` = empty).
     children: Vec<u32>,
 }
@@ -157,7 +157,7 @@ impl RefKstTree {
 
     /// Installs a node's routing array and child slots; re-parents the
     /// children.
-    fn set_node(&mut self, node: u32, elems: Vec<u64>, slots: Vec<u32>) {
+    fn set_node(&mut self, node: u32, elems: Vec<RoutingKey>, slots: Vec<u32>) {
         for &c in &slots {
             if c != REF_NIL {
                 self.nodes[c as usize].parent = node;
@@ -216,7 +216,7 @@ impl RefKstTree {
         // k subtrees between them, and collapses into one subtree.
         for i in 0..d {
             let node = path[i];
-            let img = key_image(node + 1);
+            let img = key_image(node + 1, self.k);
             let m = elems.len();
             let gap = elems.iter().filter(|&&e| e < img).count();
             if i + 1 == d {
@@ -236,7 +236,7 @@ impl RefKstTree {
                         .iter()
                         .take(8)
                         .map(|&p| {
-                            let pimg = key_image(p + 1);
+                            let pimg = key_image(p + 1, self.k);
                             elems.iter().filter(|&&e| e < pimg).count()
                         })
                         .collect();
@@ -258,7 +258,7 @@ impl RefKstTree {
                 elems[a..a + km1].to_vec(),
                 slots[a..=a + km1].to_vec(),
             );
-            let mut ne: Vec<u64> = elems[..a].to_vec();
+            let mut ne: Vec<RoutingKey> = elems[..a].to_vec();
             ne.extend_from_slice(&elems[a + km1..]);
             elems = ne;
             let mut ns: Vec<u32> = slots[..a].to_vec();

@@ -20,16 +20,18 @@
 //! | array       | bytes/node | 10⁸ nodes |
 //! |-------------|-----------:|----------:|
 //! | parent      |          4 |    0.4 GB |
-//! | elems (k−1) |         24 |    2.4 GB |
+//! | elems (k−1) |         12 |    1.2 GB |
 //! | children (k)|         16 |    1.6 GB |
-//! | **total**   |     **44** | **4.4 GB**|
+//! | **total**   |     **32** | **3.2 GB**|
 //!
-//! No interval bounds and no depths are stored: a node's interval is the
-//! slot gap of its parent link, and `distance_lca` walks the parent chains
-//! for depths. Steady state is 4.4 GB. The peak is during construction:
-//! all 16 shard arenas (4.4 GB) plus up to `build_threads ≤ 4`
-//! overlapping `from_shape` transients (~0.6 GB per 6.25·10⁶-node shard:
-//! shape child lists, key ranges, traversal order) ≈ 6.8 GB worst case; the trace and report windows add a few MB. NUMA
+//! Routing elements are 32-bit (key images 8 apart at k = 4). No interval
+//! bounds and no depths are stored: a node's interval is the slot gap of
+//! its parent link, and `distance_lca` walks the parent chains for
+//! depths. Steady state is 3.2 GB. The peak is during construction: all
+//! 16 shard arenas (3.2 GB) plus up to `build_threads ≤ 4` overlapping
+//! `from_shape` transients (~0.6 GB per 6.25·10⁶-node shard: shape child
+//! lists, key ranges, traversal order) ≈ 5.6 GB worst case; the trace and
+//! report windows add a few MB. NUMA
 //! pinning and mmap-backed arenas remain out of scope (no libc/registry
 //! access) — recorded in the ROADMAP.
 

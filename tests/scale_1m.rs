@@ -9,14 +9,14 @@
 //! ## Memory budget
 //!
 //! The documented peak-RSS budget is **512 MiB**. Breakdown for k = 4,
-//! n = 10⁶: the arena tree itself is ~44 MB (parents 4 MB, elements 24 MB,
-//! child slots 16 MB);
-//! `from_shape` construction transients (shape children lists, key ranges,
-//! traversal order) peak at roughly another ~100 MB and are freed before
-//! serving; the trace and test harness add a few MB. The budget leaves ~3×
-//! headroom over the expected ~150 MB peak while still catching any
-//! per-node `Vec` regression or quadratic blow-up (per-node heap boxing at
-//! this scale costs hundreds of MB immediately).
+//! n = 10⁶: the arena tree itself is ~32 MB (parents 4 MB, 32-bit elements
+//! 12 MB, child slots 16 MB); `from_shape` construction transients (the
+//! flat shape, its layout, the placement stack) are freed before serving;
+//! the trace and test harness add a few MB. The measured peak is 77 MiB
+//! (x86-64 Linux, release build), so the budget leaves over 6× headroom
+//! while still catching any per-node `Vec` regression or quadratic
+//! blow-up (per-node heap boxing at this scale costs hundreds of MB
+//! immediately).
 
 // Demo/report output is this target's purpose; the workspace denies stdout printing in library code only.
 #![allow(clippy::print_stdout)]

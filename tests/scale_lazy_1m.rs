@@ -14,7 +14,7 @@
 //! The documented peak-RSS budget is **512 MiB** (the same envelope as
 //! the reactive net's `scale_1m` test). Breakdown for k = 4, n = 10⁶,
 //! per test:
-//! - the arena tree is 44 MB (44 B per node: three 8 B routing elements,
+//! - the arena tree is 32 MB (32 B per node: three 4 B routing elements,
 //!   four 4 B child slots and the parent);
 //! - the lazy ledger's dense per-key arrays are 24 MB (24 B per key: the
 //!   weight prefix, the planned baselines and the dirty prefix);
@@ -25,11 +25,11 @@
 //!   distinct pairs, well under 1 MB, versus the 8 TB a dense matrix
 //!   would demand.
 //!
-//! That is about 76 MB of arrays per test; rebuild transients, the
-//! trace and the runtime bring the standalone test's peak to 111 MiB
+//! That is about 64 MB of arrays per test; rebuild transients, the
+//! trace and the runtime bring the standalone test's peak to 92 MiB
 //! when it runs alone (x86-64 Linux, release build). The two tests share
 //! one process and by default run at the same time, which measured a
-//! 185 MiB peak.
+//! 167 MiB peak.
 
 // Demo/report output is this target's purpose; the workspace denies stdout printing in library code only.
 #![allow(clippy::print_stdout)]

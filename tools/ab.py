@@ -14,7 +14,10 @@ own sources (into the worktree's `.bench_build`). Runs come in pairs, one
 per side, and the side that runs first alternates from pair to pair, so
 a drift in host speed lands on both sides alike.
 
-For each workload and metric it prints the median and quartiles of both
+After each pair it prints one `ab pair` line to stderr with both sides'
+values of every end-to-end metric BENCHMARK.json gates, so the per-pair
+values of any gated metric can be listed from one run. For each workload
+and metric it then prints the median and quartiles of both
 sides, the ratio of the medians (change / base), how many pairs the
 change won (by the metric's direction in BENCHMARK.json, lower is better
 where none is given), a two-sided sign-test p-value over the non-tied
@@ -154,15 +157,24 @@ def run_bench(path, name):
     return values
 
 
-def directions(root):
-    """Metric name -> "lower" or "higher", from BENCHMARK.json."""
+def benchmark_spec(root):
+    """BENCHMARK.json, or {} when it is missing or unreadable."""
     try:
         with open(os.path.join(root, "BENCHMARK.json")) as f:
-            spec = json.load(f)
+            return json.load(f)
     except (OSError, ValueError):
         return {}
+
+
+def directions(spec):
+    """Metric name -> "lower" or "higher", from BENCHMARK.json."""
     return {m["name"]: m.get("better", "lower")
             for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+
+
+def gated(spec):
+    """The end-to-end metric names BENCHMARK.json bounds, in its order."""
+    return [m["name"] for m in spec.get("end_to_end", [])] or ["serve_cpu_ns_per_req"]
 
 
 def quartiles(xs):
@@ -272,6 +284,8 @@ def main():
         compare_benches(args, shas, paths)
         return
 
+    spec = benchmark_spec(root)
+    shown = gated(spec)
     runs = {w: ([], []) for w in workloads}
     correct = {w: True for w in workloads}
     nproc = os.cpu_count()
@@ -284,12 +298,13 @@ def main():
                 correct[w] = correct[w] and ok
                 nproc = n or nproc
             b, c = runs[w][0][-1], runs[w][1][-1]
-            key = "serve_cpu_ns_per_req"
-            if key in b:
-                print(f"ab pair {i + 1}/{args.pairs} {w}: {key} base {b[key]:.1f}, "
-                      f"change {c[key]:.1f}", file=sys.stderr)
+            values = [f"{key} base {b[key]:.4g}, change {c[key]:.4g}"
+                      for key in shown if key in b and key in c]
+            if values:
+                print(f"ab pair {i + 1}/{args.pairs} {w}: " + "; ".join(values),
+                      file=sys.stderr)
 
-    better = directions(root)
+    better = directions(spec)
     for w in workloads:
         report(w, args, shas, nproc, correct[w],
                summarize(runs[w][0], runs[w][1], better))
