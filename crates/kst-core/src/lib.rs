@@ -51,11 +51,11 @@ pub mod viz;
 
 // Send-safety audit: the sharded engine (`kst-engine`) moves whole
 // networks into worker threads, so every network type — and the arena
-// tree underneath — must stay `Send`. The arena design (struct-of-arrays
-// `Vec`s, no `Rc`/`RefCell`, no raw pointers, thread-local-free scratch)
-// gives this for free today; these assertions turn any future regression
-// (e.g. an `Rc`-cached path) into a compile error right here instead of a
-// trait-bound error three crates away.
+// tree underneath — must stay `Send`. The arena design (a parent `Vec`
+// and a row `Vec`, no `Rc`/`RefCell`, no raw pointers, thread-local-free
+// scratch) gives this for free today; these assertions turn any future
+// regression (e.g. an `Rc`-cached path) into a compile error right here
+// instead of a trait-bound error three crates away.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<tree::KstTree>();

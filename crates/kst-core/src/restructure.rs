@@ -154,10 +154,10 @@ impl KstTree {
         let anchor = self.parent(top);
         // Merged element count; the merged slots number one more.
         let me = d * km1;
+        let s = 2 * k - 1; // row stride: k − 1 elements, then k slots
         let KstTree {
             parent,
-            elems,
-            children,
+            rows,
             scratch_elems,
             scratch_slots,
             scratch_orig,
@@ -183,8 +183,8 @@ impl KstTree {
         // key.
         let (mut m, mut e) = (0usize, me);
         for w in 0..d - 1 {
-            let (eb, cb) = (path[w] as usize * km1, path[w] as usize * k);
-            let (row, kids) = (&elems[eb..eb + km1], &children[cb..cb + k]);
+            let b = path[w] as usize * s;
+            let (row, kids) = rows[b..b + s].split_at(km1);
             let img = key_image(idx_to_key(path[w + 1]), k);
             let p = row.iter().map(|&e| usize::from(e < img)).sum::<usize>();
             assert!(kids[p] == path[w + 1], "not a downward path");
@@ -198,9 +198,9 @@ impl KstTree {
             e -= km1 - p;
         }
         debug_assert_eq!(e, m + km1);
-        let (eb, cb) = (new_top as usize * km1, new_top as usize * k);
-        m_elems[m..m + km1].copy_from_slice(&elems[eb..eb + km1]);
-        m_slots[m..m + k].copy_from_slice(&children[cb..cb + k]);
+        let b = new_top as usize * s;
+        m_elems[m..m + km1].copy_from_slice(&rows[b..b + km1]);
+        m_slots[m..m + k].copy_from_slice(&rows[b + km1..b + s]);
         orig[m..m + k].fill(d - 1);
         debug_assert!(m_elems.windows(2).all(|w| w[0] < w[1]));
 
@@ -234,9 +234,9 @@ impl KstTree {
                 choose_window(policy, a_min, a_max, km1, starts, gaps, i)
             }
             .min(me - km1);
-            let (eb, cb) = (node as usize * km1, node as usize * k);
-            elems[eb..eb + km1].copy_from_slice(&m_elems[a..a + km1]);
-            children[cb..cb + k].copy_from_slice(&m_slots[a..a + k]);
+            let b = node as usize * s;
+            rows[b..b + km1].copy_from_slice(&m_elems[a..a + km1]);
+            rows[b + km1..b + s].copy_from_slice(&m_slots[a..a + k]);
             for (&c, &o) in m_slots[a..a + k].iter().zip(&orig[a..a + k]) {
                 changed += u64::from((c != NIL) & (o != i));
                 parent[if c == NIL { node } else { c } as usize] = node;
@@ -271,11 +271,12 @@ impl KstTree {
                 }
             } else {
                 debug_assert_eq!(m, km1);
-                let (eb, cb) = (new_top as usize * km1, new_top as usize * k);
-                for (t, e) in elems[eb..eb + km1].iter_mut().enumerate() {
+                let b = new_top as usize * s;
+                let (row_elems, row_slots) = rows[b..b + s].split_at_mut(km1);
+                for (t, e) in row_elems.iter_mut().enumerate() {
                     *e = m_elems[elem_src(t)];
                 }
-                for (t, slot) in children[cb..cb + k].iter_mut().enumerate() {
+                for (t, slot) in row_slots.iter_mut().enumerate() {
                     let (s, o) = (m_slots[slot_src(t)], orig[slot_src(t)]);
                     let (c, o) = if t == a { (node, i + 1) } else { (s, o) };
                     *slot = c;
@@ -290,8 +291,8 @@ impl KstTree {
         if anchor == NIL {
             self.set_root(new_top);
         } else {
-            let ab = anchor as usize * k;
-            for c in &mut children[ab..ab + k] {
+            let b = anchor as usize * s;
+            for c in &mut rows[b + km1..b + s] {
                 *c = if *c == top { new_top } else { *c };
             }
         }

@@ -15,21 +15,21 @@
 //! by the parent's elements and the slot the node hangs from. Greedy
 //! routing (see `routing` module) derives it along the path it walks.
 //!
-//! # Arena layout invariants
+//! # Row layout
 //!
-//! Layout is struct-of-arrays over flat vectors — **no per-node `Vec` exists
-//! anywhere on the serve path**, and every per-request working set lives in
-//! scratch arenas owned by the tree:
+//! Two flat `u32` arenas — **no per-node `Vec` exists anywhere on the
+//! serve path**, and every per-request working set lives in scratch
+//! arenas owned by the tree:
 //!
 //! * `parent[v]` — parent index, `NIL` for the root (stride 1);
-//! * `elems[v * (k-1) .. (v+1) * (k-1)]` — the node's `k - 1` strictly
-//!   increasing routing elements (stride `k - 1`);
-//! * `children[v * k .. (v+1) * k]` — the node's `k` child slots (stride
-//!   `k`, `NIL` = empty slot).
+//! * `rows[v * (2k-1) .. (v+1) * (2k-1)]` — the node's `k - 1` strictly
+//!   increasing routing elements, then its `k` child slots (`NIL` =
+//!   empty slot), so a rotation reads and writes one row per node.
 //!
-//! Strides are fixed at construction; node `v`'s state is always located by
-//! multiplication, never by pointer chasing, and rotations only ever
-//! `copy_from_slice` whole per-node windows.
+//! Parents stay apart: the distance climb chases them, and 4 B entries
+//! keep that chain in cache where 8k-byte rows would not (on a Xeon with
+//! 2 MiB of L2 per core, parents inside the rows made k = 2 serves of
+//! 2¹⁸-node shards ~1.45× slower).
 //!
 //! # Scratch reuse contract
 //!
@@ -58,8 +58,8 @@ use crate::key::{
 use crate::net::ServeCost;
 use crate::shape::{Layout, ShapeTree};
 
-/// Node-arena size (parents, routing elements, child slots) from
-/// which rotations prefetch the rows they are about to touch. Smaller
+/// Node-arena size (parents plus rows of routing elements and child slots)
+/// from which rotations prefetch the rows they are about to touch. Smaller
 /// trees stay cache-resident, where the hints only cost instructions
 /// (measured with k = 2: 26% faster k-splay serves at 2¹⁸ nodes, 11%
 /// slower at 2¹⁰, break-even near 2¹⁶).
@@ -71,13 +71,12 @@ pub struct KstTree {
     k: usize,
     n: usize,
     root: NodeIdx,
-    // The three node arenas are crate-visible so the restructure kernel can
-    // borrow them disjointly from the scratch arenas.
+    // The node arenas (see the module docs) are crate-visible so the
+    // restructure kernel can borrow them disjointly from the scratch
+    // arenas.
     pub(crate) parent: Vec<NodeIdx>,
-    /// Flat `n × (k-1)` strictly-increasing routing elements.
-    pub(crate) elems: Vec<RoutingKey>,
-    /// Flat `n × k` child slots (`NIL` = empty).
-    pub(crate) children: Vec<NodeIdx>,
+    /// `n` rows of stride `2k - 1`: routing elements, then child slots.
+    pub(crate) rows: Vec<u32>,
     /// Scratch arenas reused by the serve path (see the module docs for the
     /// reuse contract): merged routing elements …
     pub(crate) scratch_elems: Vec<RoutingKey>,
@@ -146,8 +145,7 @@ impl KstTree {
             n,
             root: 0,
             parent: vec![NIL; n],
-            elems: vec![0; n * (k - 1)],
-            children: vec![NIL; n * k],
+            rows: vec![0; n * (2 * k - 1)],
             scratch_elems: Vec::new(),
             scratch_slots: Vec::new(),
             scratch_path: Vec::new(),
@@ -155,8 +153,7 @@ impl KstTree {
             scratch_gaps: Vec::new(),
             scratch_parents: Vec::new(),
         };
-        let root = t.write_fragment(shape, &layout, 1, 0, RoutingKey::MAX);
-        t.root = root;
+        t.root = t.write_fragment(shape, &layout, 1, NIL, 0, RoutingKey::MAX);
         t
     }
 
@@ -165,9 +162,10 @@ impl KstTree {
     /// `first_key + i`), with every routing element drawn strictly from
     /// the enclosing gap `(glo, ghi)`. `layout` is the shape's validated
     /// children and subtree spans ([`ShapeTree::validate`]). Overwrites
-    /// exactly the arena entries of keys `first_key .. first_key +
-    /// shape.len()` and returns the fragment's root index; the caller
-    /// attaches the root (parent pointer / child slot / tree root).
+    /// exactly the rows and parents of keys `first_key .. first_key +
+    /// shape.len()`, each once, with the fragment root's parent set to
+    /// `anchor`, and returns the fragment's root index; the caller puts
+    /// the root in `anchor`'s child slot, or makes it the tree root.
     ///
     /// This is `from_shape`'s materialization loop, factored out so
     /// [`KstTree::patch_subtree`] can re-form a single subtree without
@@ -231,6 +229,7 @@ impl KstTree {
         shape: &ShapeTree,
         layout: &Layout,
         first_key: NodeKey,
+        anchor: NodeIdx,
         glo: RoutingKey,
         ghi: RoutingKey,
     ) -> NodeIdx {
@@ -250,8 +249,9 @@ impl KstTree {
         let mut slot_of_chunk: Vec<usize> = Vec::with_capacity(k);
         let mut chunk_size: Vec<RoutingKey> = Vec::with_capacity(k);
         let mut items: Vec<Item> = Vec::with_capacity(k + 1);
-        let mut stack: Vec<(u32, RoutingKey, RoutingKey)> = vec![(shape.root, glo, ghi)];
-        while let Some((v, lo, hi)) = stack.pop() {
+        let mut stack: Vec<(u32, NodeIdx, RoutingKey, RoutingKey)> =
+            vec![(shape.root, anchor, glo, ghi)];
+        while let Some((v, parent, lo, hi)) = stack.pop() {
             let vi = (first + v) as usize;
             // Children by key; the own key follows those below it.
             let cs = layout.children(v);
@@ -364,19 +364,18 @@ impl KstTree {
             debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
             debug_assert!(elems.first().map(|&e| e > lo).unwrap_or(true));
             debug_assert!(elems.last().map(|&e| e < hi).unwrap_or(true));
-            // Write node.
-            let base_e = vi * km1;
-            self.elems[base_e..base_e + km1].copy_from_slice(&elems);
-            let base_c = vi * k;
-            self.children[base_c..base_c + k].fill(NIL);
+            // Write the node; each child writes its own parent.
+            self.parent[vi] = parent;
+            let b = self.row(vi as NodeIdx);
+            let row = &mut self.rows[b..b + 2 * k - 1];
+            row[..km1].copy_from_slice(&elems);
+            row[km1..].fill(NIL);
             for (i, &ch) in cs.iter().enumerate() {
                 let slot = slot_of_chunk[i];
-                let ci = first + ch;
-                self.children[base_c + slot] = ci;
-                self.parent[ci as usize] = vi as NodeIdx;
+                row[km1 + slot] = first + ch;
                 let slo = if slot == 0 { lo } else { elems[slot - 1] };
                 let shi = if slot == k - 1 { hi } else { elems[slot] };
-                stack.push((ch, slo, shi));
+                stack.push((ch, vi as NodeIdx, slo, shi));
             }
         }
         first + shape.root
@@ -447,8 +446,8 @@ impl KstTree {
         let (base, last) = (key_to_idx(lo), key_to_idx(hi));
         let (b, e) = (base as usize, last as usize + 1);
         let outside = |x: NodeIdx| x.wrapping_sub(base) as usize >= size;
-        let stray_child = self.children[b * k..e * k]
-            .iter()
+        let stray_child = (base..=last)
+            .flat_map(|v| self.children(v))
             .fold(false, |bad, &c| bad | ((c != NIL) & outside(c)));
         let stray_parent = (base..=last)
             .zip(&self.parent[b..e])
@@ -476,9 +475,8 @@ impl KstTree {
         //    and reattach.
         let mut old = std::mem::take(&mut self.scratch_parents);
         old.clear();
-        old.extend_from_slice(&self.parent[base as usize..=last as usize]);
-        let new_root = self.write_fragment(fragment, &layout, lo, loc.glo, loc.ghi);
-        self.set_parent(new_root, anchor);
+        old.extend_from_slice(&self.parent[b..e]);
+        let new_root = self.write_fragment(fragment, &layout, lo, anchor, loc.glo, loc.ghi);
         if anchor == NIL {
             self.set_root(new_root);
         } else {
@@ -652,7 +650,6 @@ impl KstTree {
     /// Panics if the run is empty, covers the whole tree, or is interior.
     pub fn extract_range(&mut self, lo: NodeKey, hi: NodeKey) -> (ShapeTree, ServeCost) {
         let k = self.k;
-        let km1 = k - 1;
         let n = self.n;
         assert!(
             lo >= 1 && lo <= hi && (hi as usize) <= n,
@@ -756,9 +753,7 @@ impl KstTree {
         let new_n = n - size;
         if hi as usize == n && lo > 1 {
             // High run: keys 1..=new_n keep their numbers; drop the tail.
-            self.parent.truncate(new_n);
-            self.elems.truncate(new_n * km1);
-            self.children.truncate(new_n * k);
+            self.resize_nodes(new_n);
         } else {
             // Low run: renumber keys down by f = hi. Remaining elements
             // below image(f+1) (leading empty-slot values) are compressed
@@ -769,9 +764,10 @@ impl KstTree {
             let img_f = key_image(f as NodeKey, k);
             let next_img = key_image((f + 1) as NodeKey, k);
             let mut small: Vec<(RoutingKey, usize)> = Vec::new();
-            for flat in f * km1..n * km1 {
-                if self.elems[flat] < next_img {
-                    small.push((self.elems[flat], flat));
+            for (flat, &e) in self.rows.iter().enumerate().skip(self.row(f as NodeIdx)) {
+                // A row starts with its k − 1 elements.
+                if flat % (2 * k - 1) < k - 1 && e < next_img {
+                    small.push((e, flat));
                 }
             }
             small.sort_unstable();
@@ -781,25 +777,13 @@ impl KstTree {
                 "routing-element space exhausted"
             );
             for (rank, &(_, flat)) in small.iter().enumerate() {
-                self.elems[flat] = rank as RoutingKey + 1;
+                self.rows[flat] = rank as RoutingKey + 1;
             }
-            let sub = |v: NodeIdx| if v == NIL { NIL } else { v - f as NodeIdx };
-            for i in 0..new_n {
-                self.parent[i] = sub(self.parent[i + f]);
-                for j in 0..k {
-                    self.children[i * k + j] = sub(self.children[(i + f) * k + j]);
-                }
-                for j in 0..km1 {
-                    let e = self.elems[(i + f) * km1 + j];
-                    self.elems[i * km1 + j] = if e >= next_img { e - img_f } else { e };
-                }
-            }
-            self.parent.truncate(new_n);
-            self.elems.truncate(new_n * km1);
-            self.children.truncate(new_n * k);
+            let shift = |e| if e >= next_img { e - img_f } else { e };
+            self.move_nodes(f, 0, new_n, |v| v - f as NodeIdx, shift);
+            self.resize_nodes(new_n);
             self.root -= f as NodeIdx;
         }
-        self.n = new_n;
         (shape, stats)
     }
 
@@ -832,10 +816,7 @@ impl KstTree {
             .layout(k)
             // ksan-allow: panic-surface absorb contract — an invalid fragment is a caller bug and validate carries the diagnostic
             .expect("fragment incompatible with requested arity");
-        self.parent.resize(new_n, NIL);
-        self.elems.resize(new_n * km1, 0);
-        self.children.resize(new_n * k, NIL);
-        self.n = new_n;
+        self.resize_nodes(new_n);
         match end {
             End::High => {
                 // Deepest right-boundary node; its last gap is (max
@@ -844,40 +825,23 @@ impl KstTree {
                 let w = self.boundary_spine(End::High);
                 let glo = self.elems(w)[km1 - 1];
                 debug_assert!(glo < key_image((old_n + 1) as NodeKey, k));
-                let root_frag = self.write_fragment(
-                    fragment,
-                    &layout,
-                    (old_n + 1) as NodeKey,
-                    glo,
-                    RoutingKey::MAX,
-                );
+                let first_key = (old_n + 1) as NodeKey;
+                let root_frag =
+                    self.write_fragment(fragment, &layout, first_key, w, glo, RoutingKey::MAX);
                 self.children_mut(w)[k - 1] = root_frag;
-                self.set_parent(root_frag, w);
             }
             End::Low => {
-                // Renumber existing keys up by f: shift arena windows and
+                // Renumber existing keys up by f: shift the nodes up and
                 // translate elements by image(f).
                 let img_f = key_image(f as NodeKey, k);
-                let add = |v: NodeIdx| if v == NIL { NIL } else { v + f as NodeIdx };
-                for i in (0..old_n).rev() {
-                    let ni = i + f;
-                    self.parent[ni] = add(self.parent[i]);
-                    for j in 0..k {
-                        self.children[ni * k + j] = add(self.children[i * k + j]);
-                    }
-                    for j in 0..km1 {
-                        self.elems[ni * km1 + j] = self.elems[i * km1 + j] + img_f;
-                    }
-                }
+                self.move_nodes(0, f, old_n, |v| v + f as NodeIdx, |e| e + img_f);
                 self.root += f as NodeIdx;
                 // Deepest left-boundary node; its first gap is (0, first
                 // element) and holds every new image with room to spare.
                 let w = self.boundary_spine(End::Low);
                 let ghi = self.elems(w)[0];
                 debug_assert!(ghi > img_f);
-                let root_frag = self.write_fragment(fragment, &layout, 1, 0, ghi);
-                self.children_mut(w)[0] = root_frag;
-                self.set_parent(root_frag, w);
+                self.children_mut(w)[0] = self.write_fragment(fragment, &layout, 1, w, 0, ghi);
             }
         }
         ServeCost {
@@ -885,6 +849,36 @@ impl KstTree {
             rebuild_patches: 1,
             rebuild_nodes: f as u64,
             ..ServeCost::default()
+        }
+    }
+
+    /// Sets the node count to `n`, growing or truncating both arenas.
+    fn resize_nodes(&mut self, n: usize) {
+        self.n = n;
+        self.parent.resize(n, NIL);
+        self.rows.resize(n * (2 * self.k - 1), 0);
+    }
+
+    /// Moves the `count` nodes from `src` on to `dst`, renumbering every
+    /// parent and non-empty slot through `node` and every routing element
+    /// through `elem`: one copy per arena, then one pass over the rows.
+    fn move_nodes(
+        &mut self,
+        src: usize,
+        dst: usize,
+        count: usize,
+        node: impl Fn(NodeIdx) -> NodeIdx,
+        elem: impl Fn(RoutingKey) -> RoutingKey,
+    ) {
+        let (km1, s) = (self.k - 1, 2 * self.k - 1);
+        self.parent.copy_within(src..src + count, dst);
+        self.rows.copy_within(src * s..(src + count) * s, dst * s);
+        let node = |v: NodeIdx| if v == NIL { NIL } else { node(v) };
+        let rows = self.rows[dst * s..(dst + count) * s].chunks_exact_mut(s);
+        for (p, row) in self.parent[dst..dst + count].iter_mut().zip(rows) {
+            *p = node(*p);
+            row[..km1].iter_mut().for_each(|e| *e = elem(*e));
+            row[km1..].iter_mut().for_each(|c| *c = node(*c));
         }
     }
 
@@ -924,52 +918,54 @@ impl KstTree {
         self.root = r;
     }
 
+    /// Start of node `v`'s row (elements, then slots) in `rows`.
+    #[inline]
+    fn row(&self, v: NodeIdx) -> usize {
+        v as usize * (2 * self.k - 1)
+    }
+
     /// Parent index of `v`, `NIL` for the root.
     #[inline]
     pub fn parent(&self, v: NodeIdx) -> NodeIdx {
         self.parent[v as usize]
     }
 
-    pub(crate) fn set_parent(&mut self, v: NodeIdx, p: NodeIdx) {
-        self.parent[v as usize] = p;
-    }
-
     /// The `k - 1` routing elements of `v`.
     #[inline]
     pub fn elems(&self, v: NodeIdx) -> &[RoutingKey] {
-        let b = v as usize * (self.k - 1);
-        &self.elems[b..b + self.k - 1]
+        let b = self.row(v);
+        &self.rows[b..b + self.k - 1]
     }
 
     /// The `k` child slots of `v` (`NIL` = empty slot).
     #[inline]
     pub fn children(&self, v: NodeIdx) -> &[NodeIdx] {
-        let b = v as usize * self.k;
-        &self.children[b..b + self.k]
+        let b = self.row(v) + self.k - 1;
+        &self.rows[b..b + self.k]
     }
 
     pub(crate) fn children_mut(&mut self, v: NodeIdx) -> &mut [NodeIdx] {
-        let b = v as usize * self.k;
-        &mut self.children[b..b + self.k]
+        let b = self.row(v) + self.k - 1;
+        &mut self.rows[b..b + self.k]
     }
 
     /// Whether the node arenas are too large to stay cache-resident, so
     /// that rotations should prefetch what they will touch.
     #[inline]
     pub(crate) fn prefetch_rows(&self) -> bool {
-        let arenas = std::mem::size_of_val(&self.parent[..])
-            + std::mem::size_of_val(&self.elems[..])
-            + std::mem::size_of_val(&self.children[..]);
+        let arenas =
+            std::mem::size_of_val(&self.parent[..]) + std::mem::size_of_val(&self.rows[..]);
         arenas >= PREFETCH_MIN_ARENA_BYTES
     }
 
-    /// Prefetch hints for node `v`'s routing elements and child slots (no
-    /// observable effect; see [`crate::prefetch`]).
+    /// Prefetch hints for node `v`'s row: its first and its last entry,
+    /// as a row can straddle two cache lines (no observable effect; see
+    /// [`crate::prefetch`]).
     #[inline]
     pub(crate) fn prefetch_row(&self, v: NodeIdx) {
-        let vi = v as usize;
-        crate::prefetch::prefetch_read(&self.elems, vi * (self.k - 1));
-        crate::prefetch::prefetch_read(&self.children, vi * self.k);
+        let b = self.row(v);
+        crate::prefetch::prefetch_read(&self.rows, b);
+        crate::prefetch::prefetch_read(&self.rows, b + 2 * self.k - 2);
     }
 
     /// Permanent key of node `v`.
@@ -1111,7 +1107,7 @@ impl KstTree {
     /// Sorted copy of the global routing-element multiset; conserved by all
     /// rotations (n·(k−1) values).
     pub fn element_multiset(&self) -> Vec<RoutingKey> {
-        let mut v = self.elems.clone();
+        let mut v: Vec<RoutingKey> = self.nodes().flat_map(|v| self.elems(v)).copied().collect();
         v.sort_unstable();
         v
     }

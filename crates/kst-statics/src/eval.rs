@@ -59,12 +59,24 @@ impl DistTree {
         self.depth.iter().copied().max().unwrap_or(0)
     }
 
-    /// Distance between keys.
+    /// Node index of `key`. Panics, naming the key, unless `1 ≤ key ≤ n`
+    /// (in release builds too, so a bad key fails here instead of
+    /// wrapping to an index past the arena).
+    fn index(&self, key: NodeKey) -> u32 {
+        let n = self.n;
+        assert!(
+            key >= 1 && (key as usize) <= n,
+            "key {key} out of range 1..={n}"
+        );
+        key - 1
+    }
+
+    /// Distance between keys. Panics unless both lie in `1..=n`.
     pub fn distance(&self, u: NodeKey, v: NodeKey) -> u64 {
-        if u == v {
+        let (mut a, mut b) = (self.index(u), self.index(v));
+        if a == b {
             return 0;
         }
-        let (mut a, mut b) = (u - 1, v - 1);
         let (mut da, mut db) = (self.depth[a as usize], self.depth[b as usize]);
         let mut d = 0u64;
         while da > db {
@@ -178,6 +190,32 @@ impl Network for StaticNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "key 0 out of range 1..=10")]
+    fn serve_rejects_key_zero() {
+        let tree = DistTree::from_shape(&ShapeTree::balanced_kary(10, 2));
+        StaticNet::new(tree, "static").serve(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 11 out of range 1..=10")]
+    fn serve_rejects_key_past_n() {
+        let tree = DistTree::from_shape(&ShapeTree::balanced_kary(10, 2));
+        StaticNet::new(tree, "static").serve(3, 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 0 out of range 1..=10")]
+    fn distance_rejects_key_zero() {
+        DistTree::from_shape(&ShapeTree::balanced_kary(10, 2)).distance(3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 11 out of range 1..=10")]
+    fn distance_rejects_key_past_n() {
+        DistTree::from_shape(&ShapeTree::balanced_kary(10, 2)).distance(11, 11);
+    }
 
     #[test]
     fn distances_match_kst_tree() {

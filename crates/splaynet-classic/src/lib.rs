@@ -142,6 +142,18 @@ impl ClassicSplayNet {
         self.distance_lca_idx(u, v).0
     }
 
+    /// Node index of `key`. Panics, naming the key, unless `1 ≤ key ≤ n`
+    /// (in release builds too, so a bad key fails here instead of
+    /// wrapping to an index past the arena).
+    fn index(&self, key: NodeKey) -> u32 {
+        let n = self.n;
+        assert!(
+            key >= 1 && (key as usize) <= n,
+            "key {key} out of range 1..={n}"
+        );
+        key - 1
+    }
+
     /// Rotates `x` above its parent; returns the number of physical links
     /// changed (undirected).
     fn rotate_up(&mut self, x: u32) -> u64 {
@@ -209,8 +221,7 @@ impl ClassicSplayNet {
     /// Adjusts for `(u, v)` with the SplayNet double-splay discipline,
     /// making the endpoints adjacent. Returns (rotations, links changed).
     pub fn adjust(&mut self, u: NodeKey, v: NodeKey) -> (u64, u64) {
-        let nu = u - 1;
-        let nv = v - 1;
+        let (nu, nv) = (self.index(u), self.index(v));
         if nu == nv {
             return (0, 0);
         }
@@ -286,12 +297,11 @@ impl Network for ClassicSplayNet {
     }
 
     fn distance(&self, u: NodeKey, v: NodeKey) -> u64 {
-        self.dist_idx(u - 1, v - 1)
+        self.dist_idx(self.index(u), self.index(v))
     }
 
     fn serve(&mut self, u: NodeKey, v: NodeKey) -> ServeCost {
-        let nu = u - 1;
-        let nv = v - 1;
+        let (nu, nv) = (self.index(u), self.index(v));
         if nu == nv {
             return ServeCost::default();
         }
@@ -327,6 +337,30 @@ mod tests {
         *x ^= *x >> 7;
         *x ^= *x << 17;
         *x
+    }
+
+    #[test]
+    #[should_panic(expected = "key 0 out of range 1..=10")]
+    fn serve_rejects_key_zero() {
+        ClassicSplayNet::balanced(10).serve(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 11 out of range 1..=10")]
+    fn serve_rejects_key_past_n() {
+        ClassicSplayNet::balanced(10).serve(3, 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 0 out of range 1..=10")]
+    fn distance_rejects_key_zero() {
+        ClassicSplayNet::balanced(10).distance(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 11 out of range 1..=10")]
+    fn distance_rejects_key_past_n() {
+        ClassicSplayNet::balanced(10).distance(11, 3);
     }
 
     #[test]

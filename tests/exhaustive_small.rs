@@ -11,14 +11,26 @@
 //! * `distance_lca` matches a naive ancestor-list reference on every pair;
 //! * greedy routing delivers every pair, in at least the tree distance.
 //!
+//! Every transition is also replayed on the naive reference tree
+//! (`tests/common/ref_tree.rs`) snapshotted from the source state: the
+//! serve must leave the same parent, slot and element arrays and report
+//! the same routing, rotations and `links_changed`.
+//!
 //! Tier-1 covers k ∈ {2, 3, 4} with n ≤ 6; the `#[ignore]`d case runs
 //! k ≤ 3 at n = 8 and k ∈ {4, 5} at n = 7 in release
 //! (`cargo test --release -q --test exhaustive_small -- --ignored`).
 
 use ksan::core::invariants::validate;
 use ksan::core::routing::route;
-use ksan::core::{KSplayNet, KstTree, Network, NodeIdx, RoutingKey, NIL};
+use ksan::core::{
+    KSplayNet, KstTree, Network, NodeIdx, RoutingKey, SplayStrategy, WindowPolicy, NIL,
+};
 use std::collections::{HashSet, VecDeque};
+
+#[path = "common/ref_tree.rs"]
+mod ref_tree;
+
+use ref_tree::{assert_same_state, RefKstTree};
 
 /// The exact arrays of a tree: parents and child slots, then elements.
 type StateKey = (Vec<NodeIdx>, Vec<RoutingKey>);
@@ -81,7 +93,8 @@ fn check_state(t: &KstTree) {
 }
 
 /// Visits every state reachable from the balanced tree by serves, checking
-/// each, and returns the number of states.
+/// each state and replaying each transition on the reference tree, and
+/// returns the number of states.
 fn explore(k: usize, n: usize) -> usize {
     let start = KSplayNet::balanced(k, n);
     let mut seen: HashSet<StateKey> = HashSet::new();
@@ -92,8 +105,14 @@ fn explore(k: usize, n: usize) -> usize {
         for u in 1..=n as u32 {
             for v in (1..=n as u32).filter(|&v| v != u) {
                 let mut next = net.clone();
-                next.serve(u, v);
-                assert_eq!(next.distance(u, v), 1, "k={k} n={n}: serve({u}, {v})");
+                let c = next.serve(u, v);
+                let ctx = format!("k={k} n={n}: serve({u}, {v})");
+                assert_eq!(next.distance(u, v), 1, "{ctx}");
+                let mut oracle = RefKstTree::snapshot(net.tree());
+                let want = oracle.serve(u, v, SplayStrategy::KSplay, WindowPolicy::Paper);
+                let got = (c.routing, c.rotations, c.links_changed);
+                assert_eq!(got, want, "{ctx}: (routing, rotations, links_changed)");
+                assert_same_state(next.tree(), &oracle, &ctx);
                 if seen.insert(state_key(next.tree())) {
                     queue.push_back(next);
                 }
