@@ -61,7 +61,6 @@ const ROOT_NAMES: &[(&str, Option<&str>)] = &[
     ("record", Some("Tracer")),
     ("record_timed", Some("Tracer")),
     ("observe", Some("ObsCollector")),
-    ("observe_timed", Some("ObsCollector")),
 ];
 
 /// Macros that always allocate.

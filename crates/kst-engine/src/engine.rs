@@ -163,14 +163,6 @@ pub struct EngineConfig {
     /// and joins once. The default, 4096, is [`ReshardConfig::on`]'s
     /// epoch, so a resharding run spawns once per epoch.
     pub batch: usize,
-    /// Worker threads for **shard construction** (`ShardedEngine::new`).
-    /// `1` (the default) builds shards sequentially in shard order —
-    /// exactly the historical behaviour and transient-memory profile.
-    /// Higher values build up to `build_threads` shards concurrently on
-    /// scoped threads; shards are independent, so the resulting engine is
-    /// bit-identical to a sequential build (a differential test pins
-    /// this), but up to `build_threads` construction transients coexist.
-    pub build_threads: usize,
     /// Routing hops charged per cross-shard request under
     /// [`SpineMode::Star`] (2 = shard egress + ingress). Ignored by a
     /// k-splay spine, which charges its own serve cost instead.
@@ -191,7 +183,6 @@ impl Default for EngineConfig {
             shards: 1,
             threads: kst_sim::par::default_threads(),
             batch: 4096,
-            build_threads: 1,
             router_hops: 2,
             spine: SpineMode::Star,
             reshard: ReshardConfig::default(),
@@ -202,11 +193,11 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Reads overrides from the environment: `KSAN_SHARDS`,
-    /// `KSAN_THREADS`, `KSAN_BATCH`, `KSAN_BUILD_THREADS`,
-    /// `KSAN_OBS` (`off`/`det`/`wall`), `KSAN_SPINE` (`star`/`ksplay`),
-    /// `KSAN_SPINE_K`, `KSAN_RESHARD` (`on`/`off`), `KSAN_RESHARD_EPOCH`
-    /// and `KSAN_RESHARD_BUDGET`. `KSAN_RESHARD=on` takes effect only on net
-    /// types whose [`Network::reshardable`] hook returns `Some`;
+    /// `KSAN_THREADS`, `KSAN_BATCH`, `KSAN_OBS` (`off`/`det`/`wall`),
+    /// `KSAN_SPINE` (`star`/`ksplay`), `KSAN_SPINE_K`, `KSAN_RESHARD`
+    /// (`on`/`off`), `KSAN_RESHARD_EPOCH` and `KSAN_RESHARD_BUDGET`.
+    /// `KSAN_RESHARD=on` takes effect only on net types whose
+    /// [`Network::reshardable`] hook returns `Some`;
     /// [`ShardedEngine::new`] rejects the others when there are two or
     /// more shards.
     pub fn from_env() -> EngineConfig {
@@ -216,7 +207,6 @@ impl EngineConfig {
             ("KSAN_SHARDS", &mut cfg.shards),
             ("KSAN_THREADS", &mut cfg.threads),
             ("KSAN_BATCH", &mut cfg.batch),
-            ("KSAN_BUILD_THREADS", &mut cfg.build_threads),
             ("KSAN_RESHARD_EPOCH", &mut cfg.reshard.epoch),
             ("KSAN_RESHARD_BUDGET", &mut cfg.reshard.budget),
         ] {
@@ -260,12 +250,6 @@ impl EngineConfig {
     /// Builder-style round size override.
     pub fn with_batch(mut self, batch: usize) -> EngineConfig {
         self.batch = batch;
-        self
-    }
-
-    /// Builder-style construction-thread override.
-    pub fn with_build_threads(mut self, build_threads: usize) -> EngineConfig {
-        self.build_threads = build_threads.max(1);
         self
     }
 
@@ -461,23 +445,17 @@ fn shard_step<N: Network>(
     intra: &mut Metrics,
     cross: &mut ServeCost,
 ) -> ServeCost {
-    // Qualified observe calls so kst-analyze's name-based call graph
-    // resolves them exactly.
-    let c = match (col, clock) {
-        (None, _) => net.serve(op.a, op.b),
-        (Some(col), None) => {
-            let c = net.serve(op.a, op.b);
-            ObsCollector::observe(col, op.a, op.b, c);
-            c
-        }
-        (Some(col), Some(origin)) => {
-            let ts = origin.elapsed_us();
-            let c = net.serve(op.a, op.b);
-            let dur = origin.elapsed_us().saturating_sub(ts);
-            ObsCollector::observe_timed(col, op.a, op.b, c, ts, dur);
-            c
-        }
-    };
+    // The clock is read only when there is a collector to stamp.
+    let start = clock
+        .filter(|_| col.is_some())
+        .map(|origin| (origin, origin.elapsed_us()));
+    let c = net.serve(op.a, op.b);
+    if let Some(col) = col {
+        let wall = start.map(|(origin, ts)| (ts, origin.elapsed_us().saturating_sub(ts)));
+        // Qualified so kst-analyze's name-based call graph resolves it
+        // exactly.
+        ObsCollector::observe(col, op.a, op.b, c, wall);
+    }
     if op.half {
         *cross += c;
     } else {
@@ -552,16 +530,9 @@ impl<N: Network> ShardedEngine<N> {
     /// per shard and must return a network over exactly the shard's local
     /// keyspace.
     ///
-    /// Transient-memory contract: with the default
-    /// [`EngineConfig::build_threads`]` = 1` shards are built sequentially
-    /// in shard order, so at most **one** shard's construction transients
-    /// exist at a time (the historical "never coexist" guarantee). With
-    /// `build_threads = T > 1`, `T` scoped workers claim shards in shard
-    /// order ([`kst_sim::par::par_map`]), each building one at a time, so
-    /// up to `T` construction transients overlap — bounded
-    /// overlap replaces "never coexist", trading a T-bounded transient-RSS
-    /// bump for a near-linear construction speedup. Shards are
-    /// independent, so the built engine is bit-identical either way.
+    /// Transient-memory contract: shards are built one after another in
+    /// shard order on the calling thread, so at most **one** shard's
+    /// construction transients exist at a time.
     ///
     /// # Panics
     ///
@@ -571,26 +542,24 @@ impl<N: Network> ShardedEngine<N> {
     pub fn new(
         n: usize,
         cfg: EngineConfig,
-        factory: impl Fn(usize, KeyRange) -> N + Sync,
-    ) -> ShardedEngine<N>
-    where
-        N: Send,
-    {
+        mut factory: impl FnMut(usize, KeyRange) -> N,
+    ) -> ShardedEngine<N> {
         let map = ShardMap::contiguous(n, cfg.shards);
         let shards = map.shards();
-        let build = |s: usize| {
-            let range = map.range(s);
-            let net = factory(s, range);
-            assert_eq!(
-                net.len(),
-                range.len(),
-                "shard {s}: factory built a {}-node net for a {}-key range",
-                net.len(),
-                range.len()
-            );
-            net
-        };
-        let mut nets = kst_sim::par::par_map((0..shards).collect(), cfg.build_threads, build);
+        let mut nets: Vec<N> = (0..shards)
+            .map(|s| {
+                let range = map.range(s);
+                let net = factory(s, range);
+                assert_eq!(
+                    net.len(),
+                    range.len(),
+                    "shard {s}: factory built a {}-node net for a {}-key range",
+                    net.len(),
+                    range.len()
+                );
+                net
+            })
+            .collect();
         let demand = (cfg.reshard.enabled && shards >= 2).then(|| {
             for net in &mut nets {
                 assert!(

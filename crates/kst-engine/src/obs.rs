@@ -319,12 +319,12 @@ mod tests {
             ..ServeCost::default()
         };
         // Same deterministic stream, wildly different wall-clock fields.
-        a.per_shard[0].observe_timed(1, 2, cost, 10, 5);
-        b.per_shard[0].observe_timed(1, 2, cost, 99_000, 800);
+        a.per_shard[0].observe(1, 2, cost, Some((10, 5)));
+        b.per_shard[0].observe(1, 2, cost, Some((99_000, 800)));
         record_handoff(&mut a, [64].into_iter(), Some(Stopwatch::start()));
         assert_eq!(a, b);
         // ... but a diverging cost stream is detected.
-        b.per_shard[1].observe(3, 4, cost);
+        b.per_shard[1].observe(3, 4, cost, None);
         assert_ne!(a, b);
     }
 
@@ -335,7 +335,7 @@ mod tests {
             ..ServeCost::default()
         };
         let mut a = ObsReport::with_config(1, ObsMode::Deterministic);
-        a.per_shard[0].observe(1, 2, cost);
+        a.per_shard[0].observe(1, 2, cost, None);
         let snapshot = a.clone();
         a.merge(&ObsReport::off());
         assert_eq!(a, snapshot);
@@ -346,7 +346,7 @@ mod tests {
         assert_eq!(id.requests(), 1);
 
         let mut b = ObsReport::with_config(1, ObsMode::Deterministic);
-        b.per_shard[0].observe(1, 2, cost);
+        b.per_shard[0].observe(1, 2, cost, None);
         a.merge(&b);
         assert_eq!(a.requests(), 2);
         assert_eq!(a.total().cost.routing.sum(), 4);
@@ -362,7 +362,7 @@ mod tests {
             rebuild_patches: 3,
             rebuild_nodes: 20,
         };
-        r.per_shard[1].observe_timed(5, 6, cost, 120, 30);
+        r.per_shard[1].observe(5, 6, cost, Some((120, 30)));
         record_handoff(&mut r, [44, 256].into_iter(), Some(Stopwatch::start()));
         let js = r.to_json();
         assert!(js.starts_with("{\"mode\":\"wall\""));

@@ -2,18 +2,17 @@
 //!
 //! The engine partitions the global keyspace `1..=n` into `S` contiguous
 //! ranges. At construction this is the canonical equal-width partition of
-//! [`kst_workloads::partition_keyspace`] and `shard_of` is a constant-time
-//! computation. Live resharding shifts range boundaries between
-//! neighbouring shards at epoch ends ([`ShardMap::shift_boundary`]); each
-//! shift bumps the map's **version** and drops the uniform fast path, so
-//! lookups fall back to an O(log S) binary search over the range table —
-//! still allocation-free and branch-cheap on the engine's one routing
-//! path.
+//! [`kst_workloads::partition_keyspace`]. Live resharding shifts range
+//! boundaries between neighbouring shards at epoch ends
+//! ([`ShardMap::shift_boundary`]); each shift bumps the map's
+//! **version**. `shard_of` is one binary search over the range table,
+//! before and after any shift: O(log S) and allocation-free on the
+//! engine's one routing path.
 
 use kst_workloads::{partition_keyspace, KeyRange, NodeKey};
 
 /// The engine's keyspace partition: `S` contiguous shards over `1..=n`,
-/// with O(1)/O(log S) key → shard lookup, per-shard gateway keys, and a
+/// with O(log S) key → shard lookup, per-shard gateway keys, and a
 /// version counter bumped by every live-resharding boundary shift.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
@@ -21,10 +20,6 @@ pub struct ShardMap {
     ranges: Vec<KeyRange>,
     /// Bumped by every boundary shift; 0 for the construction partition.
     version: u64,
-    /// `(base, big)` of the canonical equal-width partition while it is
-    /// still in force — the O(1) lookup fast path. Cleared by the first
-    /// boundary shift.
-    uniform: Option<(usize, usize)>,
 }
 
 impl ShardMap {
@@ -32,10 +27,8 @@ impl ShardMap {
     /// ranges (clamped to `1..=n`), version 0.
     pub fn contiguous(n: usize, shards: usize) -> ShardMap {
         let ranges = partition_keyspace(n, shards);
-        let shards = ranges.len();
         let map = ShardMap {
             n,
-            uniform: Some((n / shards, n % shards)),
             version: 0,
             ranges,
         };
@@ -68,23 +61,20 @@ impl ShardMap {
         &self.ranges
     }
 
-    /// The shard owning `key` — O(1) under the construction partition
-    /// (the first `big` shards have `base + 1` keys, the rest `base`),
-    /// O(log S) binary search once resharding has moved a boundary.
+    /// The shard owning `key`: an O(log S) binary search for the first
+    /// range that ends at or above it.
+    ///
+    /// # Panics
+    ///
+    /// If `key` lies outside `1..=n`.
     #[inline]
     pub fn shard_of(&self, key: NodeKey) -> usize {
-        debug_assert!(key >= 1 && key as usize <= self.n);
-        if let Some((base, big)) = self.uniform {
-            let idx = key as usize - 1;
-            let split = big * (base + 1);
-            if idx < split {
-                idx / (base + 1)
-            } else {
-                big + (idx - split) / base
-            }
-        } else {
-            self.ranges.partition_point(|r| r.hi < key)
-        }
+        assert!(
+            key >= 1 && key as usize <= self.n,
+            "key {key} outside keyspace 1..={}",
+            self.n
+        );
+        self.ranges.partition_point(|r| r.hi < key)
     }
 
     /// Shard `s`'s gateway: the median key of its range. The gateway is
@@ -101,8 +91,7 @@ impl ShardMap {
     /// Moves `delta.abs()` keys across the boundary between shards `b` and
     /// `b + 1`: positive `delta` grows shard `b` by taking the low end of
     /// `b + 1`'s range, negative shrinks it, donating its high end. Both
-    /// shards must keep at least one key. Bumps the version and drops the
-    /// O(1) uniform fast path. The caller is responsible for moving the
+    /// shards must keep at least one key. Bumps the version. The caller is responsible for moving the
     /// matching subtree fragment between the shard networks (see
     /// `kst_core::reshard`).
     pub fn shift_boundary(&mut self, b: usize, delta: isize) {
@@ -125,7 +114,6 @@ impl ShardMap {
             self.ranges[b].hi -= moved;
             self.ranges[b + 1].lo -= moved;
         }
-        self.uniform = None;
         self.version += 1;
         debug_assert_eq!(self.validate(), Ok(()));
     }
@@ -220,12 +208,39 @@ mod tests {
         map.validate().unwrap();
         assert_eq!(map.range(1).hi, 57);
         assert_eq!(map.range(2).lo, 58);
-        // Lookup falls back to the binary search and still agrees with a
-        // linear scan.
+        // Lookup still agrees with a linear scan.
         for key in 1..=100 {
             let s = map.shard_of(key);
             assert!(map.range(s).contains(key), "key={key} shard={s}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "key 0 outside keyspace 1..=100")]
+    fn shard_of_rejects_key_zero() {
+        ShardMap::contiguous(100, 4).shard_of(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 101 outside keyspace 1..=100")]
+    fn shard_of_rejects_key_past_n() {
+        ShardMap::contiguous(100, 4).shard_of(101);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 0 outside keyspace 1..=100")]
+    fn shard_of_rejects_key_zero_after_a_shift() {
+        let mut map = ShardMap::contiguous(100, 4);
+        map.shift_boundary(0, 5);
+        map.shard_of(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 101 outside keyspace 1..=100")]
+    fn shard_of_rejects_key_past_n_after_a_shift() {
+        let mut map = ShardMap::contiguous(100, 4);
+        map.shift_boundary(2, -5);
+        map.shard_of(101);
     }
 
     #[test]

@@ -17,10 +17,9 @@ use kst_workloads::Trace;
 /// tracer. The engine keeps one per shard; "observability off" is the
 /// absence of a collector.
 ///
-/// The hot-path recorders ([`ObsCollector::observe`] /
-/// [`ObsCollector::observe_timed`]) are allocation-free (proved under
-/// the counting allocator in `tests/zero_alloc.rs`) and registered as
-/// `no-alloc` roots in `kst-analyze`.
+/// The hot-path recorder, [`ObsCollector::observe`], is allocation-free
+/// (proved under the counting allocator in `tests/zero_alloc.rs`) and
+/// registered as a `no-alloc` root in `kst-analyze`.
 #[derive(Debug, Clone)]
 pub struct ObsCollector {
     /// Per-request routing / rotations / links / total-unit distributions.
@@ -33,8 +32,8 @@ pub struct ObsCollector {
     /// Patches applied per (patching) rebuild.
     pub rebuild_patches: Histogram,
     /// Wall-clock duration (µs) of each serve that applied a rebuild
-    /// patch — the pause the lazy nets trade for amortized cost. Only
-    /// [`ObsCollector::observe_timed`] records it, so it stays empty
+    /// patch — the pause the lazy nets trade for amortized cost. Only a
+    /// timed [`ObsCollector::observe`] records it, so it stays empty
     /// when no clock is read.
     pub rebuild_pause_us: Histogram,
     /// The span timeline (ring buffer; capacity fixed at construction).
@@ -54,29 +53,18 @@ impl ObsCollector {
         }
     }
 
-    /// Records one served request on the deterministic layer (no
-    /// wall-clock fields). Allocation-free.
-    pub fn observe(&mut self, u: NodeKey, v: NodeKey, c: ServeCost) {
-        ObsCollector::record_serve(self, u, v, c, 0, 0);
-    }
-
-    /// Records one served request with caller-supplied wall-clock fields
-    /// (the engine layer stamps these from its run-origin
-    /// [`kst_obs::Stopwatch`]). The timestamps feed the trace, and a
-    /// serve that applied rebuild patches also lands its duration in
-    /// [`ObsCollector::rebuild_pause_us`]; the cost histograms never see
-    /// them. Allocation-free.
-    pub fn observe_timed(&mut self, u: NodeKey, v: NodeKey, c: ServeCost, ts_us: u64, dur_us: u64) {
-        ObsCollector::record_serve(self, u, v, c, ts_us, dur_us);
-        if c.rebuild_patches > 0 {
-            Histogram::record(&mut self.rebuild_pause_us, dur_us);
-        }
-    }
-
-    // Qualified calls so kst-analyze's name-based call graph resolves
-    // them exactly (`.record(...)` would alias the demand-ledger
-    // recorders, which allocate by design).
-    fn record_serve(&mut self, u: NodeKey, v: NodeKey, c: ServeCost, ts_us: u64, dur_us: u64) {
+    /// Records one served request. `wall` carries the caller's
+    /// wall-clock fields `(ts_us, dur_us)` (the engine layer stamps them
+    /// from its run-origin [`kst_obs::Stopwatch`]); `None` records the
+    /// deterministic layer only, with zero timestamps. The timestamps feed
+    /// the trace, and a timed serve that applied rebuild patches also
+    /// lands its duration in [`ObsCollector::rebuild_pause_us`]; the cost
+    /// histograms never see them. Allocation-free.
+    pub fn observe(&mut self, u: NodeKey, v: NodeKey, c: ServeCost, wall: Option<(u64, u64)>) {
+        // Qualified calls so kst-analyze's name-based call graph resolves
+        // them exactly (`.record(...)` would alias the demand-ledger
+        // recorders, which allocate by design).
+        let (ts_us, dur_us) = wall.unwrap_or((0, 0));
         CostHistograms::record(&mut self.cost, c.routing, c.rotations, c.links_changed);
         Tracer::record_timed(
             &mut self.tracer,
@@ -89,6 +77,9 @@ impl ObsCollector {
         if c.rebuild_patches > 0 {
             Histogram::record(&mut self.rebuild_nodes, c.rebuild_nodes);
             Histogram::record(&mut self.rebuild_patches, c.rebuild_patches);
+            if wall.is_some() {
+                Histogram::record(&mut self.rebuild_pause_us, dur_us);
+            }
             Tracer::record_timed(
                 &mut self.tracer,
                 EventKind::RebuildApply,
@@ -125,7 +116,7 @@ pub fn run_observed<N: Network>(net: &mut N, trace: &Trace, obs: &mut ObsCollect
     for &(u, v) in trace.requests() {
         let c = net.serve(u, v);
         m.absorb(c);
-        obs.observe(u, v, c);
+        obs.observe(u, v, c, None);
     }
     m
 }
@@ -167,9 +158,9 @@ mod tests {
         for (i, &(u, v)) in trace.requests().iter().enumerate() {
             let c = net_split.serve(u, v);
             if i % 2 == 0 {
-                a.observe(u, v, c);
+                a.observe(u, v, c, None);
             } else {
-                b.observe(u, v, c);
+                b.observe(u, v, c, None);
             }
         }
         a.merge(&b);

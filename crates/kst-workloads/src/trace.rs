@@ -81,7 +81,6 @@ impl Trace {
     /// line by line through a buffered reader — the file is never slurped
     /// into one `String`, so multi-gigabyte real-world traces load in
     /// constant extra memory beyond the request vector itself.
-    #[cfg(feature = "trace-files")]
     pub fn from_csv_path(path: impl AsRef<std::path::Path>) -> Result<Trace, String> {
         use std::io::BufRead as _;
         let path = path.as_ref();
@@ -520,7 +519,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace-files")]
     mod files {
         use super::*;
 

@@ -15,10 +15,7 @@
 //!    equals the sequential run;
 //! 6. on a boundary-straddling phase-shift workload live resharding
 //!    beats the static partition on total cost;
-//! 7. a parallel shard build (`EngineConfig::build_threads`) produces an
-//!    engine bit-identical to the sequential build on every network type
-//!    × shard count;
-//! 8. `serve_one`, called per request, rebuilds `run_trace`'s report
+//! 7. `serve_one`, called per request, rebuilds `run_trace`'s report
 //!    exactly, and its returned costs sum to that report's total.
 
 use ksan::engine::{
@@ -506,54 +503,9 @@ fn engine_handles_lopsided_thread_and_batch_configs() {
     }
 }
 
-/// Runs the same trace through a sequentially built and a parallel-built
-/// engine (same factory, same config otherwise) and asserts the reports —
-/// deterministic obs histograms included — are bit-identical. Shards are
-/// independent, so `build_threads` must be invisible in every observable.
-fn assert_parallel_build_identical<N: Network + Send>(
-    label: &str,
-    shards: usize,
-    make: impl Fn(usize) -> N + Sync,
-) {
-    let n = 180;
-    let trace = gens::uniform(n, 4000, 23);
-    let cfg = EngineConfig::default()
-        .with_shards(shards)
-        .with_threads(1)
-        .with_obs(ObsMode::Deterministic);
-    let mut seq = ShardedEngine::new(n, cfg.clone().with_build_threads(1), |_, r| make(r.len()));
-    let mut par = ShardedEngine::new(n, cfg.with_build_threads(4), |_, r| make(r.len()));
-    assert_eq!(
-        seq.run_trace(&trace),
-        par.run_trace(&trace),
-        "{label}: parallel build diverged at {shards} shards"
-    );
-}
-
-#[test]
-fn parallel_build_is_bit_identical_to_sequential_on_every_network_type() {
-    for shards in [1usize, 3, 5, 16] {
-        assert_parallel_build_identical("KSplayNet k=3", shards, |n| KSplayNet::balanced(3, n));
-        assert_parallel_build_identical("KPlusOneSplayNet k=2", shards, |n| {
-            KPlusOneSplayNet::new(2, n)
-        });
-        assert_parallel_build_identical("PushDownNet k=2", shards, |n| PushDownNet::new(2, n));
-        assert_parallel_build_identical("RotorWalkNet k=2", shards, |n| RotorWalkNet::new(2, n));
-        assert_parallel_build_identical("LazyKaryNet k=2", shards, |n| {
-            ksan::core::LazyKaryNet::new(
-                2,
-                n,
-                4,
-                ksan::core::incremental_weight_balanced_rebuilder(2, 10),
-            )
-        });
-        assert_parallel_build_identical("ClassicSplayNet", shards, ClassicSplayNet::balanced);
-    }
-}
-
 #[test]
 fn serve_one_per_request_rebuilds_the_run_trace_report() {
-    // Guarantee 8: `serve_one` serves a one-request round on one lane,
+    // Guarantee 7: `serve_one` serves a one-request round on one lane,
     // `run_trace` serves rounds on `min(threads, S)` lanes, and both reach
     // the per-shard step through the same round function. Per-request
     // serving must rebuild the run's report exactly, the deterministic

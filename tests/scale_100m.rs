@@ -1,9 +1,7 @@
 //! Release-mode scale gate for ROADMAP item 1: a **10⁸-node** k-splay
 //! engine across 16 shards — the largest configuration the workspace
-//! certifies. Construction uses the parallel shard build
-//! (`EngineConfig::build_threads`, capped at 4 here so the transient
-//! budget below stays written-down), serving replays a
-//! boundary-straddling trace so the router spine and both gateway
+//! certifies. Construction builds the shards one after another, serving
+//! replays a boundary-straddling trace so the router spine and both gateway
 //! half-serves are on the bill, and steady-state windows must stay flat.
 //!
 //! `#[ignore]`-gated like the smaller scale tests; CI runs it in the
@@ -28,9 +26,9 @@
 //! bounds and no depths are stored: a node's interval is the slot gap of
 //! its parent link, and `distance_lca` walks the parent chains for
 //! depths. Steady state is 3.2 GB. The peak is during construction: all
-//! 16 shard arenas (3.2 GB) plus up to `build_threads ≤ 4` overlapping
-//! `from_shape` transients (~0.6 GB per 6.25·10⁶-node shard: shape child
-//! lists, key ranges, traversal order) ≈ 5.6 GB worst case; the trace and
+//! 16 shard arenas (3.2 GB) plus one shard's `from_shape` transients at a
+//! time (~0.6 GB per 6.25·10⁶-node shard: shape child lists, key ranges,
+//! traversal order) ≈ 3.8 GB worst case; the trace and
 //! report windows add a few MB. NUMA
 //! pinning and mmap-backed arenas remain out of scope (no libc/registry
 //! access) — recorded in the ROADMAP.
@@ -91,8 +89,8 @@ fn boundary_trace(n: usize, shards: usize, m: usize) -> Trace {
 #[ignore = "release-only scale test: run with cargo test --release -- --ignored"]
 fn hundred_million_node_engine_stays_flat_and_within_memory_budget() {
     // Self-guard: small runners skip loudly instead of failing or
-    // thrashing. (Core count never gates — a 1-core box just builds
-    // sequentially and serves slower.)
+    // thrashing. (Core count never gates — a 1-core box just serves
+    // slower.)
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     match mem_available_kib() {
         Some(kib) if kib >= MEM_AVAILABLE_FLOOR_KIB => {
@@ -119,13 +117,8 @@ fn hundred_million_node_engine_stays_flat_and_within_memory_budget() {
         }
     }
 
-    // Cap at 4 so the written-down transient overlap (≤ 4 × ~0.6 GB)
-    // holds no matter how wide the runner is.
-    let build_threads = cores.min(4);
-    let cfg = EngineConfig::from_env()
-        .with_shards(SHARDS)
-        .with_build_threads(build_threads);
-    println!("scale_100m: building {SHARDS} shards with build_threads={build_threads}");
+    let cfg = EngineConfig::from_env().with_shards(SHARDS);
+    println!("scale_100m: building {SHARDS} shards");
     let mut engine = ShardedEngine::ksplay(4, N, cfg);
     let trace = boundary_trace(N, SHARDS, REQUESTS);
 

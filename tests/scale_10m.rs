@@ -10,13 +10,10 @@
 //!
 //! The documented peak-RSS budget is **1536 MiB (1.5 GiB)**. Breakdown for
 //! k = 4, n = 10⁷ in 8 shards: the shard arenas total ~320 MB (~32 B/node:
-//! parents 4 B, 32-bit elements 12 B, child slots 16 B); with
-//! the default `build_threads = 1` `ShardedEngine::new` builds shards
-//! **sequentially**, so `from_shape` construction transients peak
-//! at one 1.25·10⁶-node shard's worth (~125 MB) rather than 8× — with
-//! `build_threads = T` up to `T` transients overlap (bounded overlap; see
-//! the `ShardedEngine::new` docs), which this test's budget does not
-//! cover; the trace (4·10⁵ requests) and window copies add a few MB.
+//! parents 4 B, 32-bit elements 12 B, child slots 16 B); `ShardedEngine::new`
+//! builds shards **sequentially**, so `from_shape` construction transients
+//! peak at one 1.25·10⁶-node shard's worth (~125 MB) rather than 8×; the
+//! trace (4·10⁵ requests) and window copies add a few MB.
 //! Measured peak 351 MiB (x86-64 Linux, release build); the budget leaves
 //! over 4× headroom while still catching per-node boxing or any scheme
 //! that materializes all construction transients at once.

@@ -134,7 +134,7 @@ fn serve_paths_never_allocate() {
         let ((), allocs) = alloc_probe::count_allocations(|| {
             for &(u, v) in trace.requests() {
                 let c = net.serve(u, v);
-                obs.observe(u, v, c);
+                obs.observe(u, v, c, None);
             }
         });
         assert_eq!(allocs, 0, "observed KSplayNet serve path allocated");
@@ -162,23 +162,29 @@ fn serve_paths_never_allocate() {
             costs.iter().any(|&(_, _, c)| c.rebuild_patches > 0),
             "trace must trigger patching rebuilds"
         );
+        // Untimed and timed (the engine's wall-clock mode, which also
+        // records each rebuild's pause).
         let mut obs = ObsCollector::new(0, 128);
+        let mut timed = ObsCollector::new(0, 128);
         let ((), allocs) = alloc_probe::count_allocations(|| {
-            for &(u, v, c) in &costs {
-                obs.observe(u, v, c);
+            for (ts, &(u, v, c)) in (0u64..).zip(&costs) {
+                obs.observe(u, v, c, None);
+                timed.observe(u, v, c, Some((ts, 1)));
             }
         });
         assert_eq!(allocs, 0, "observing rebuild costs allocated");
         assert_eq!(obs.requests(), 2000);
         assert!(obs.rebuild_patches.count() > 0);
+        assert_eq!(obs.rebuild_pause_us.count(), 0);
+        assert_eq!(timed.rebuild_pause_us.count(), obs.rebuild_patches.count());
     }
 
     // The engine's demand-aware dispatch path: ShardMap routing, the
     // gateway half-serve decomposition and the self-adjusting router
     // spine allocate nothing outside migration boundaries — including
-    // after a live migration has respliced the shard trees and dropped
-    // the O(1) uniform lookup (epoch boundaries themselves are the
-    // documented cold path and may allocate while planning).
+    // after a live migration has respliced the shard trees and moved a
+    // range boundary (epoch boundaries themselves are the documented
+    // cold path and may allocate while planning).
     {
         let n = 200;
         let mut rc = ReshardConfig::on();
