@@ -16,25 +16,43 @@
 //! Levels `0 .. max_depth − 1` are always full; only the last level may be
 //! partial — the classic array-embedded complete tree.
 //!
+//! Both nets serve through [`CompleteTopology::serve_with`]: the routing
+//! charge, the two guarded promotions and the link accounting live here,
+//! and a net supplies only its promotion rule.
+//!
 //! ## Exact link-churn accounting
 //!
 //! `links_changed` must be **exactly** the symmetric difference of the
 //! before/after edge sets *in node-label space* (a position edge whose two
 //! occupants are unchanged is the same physical link). Recomputing global
-//! edge sets per request would be O(n); instead callers register the
-//! (superset of) positions whose occupant may change via [`touch`], and the
-//! scaffolding diffs only the edges incident to those positions — touching
-//! an unchanged position is harmless because its edges cancel in the
-//! symmetric difference. All diff buffers are pre-reserved at construction,
-//! so the serve paths stay allocation-free (`tests/zero_alloc.rs` and the
-//! `kst-analyze` no-alloc pass both cover them).
+//! edge sets per request would be O(n). Instead the one occupant writer,
+//! [`place`] (which [`swap_positions`] calls twice), journals `(position,
+//! old occupant)` the first time each position is written in the current
+//! adjustment, and [`links_changed`] diffs only the position edges next to
+//! journaled positions: before-labels from the journal, after-labels from
+//! the current occupancy. Every other position edge joins two unchanged
+//! occupants, so its label edge is the same before and after and would
+//! cancel. [`links_changed`] then clears the journal, which starts the next
+//! adjustment.
 //!
-//! [`touch`]: CompleteTopology::touch
+//! A serve writes at most six positions (two promotions of at most three
+//! positions each). The journal and the diff buffers are reserved for that
+//! at construction, so the serve paths stay allocation-free
+//! (`tests/zero_alloc.rs` and the `kst-analyze` no-alloc pass both cover
+//! them).
+//!
+//! [`swap_positions`]: CompleteTopology::swap_positions
+//! [`place`]: CompleteTopology::place
+//! [`links_changed`]: CompleteTopology::links_changed
 
-use crate::key::{NodeIdx, NIL};
+use crate::key::{NodeIdx, NodeKey, NIL};
+use crate::net::ServeCost;
+
+/// Positions one serve can write: two promotions, three positions each.
+const JOURNAL_CAP: usize = 6;
 
 /// Items (node indices) arranged on the fixed complete k-ary position tree,
-/// plus the pre-reserved scratch for exact link-churn accounting.
+/// plus the journal and scratch for exact link-churn accounting.
 #[derive(Debug, Clone)]
 pub struct CompleteTopology {
     k: usize,
@@ -45,9 +63,12 @@ pub struct CompleteTopology {
     pos: Vec<u32>,
     /// Depth of each position (positions never move, so this is static).
     depth: Vec<u32>,
-    /// Positions whose occupant may change in the current adjustment.
-    touched: Vec<u32>,
-    /// Deduplicated position edges incident to the touched set.
+    /// `(position, occupant before the adjustment)` for every position
+    /// written since the last [`links_changed`], one entry per position.
+    ///
+    /// [`links_changed`]: CompleteTopology::links_changed
+    journal: Vec<(u32, NodeIdx)>,
+    /// Deduplicated position edges next to the journaled positions.
     pairs: Vec<(u32, u32)>,
     /// Label edges of `pairs` before the adjustment, sorted.
     before: Vec<(NodeIdx, NodeIdx)>,
@@ -67,18 +88,15 @@ impl CompleteTopology {
             let parent = (p - 1) / k;
             depth[p] = depth[parent] + 1;
         }
-        // Worst-case touched set per request: two endpoints, each touching
-        // its parent position plus that parent's whole child row (the
-        // rotor discipline), plus slack for the endpoints themselves.
-        let touched_cap = 2 * (k + 2) + 4;
-        let pair_cap = touched_cap * (k + 2);
+        // Each journaled position has a parent edge and up to k child edges.
+        let pair_cap = JOURNAL_CAP * (k + 1);
         CompleteTopology {
             k,
             n,
             item: (0..n as NodeIdx).collect(),
             pos: (0..n as u32).collect(),
             depth,
-            touched: Vec::with_capacity(touched_cap),
+            journal: Vec::with_capacity(JOURNAL_CAP),
             pairs: Vec::with_capacity(pair_cap),
             before: Vec::with_capacity(pair_cap),
             after: Vec::with_capacity(pair_cap),
@@ -129,9 +147,31 @@ impl CompleteTopology {
         self.depth[pi]
     }
 
+    /// Node index of `key`, checked against `1..=n`.
+    fn index(&self, key: NodeKey) -> NodeIdx {
+        let n = self.n;
+        assert!(
+            key >= 1 && (key as usize) <= n,
+            "key {key} out of range 1..={n}"
+        );
+        key - 1
+    }
+
+    /// Current position (heap index) of `key`; root is position 0.
+    pub fn position_of(&self, key: NodeKey) -> u32 {
+        self.pos_of(self.index(key))
+    }
+
+    /// Key occupying position `p`.
+    pub fn occupant(&self, p: u32) -> NodeKey {
+        let n = self.n;
+        assert!((p as usize) < n, "position {p} out of range 0..{n}");
+        self.item_at(p) + 1
+    }
+
     /// Current position of node index `i`.
     #[inline]
-    pub fn pos_of(&self, i: NodeIdx) -> u32 {
+    fn pos_of(&self, i: NodeIdx) -> u32 {
         let ii = i as usize;
         self.pos[ii]
     }
@@ -143,9 +183,14 @@ impl CompleteTopology {
         self.item[pi]
     }
 
+    /// Tree distance between two keys under the current occupancy.
+    pub fn distance(&self, u: NodeKey, v: NodeKey) -> u64 {
+        self.distance_between(self.index(u), self.index(v))
+    }
+
     /// Tree distance between two node indices under the current occupancy
     /// (pure position arithmetic: climb to equal depth, then together).
-    pub fn distance_between(&self, i: NodeIdx, j: NodeIdx) -> u64 {
+    fn distance_between(&self, i: NodeIdx, j: NodeIdx) -> u64 {
         if i == j {
             return 0;
         }
@@ -172,84 +217,83 @@ impl CompleteTopology {
         d
     }
 
-    /// Starts an adjustment: clears the touched-position set.
-    #[inline]
-    pub fn begin_adjust(&mut self) {
-        self.touched.clear();
-    }
-
-    /// Registers a position whose occupant may change. Registering a
-    /// position that ends up unchanged is safe (its edges cancel in the
-    /// symmetric difference); registering too few breaks exactness.
-    #[inline]
-    pub fn touch(&mut self, p: u32) {
-        if p != NIL && !self.touched.contains(&p) {
-            self.touched.push(p);
-        }
-    }
-
-    /// Registers `p`'s parent and every existing child of `p`.
-    pub fn touch_neighborhood(&mut self, p: u32) {
-        self.touch(p);
-        self.touch(self.parent_pos(p));
-        let first = self.first_child(p);
-        let count = self.child_count(p) as u64;
-        for c in first..first + count {
-            self.touch(c as u32);
-        }
-    }
-
-    /// Snapshots the label edges incident to the touched set. Call after
-    /// all [`touch`]/[`touch_neighborhood`] registrations and before any
-    /// occupant mutation.
+    /// Serves `(u, v)`: charges the current distance, then promotes `u`
+    /// and then `v` one level with `promote(self, p, q)`, where `p` is the
+    /// endpoint's position and `q` its parent position. An endpoint at the
+    /// root, or whose parent position holds the other endpoint (the
+    /// anti-thrash guard), is not promoted. `promote` moves occupants with
+    /// [`swap_positions`]/[`place`] and returns the rotations it performed;
+    /// the links changed come from the journal of those writes.
     ///
-    /// [`touch`]: CompleteTopology::touch
-    /// [`touch_neighborhood`]: CompleteTopology::touch_neighborhood
-    pub fn snapshot_before(&mut self) {
-        self.collect_pairs();
-        Self::label_edges(&self.item, &self.pairs, &mut self.before);
+    /// [`swap_positions`]: CompleteTopology::swap_positions
+    /// [`place`]: CompleteTopology::place
+    pub fn serve_with(
+        &mut self,
+        u: NodeKey,
+        v: NodeKey,
+        mut promote: impl FnMut(&mut CompleteTopology, u32, u32) -> u64,
+    ) -> ServeCost {
+        let ui = self.index(u);
+        let vi = self.index(v);
+        if ui == vi {
+            return ServeCost::default();
+        }
+        let routing = self.distance_between(ui, vi);
+        let mut rotations = 0;
+        for (x, other) in [(ui, vi), (vi, ui)] {
+            let p = self.pos_of(x);
+            if p == 0 {
+                continue;
+            }
+            let q = self.parent_pos(p);
+            if self.item_at(q) != other {
+                rotations += promote(self, p, q);
+            }
+        }
+        ServeCost {
+            routing,
+            rotations,
+            links_changed: self.links_changed(),
+            ..ServeCost::default()
+        }
+    }
+
+    /// Journals `p`'s occupant if this is the first write to `p` since the
+    /// last [`links_changed`](CompleteTopology::links_changed).
+    #[inline]
+    fn journal_write(&mut self, p: u32) {
+        if !self.journal.iter().any(|&(q, _)| q == p) {
+            let old = self.item_at(p);
+            self.journal.push((p, old));
+        }
     }
 
     /// Swaps the occupants of two positions.
     pub fn swap_positions(&mut self, p: u32, q: u32) {
-        if p == q {
-            return;
-        }
-        let pi = p as usize;
-        let qi = q as usize;
-        self.item.swap(pi, qi);
-        let a = self.item[pi];
-        let b = self.item[qi];
-        let ai = a as usize;
-        let bi = b as usize;
-        self.pos[ai] = p;
-        self.pos[bi] = q;
+        let (a, b) = (self.item_at(p), self.item_at(q));
+        self.place(a, q);
+        self.place(b, p);
     }
 
     /// Places node index `i` at position `p` (single assignment; the caller
-    /// is responsible for keeping the occupancy a permutation overall).
+    /// makes the occupancy a permutation again before the next
+    /// [`links_changed`](CompleteTopology::links_changed)).
     pub fn place(&mut self, i: NodeIdx, p: u32) {
+        self.journal_write(p);
         let pi = p as usize;
         let ii = i as usize;
         self.item[pi] = i;
         self.pos[ii] = p;
     }
 
-    /// Finishes the adjustment: diffs the touched edges against the
-    /// [`snapshot_before`] state and returns the exact number of links
-    /// changed (symmetric difference in node-label space).
-    ///
-    /// [`snapshot_before`]: CompleteTopology::snapshot_before
+    /// Returns the exact number of links changed since the last call
+    /// (symmetric difference in node-label space) and clears the journal,
+    /// starting the next adjustment. The occupancy must be a permutation
+    /// again when it is called.
     pub fn links_changed(&mut self) -> u64 {
-        Self::label_edges(&self.item, &self.pairs, &mut self.after);
-        sym_diff(&self.before, &self.after)
-    }
-
-    /// Collects the deduplicated position edges incident to `touched`.
-    fn collect_pairs(&mut self) {
         self.pairs.clear();
-        for idx in 0..self.touched.len() {
-            let p = self.touched[idx];
+        for idx in 0..self.journal.len() {
+            let p = self.journal[idx].0;
             if p != 0 {
                 let q = self.parent_pos(p);
                 self.pairs.push((q, p));
@@ -262,6 +306,22 @@ impl CompleteTopology {
         }
         self.pairs.sort_unstable();
         self.pairs.dedup();
+        // Label the before-edges with the journaled occupants swapped back
+        // in, then the after-edges with the current ones restored.
+        self.swap_journal();
+        Self::label_edges(&self.item, &self.pairs, &mut self.before);
+        self.swap_journal();
+        Self::label_edges(&self.item, &self.pairs, &mut self.after);
+        self.journal.clear();
+        sym_diff(&self.before, &self.after)
+    }
+
+    /// Exchanges each journaled occupant with its position's current one.
+    fn swap_journal(&mut self) {
+        for (p, old) in self.journal.iter_mut() {
+            let pi = *p as usize;
+            std::mem::swap(&mut self.item[pi], old);
+        }
     }
 
     /// Maps position edges to canonical (min, max) label edges, sorted.
@@ -347,6 +407,15 @@ pub fn sym_diff(a: &[(NodeIdx, NodeIdx)], b: &[(NodeIdx, NodeIdx)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// Links changed between two global edge sets, the reference every
+    /// journal test checks `links_changed` against.
+    fn global_diff(before: Vec<(u32, u32)>, after: Vec<(u32, u32)>) -> u64 {
+        let a: BTreeSet<_> = before.into_iter().collect();
+        let b: BTreeSet<_> = after.into_iter().collect();
+        a.symmetric_difference(&b).count() as u64
+    }
 
     #[test]
     fn identity_layout_and_arithmetic() {
@@ -384,31 +453,78 @@ mod tests {
     #[test]
     fn swap_accounting_matches_global_edge_diff() {
         let mut t = CompleteTopology::new(3, 20);
-        let before_global = t.edge_keys();
-        t.begin_adjust();
-        t.touch_neighborhood(4);
-        t.touch_neighborhood(1);
-        t.snapshot_before();
+        let before = t.edge_keys();
         t.swap_positions(4, 1);
         let local = t.links_changed();
-        let after_global = t.edge_keys();
-        let global = {
-            let a: std::collections::BTreeSet<_> = before_global.into_iter().collect();
-            let b: std::collections::BTreeSet<_> = after_global.into_iter().collect();
-            a.symmetric_difference(&b).count() as u64
-        };
-        assert_eq!(local, global);
+        assert_eq!(local, global_diff(before, t.edge_keys()));
+        assert!(local > 0);
         t.validate().unwrap();
     }
 
     #[test]
-    fn touching_unchanged_positions_is_free() {
+    fn adjustment_without_moves_reports_zero() {
         let mut t = CompleteTopology::new(2, 15);
-        t.begin_adjust();
-        t.touch_neighborhood(3);
-        t.touch_neighborhood(9);
-        t.snapshot_before();
-        // no mutation at all
+        let before = t.edge_keys();
         assert_eq!(t.links_changed(), 0);
+        assert_eq!(global_diff(before, t.edge_keys()), 0);
+    }
+
+    #[test]
+    fn swap_undone_in_the_same_adjustment_reports_zero() {
+        // Each position keeps its first old occupant, so swapping back
+        // restores the before-labels exactly.
+        let mut t = CompleteTopology::new(3, 20);
+        let before = t.edge_keys();
+        t.swap_positions(5, 1);
+        t.swap_positions(1, 5);
+        assert_eq!(t.links_changed(), 0);
+        assert_eq!(global_diff(before, t.edge_keys()), 0);
+        t.validate().unwrap();
+    }
+
+    #[test]
+    fn rotor_three_cycle_of_places_is_counted_exactly() {
+        // The rotor move: the endpoint at p = 14 takes its parent q = 4,
+        // q's occupant drops into sibling c = 13, and c's occupant fills p.
+        let mut t = CompleteTopology::new(3, 40);
+        let (p, q, c) = (14u32, 4u32, 13u32);
+        assert_eq!(t.parent_pos(p), q);
+        assert_eq!(t.parent_pos(c), q);
+        let before = t.edge_keys();
+        let (x, displaced, evicted) = (t.item_at(p), t.item_at(q), t.item_at(c));
+        t.place(x, q);
+        t.place(displaced, c);
+        t.place(evicted, p);
+        t.validate().unwrap();
+        let local = t.links_changed();
+        assert_eq!(local, global_diff(before, t.edge_keys()));
+        assert!(local > 0);
+    }
+
+    #[test]
+    fn next_adjustment_starts_from_an_empty_journal() {
+        let mut t = CompleteTopology::new(2, 31);
+        t.swap_positions(9, 4);
+        t.links_changed();
+        // A stale journal entry for 9 or 4 would report their old
+        // occupants as this adjustment's before-labels.
+        let before = t.edge_keys();
+        t.swap_positions(20, 9);
+        let local = t.links_changed();
+        assert_eq!(local, global_diff(before, t.edge_keys()));
+        assert_eq!(t.links_changed(), 0);
+        t.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "position 13 out of range 0..13")]
+    fn occupant_past_the_last_position_names_it() {
+        CompleteTopology::new(3, 13).occupant(13);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 14 out of range 1..=13")]
+    fn position_of_checks_the_key() {
+        CompleteTopology::new(3, 13).position_of(14);
     }
 }

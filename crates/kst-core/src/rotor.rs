@@ -3,14 +3,17 @@
 //! this repo's pair-communication cost model.
 //!
 //! Like [`crate::pushdown::PushDownNet`], the link structure is a fixed
-//! complete k-ary tree of positions and adjustments permute occupants. The
-//! difference is *where the displaced occupant goes*: a promotion at parent
-//! position `q` consults a deterministic **rotor pointer** at `q` that
-//! cycles round-robin over `q`'s children. The promoted endpoint takes `q`;
-//! the old occupant of `q` is pushed down into the rotor-chosen child; the
-//! evicted child occupant back-fills the promoted endpoint's old slot (a
-//! 3-cycle — or a plain swap when the rotor happens to point at the
-//! endpoint's own slot). The rotor then advances one step.
+//! complete k-ary tree of positions and adjustments permute occupants; the
+//! serve body and the promotion guards are
+//! [`CompleteTopology::serve_with`]'s. The difference is *where the
+//! displaced occupant goes*: a promotion at parent position `q` consults a
+//! deterministic **rotor pointer** at `q` that cycles round-robin over
+//! `q`'s children. The promoted endpoint takes `q`; the old occupant of `q`
+//! is pushed down into the rotor-chosen child; the evicted child occupant
+//! back-fills the promoted endpoint's old slot (a 3-cycle — or a plain
+//! swap when the rotor happens to point at the endpoint's own slot). The
+//! rotor then advances one step. The topology journals the positions each
+//! move writes, so `links_changed` stays exact without the net naming them.
 //!
 //! Rotor walks derandomise "push the loser somewhere fair": every child
 //! slot of a busy position absorbs displaced occupants equally often, so no
@@ -21,7 +24,7 @@
 //! `links_changed` accounting are proptested (`tests/proptests.rs`).
 
 use crate::complete::CompleteTopology;
-use crate::key::{NodeIdx, NodeKey};
+use crate::key::NodeKey;
 use crate::net::{Network, ServeCost};
 
 /// Deterministic self-adjusting complete k-ary tree driven by per-position
@@ -43,14 +46,16 @@ impl RotorWalkNet {
         }
     }
 
-    /// Arity of the position tree.
-    pub fn k(&self) -> usize {
-        self.top.k()
+    /// The position tree and its current occupancy.
+    pub fn topology(&self) -> &CompleteTopology {
+        &self.top
     }
 
     /// Current rotor slot of position `p` (the child slot the next
-    /// displacement at `p` will use). Observability/test helper.
+    /// displacement at `p` will use; 0 for a leaf position).
     pub fn rotor_slot(&self, p: u32) -> u32 {
+        let n = self.top.n();
+        assert!((p as usize) < n, "position {p} out of range 0..{n}");
         let pi = p as usize;
         let count = self.top.child_count(p);
         if count == 0 {
@@ -59,70 +64,30 @@ impl RotorWalkNet {
             self.rotor[pi] % count
         }
     }
+}
 
-    /// Current position (heap index) of `key`; root is position 0.
-    /// Observability/test helper.
-    pub fn position_of(&self, key: NodeKey) -> u32 {
-        let i = self.index(key);
-        self.top.pos_of(i)
-    }
-
-    /// Key occupying position `p`. Observability/test helper.
-    pub fn occupant(&self, p: u32) -> NodeKey {
-        self.top.item_at(p) + 1
-    }
-
-    /// Full undirected edge set in key space, sorted — test helper,
-    /// allocates, never on the serve path.
-    pub fn edge_keys(&self) -> Vec<(u32, u32)> {
-        self.top.edge_keys()
-    }
-
-    /// Checks the occupancy permutation is internally consistent.
-    pub fn validate(&self) -> Result<(), String> {
-        self.top.validate()
-    }
-
-    fn index(&self, key: NodeKey) -> NodeIdx {
-        let n = self.top.n();
-        assert!(
-            key >= 1 && (key as usize) <= n,
-            "key {key} out of range 1..={n}"
-        );
-        key - 1
-    }
-
-    /// Promotes endpoint `x` one level via the rotor at its parent
-    /// position, unless it is at the root or its parent position is
-    /// occupied by `other`. Returns rotations performed (1 for a plain
-    /// swap, 2 for a 3-cycle).
-    fn promote(&mut self, x: NodeIdx, other: NodeIdx) -> u64 {
-        let p = self.top.pos_of(x);
-        if p == 0 {
-            return 0;
-        }
-        let q = self.top.parent_pos(p);
-        if self.top.item_at(q) == other {
-            return 0;
-        }
-        // `p` is a child of `q`, so `q` has at least one child.
-        let count = self.top.child_count(q);
-        let qi = q as usize;
-        let slot = self.rotor[qi] % count;
-        self.rotor[qi] = (slot + 1) % count;
-        let c64 = self.top.first_child(q) + slot as u64;
-        let c = c64 as u32;
-        if c == p {
-            self.top.swap_positions(p, q);
-            1
-        } else {
-            let displaced = self.top.item_at(q);
-            let evicted = self.top.item_at(c);
-            self.top.place(x, q);
-            self.top.place(displaced, c);
-            self.top.place(evicted, p);
-            2
-        }
+/// Promotes the occupant of position `p` into its parent position `q` via
+/// the rotor at `q`. Returns rotations performed (1 for a plain swap, 2
+/// for a 3-cycle).
+fn promote(rotor: &mut [u32], top: &mut CompleteTopology, p: u32, q: u32) -> u64 {
+    // `p` is a child of `q`, so `q` has at least one child.
+    let count = top.child_count(q);
+    let qi = q as usize;
+    let slot = rotor[qi] % count;
+    rotor[qi] = (slot + 1) % count;
+    let c64 = top.first_child(q) + slot as u64;
+    let c = c64 as u32;
+    if c == p {
+        top.swap_positions(p, q);
+        1
+    } else {
+        let promoted = top.item_at(p);
+        let displaced = top.item_at(q);
+        let evicted = top.item_at(c);
+        top.place(promoted, q);
+        top.place(displaced, c);
+        top.place(evicted, p);
+        2
     }
 }
 
@@ -132,48 +97,13 @@ impl Network for RotorWalkNet {
     }
 
     fn distance(&self, u: NodeKey, v: NodeKey) -> u64 {
-        let i = self.index(u);
-        let j = self.index(v);
-        self.top.distance_between(i, j)
+        self.top.distance(u, v)
     }
 
     fn serve(&mut self, u: NodeKey, v: NodeKey) -> ServeCost {
-        let ui = self.index(u);
-        let vi = self.index(v);
-        if ui == vi {
-            return ServeCost::default();
-        }
-        let routing = self.top.distance_between(ui, vi);
-
-        // Touched-position superset, captured before any mutation. Each
-        // promotion moves occupants only within {q} ∪ children(q); the
-        // first promotion can relocate the second endpoint, but only to a
-        // sibling slot under the same parent, so both parents' pre-serve
-        // neighborhoods cover every position either promotion can touch.
-        self.top.begin_adjust();
-        let pu = self.top.pos_of(ui);
-        let pv = self.top.pos_of(vi);
-        let qu = self.top.parent_pos(pu);
-        let qv = self.top.parent_pos(pv);
-        if qu != crate::key::NIL {
-            self.top.touch_neighborhood(qu);
-        }
-        if qv != crate::key::NIL {
-            self.top.touch_neighborhood(qv);
-        }
-        self.top.snapshot_before();
-
-        let mut rotations = 0;
-        rotations += self.promote(ui, vi);
-        rotations += self.promote(vi, ui);
-        let links_changed = self.top.links_changed();
-
-        ServeCost {
-            routing,
-            rotations,
-            links_changed,
-            ..ServeCost::default()
-        }
+        let rotor = &mut self.rotor;
+        self.top
+            .serve_with(u, v, |top, p, q| promote(rotor, top, p, q))
     }
 
     fn label(&self) -> String {
@@ -206,7 +136,7 @@ mod tests {
         assert_eq!(tail.routing, 1, "hot pair should be adjacent");
         assert_eq!(tail.rotations, 0, "converged pair must not thrash");
         assert_eq!(tail.links_changed, 0);
-        net.validate().unwrap();
+        net.top.validate().unwrap();
     }
 
     #[test]
@@ -238,7 +168,7 @@ mod tests {
                 assert!(delta <= 2, "rotor at {p} jumped by {delta}");
                 seen.push(delta);
             }
-            net.validate().unwrap();
+            net.top.validate().unwrap();
         }
         assert!(seen.iter().any(|&d| d > 0), "no rotor ever advanced");
     }
@@ -250,12 +180,12 @@ mod tests {
         for _ in 0..400 {
             let u = (xorshift(&mut state) % 64 + 1) as NodeKey;
             let v = (xorshift(&mut state) % 64 + 1) as NodeKey;
-            let before: BTreeSet<_> = net.edge_keys().into_iter().collect();
+            let before: BTreeSet<_> = net.top.edge_keys().into_iter().collect();
             let cost = net.serve(u, v);
-            let after: BTreeSet<_> = net.edge_keys().into_iter().collect();
+            let after: BTreeSet<_> = net.top.edge_keys().into_iter().collect();
             let global = before.symmetric_difference(&after).count() as u64;
             assert_eq!(cost.links_changed, global, "req ({u},{v})");
-            net.validate().unwrap();
+            net.top.validate().unwrap();
         }
     }
 
@@ -273,7 +203,7 @@ mod tests {
                 totals.1 += c.rotations;
                 totals.2 += c.links_changed;
             }
-            (totals, net.edge_keys())
+            (totals, net.top.edge_keys())
         };
         assert_eq!(build_and_run(), build_and_run());
     }
@@ -281,12 +211,18 @@ mod tests {
     #[test]
     fn self_request_is_free_and_immutable() {
         let mut net = RotorWalkNet::new(2, 9);
-        let before = net.edge_keys();
+        let before = net.top.edge_keys();
         let rotors: Vec<u32> = (0..9).map(|p| net.rotor_slot(p)).collect();
         let cost = net.serve(4, 4);
         assert_eq!(cost, ServeCost::default());
-        assert_eq!(net.edge_keys(), before);
+        assert_eq!(net.top.edge_keys(), before);
         let rotors_after: Vec<u32> = (0..9).map(|p| net.rotor_slot(p)).collect();
         assert_eq!(rotors, rotors_after, "self request must not spin rotors");
+    }
+
+    #[test]
+    #[should_panic(expected = "position 9 out of range 0..9")]
+    fn rotor_slot_past_the_last_position_names_it() {
+        RotorWalkNet::new(2, 9).rotor_slot(9);
     }
 }

@@ -1,11 +1,11 @@
 //! Static binary search tree networks for the k = 2 case used by the
-//! Table 8 "Static Optimal Net" column: the exact O(n³) DP and a
-//! Knuth-style O(n²) **heuristic** for instances too large for the exact
-//! algorithm.
+//! Table 8 "Static Optimal Net" column: a Knuth-style O(n²) **heuristic**
+//! for instances too large for the exact O(n³) DP.
 //!
 //! The exact DP is `C[i][j] = W[i][j] + min_r (C[i][r−1] + C[r+1][j])` —
-//! the SplayNet paper's algorithm and exactly `dp_general` at k = 2.
-//! The accelerated variant restricts the root search to
+//! the SplayNet paper's algorithm and exactly
+//! [`optimal_routing_based_tree`](crate::dp_general::optimal_routing_based_tree)
+//! at k = 2. The accelerated variant restricts the root search to
 //! `[root[i][j−1], root[i+1][j]]` (Knuth/Yao).
 //!
 //! **Finding (documented in EXPERIMENTS.md):** the quadrangle inequality
@@ -22,12 +22,6 @@ use crate::eval::DistTree;
 use kst_workloads::DemandMatrix;
 
 const NIL: u32 = u32::MAX;
-
-/// Near-optimal BST via the Knuth-restricted DP with default slack (see
-/// [`optimal_bst_knuth_slack`]).
-pub fn optimal_bst_knuth(demand: &DemandMatrix) -> (DistTree, u64) {
-    optimal_bst_knuth_slack(demand, 8)
-}
 
 /// Near-optimal BST via the Knuth-restricted DP (see module docs: the
 /// restriction is exact for access-frequency costs but only heuristic for
@@ -100,13 +94,6 @@ pub fn optimal_bst_knuth_slack(demand: &DemandMatrix, slack: usize) -> (DistTree
     (materialize(&root, n), cost)
 }
 
-/// Exact O(n³) optimal BST (no range restriction) — reference
-/// implementation for differential validation.
-pub fn optimal_bst_exact(demand: &DemandMatrix) -> (DistTree, u64) {
-    let (t, cost) = crate::dp_general::optimal_routing_based_tree(demand, 2);
-    (t, cost)
-}
-
 fn materialize(root: &[u32], n: usize) -> DistTree {
     // Build a shape from the root table: each range's root parents the
     // roots of its two sides.
@@ -133,6 +120,7 @@ fn materialize(root: &[u32], n: usize) -> DistTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp_general::optimal_routing_based_tree;
     use kst_workloads::{gens, DemandMatrix, Trace};
 
     #[test]
@@ -144,8 +132,8 @@ mod tests {
             let n = 24;
             let t = gens::zipf(n, 600, 1.1, seed);
             let d = DemandMatrix::from_trace(&t);
-            let (tk, ck) = optimal_bst_knuth(&d);
-            let (_, ce) = optimal_bst_exact(&d);
+            let (tk, ck) = optimal_bst_knuth_slack(&d, 8);
+            let (_, ce) = optimal_routing_based_tree(&d, 2);
             assert!(ck >= ce, "seed {seed}: heuristic beat the optimum?!");
             assert!(
                 (ck as f64) <= 1.20 * ce as f64,
@@ -161,8 +149,8 @@ mod tests {
             let n = 20;
             let t = gens::temporal(n, 400, 0.7, seed);
             let d = DemandMatrix::from_trace(&t);
-            let (tk, ck) = optimal_bst_knuth(&d);
-            let (_, ce) = optimal_bst_exact(&d);
+            let (tk, ck) = optimal_bst_knuth_slack(&d, 8);
+            let (_, ce) = optimal_routing_based_tree(&d, 2);
             assert!(ck >= ce, "seed {seed}");
             assert!((ck as f64) <= 1.25 * ce as f64, "seed {seed}: {ck} vs {ce}");
             assert_eq!(tk.total_distance(&d), ck);
@@ -176,7 +164,7 @@ mod tests {
         let n = 22;
         let t = gens::zipf(n, 500, 1.1, 42);
         let d = DemandMatrix::from_trace(&t);
-        let (_, ce) = optimal_bst_exact(&d);
+        let (_, ce) = optimal_routing_based_tree(&d, 2);
         let mut prev = u64::MAX;
         for slack in [0usize, 2, 4, 8, n] {
             let (_, ck) = optimal_bst_knuth_slack(&d, slack);
@@ -189,7 +177,7 @@ mod tests {
     #[test]
     fn hot_pair_is_adjacent() {
         let d = DemandMatrix::from_trace(&Trace::new(16, vec![(5, 6); 50]));
-        let (t, cost) = optimal_bst_knuth(&d);
+        let (t, cost) = optimal_bst_knuth_slack(&d, 8);
         assert_eq!(t.distance(5, 6), 1);
         assert_eq!(cost, 50);
     }

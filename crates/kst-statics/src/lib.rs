@@ -8,8 +8,8 @@
 //! * [`centroid`] — the linear-time centroid construction (Theorem 8,
 //!   Definition 5) underlying the online (k+1)-SplayNet;
 //! * [`full_tree`] — the complete k-ary tree baseline (Lemma 9);
-//! * [`knuth`] — k = 2 optimal BST with an optional Knuth-style
-//!   acceleration for large n (differentially validated);
+//! * [`knuth`] — k = 2 near-optimal BST from a Knuth-style restricted
+//!   DP for large n (differentially validated against the exact DP);
 //! * [`eval`] — static topology evaluation ([`eval::DistTree`],
 //!   [`eval::StaticNet`]);
 //! * [`regret`] — offline static references (exact DP or centroid bound)
@@ -32,5 +32,5 @@ pub use dp_general::{optimal_routing_based, optimal_routing_based_tree, OptimalS
 pub use dp_uniform::{optimal_uniform, optimal_uniform_tree, UniformOptimal};
 pub use eval::{DistTree, StaticNet};
 pub use full_tree::full_kary;
-pub use knuth::{optimal_bst_exact, optimal_bst_knuth, optimal_bst_knuth_slack};
+pub use knuth::optimal_bst_knuth_slack;
 pub use regret::{static_reference, window_costs, StaticReference};

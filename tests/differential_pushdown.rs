@@ -214,9 +214,9 @@ fn fuzz_pushdown(k: usize, n: usize, trace: &Trace, label: &str) {
         assert_eq!(c.routing, routing, "{ctx}: routing differs");
         assert_eq!(c.rotations, rotations, "{ctx}: rotations differ");
         assert_eq!(c.links_changed, links, "{ctx}: links_changed differs");
-        assert_same_positions(|key| net.position_of(key), &oracle, &ctx);
+        assert_same_positions(|key| net.topology().position_of(key), &oracle, &ctx);
     }
-    net.validate().unwrap();
+    net.topology().validate().unwrap();
 }
 
 fn fuzz_rotor(k: usize, n: usize, trace: &Trace, label: &str) {
@@ -229,7 +229,7 @@ fn fuzz_rotor(k: usize, n: usize, trace: &Trace, label: &str) {
         assert_eq!(c.routing, routing, "{ctx}: routing differs");
         assert_eq!(c.rotations, rotations, "{ctx}: rotations differ");
         assert_eq!(c.links_changed, links, "{ctx}: links_changed differs");
-        assert_same_positions(|key| net.position_of(key), &oracle, &ctx);
+        assert_same_positions(|key| net.topology().position_of(key), &oracle, &ctx);
         for p in 0..n as u32 {
             if oracle.child_count(p) > 0 {
                 assert_eq!(
@@ -240,7 +240,7 @@ fn fuzz_rotor(k: usize, n: usize, trace: &Trace, label: &str) {
             }
         }
     }
-    net.validate().unwrap();
+    net.topology().validate().unwrap();
 }
 
 #[test]

@@ -466,11 +466,11 @@ proptest! {
         };
         for (u, v) in reqs {
             net.serve(u, v);
-            net.validate().map_err(TestCaseError::fail)?;
-            let edges = net.edge_keys();
+            net.topology().validate().map_err(TestCaseError::fail)?;
+            let edges = net.topology().edge_keys();
             prop_assert_eq!(edges.len(), n - 1);
             for key in 1..=n as u32 {
-                let pos = net.position_of(key);
+                let pos = net.topology().position_of(key);
                 prop_assert!((pos as usize) < n, "key {} at phantom position", key);
                 let mut d = 0u32;
                 let mut p = pos;
@@ -553,9 +553,9 @@ proptest! {
     ) {
         // `links_changed` must equal the symmetric difference of the global
         // before/after undirected key-space edge sets on every request —
-        // the locally-diffed accounting can neither overcount (touched but
-        // unchanged positions) nor undercount (displacements outside the
-        // registered neighborhood).
+        // the journaled accounting can neither overcount (positions written
+        // back to their old occupant) nor undercount (a write missing from
+        // the journal).
         let trace = gens::zipf(n, 120, 1.1, seed);
         if use_rotor {
             check_links_exact(&mut RotorWalkNet::new(k, n), n, &trace)?;

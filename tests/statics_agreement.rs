@@ -2,7 +2,7 @@
 //! centroid-optimality claim, the DP hierarchy, and Lemma 9's scaling.
 
 use ksan::prelude::*;
-use ksan::statics::{optimal_bst_exact, optimal_uniform_tree};
+use ksan::statics::{optimal_bst_knuth_slack, optimal_uniform_tree};
 use ksan::workloads::DemandMatrix;
 
 #[test]
@@ -44,9 +44,11 @@ fn optimal_hierarchy_on_skewed_demand() {
 
 #[test]
 fn bst_exact_equals_general_dp_at_k2() {
+    // The BST DP with the root search widened to the whole range (slack
+    // n) is the exact O(n³) algorithm.
     let trace = gens::projector(40, 3000, 8);
     let demand = DemandMatrix::from_trace(&trace);
-    let (_, a) = optimal_bst_exact(&demand);
+    let (_, a) = optimal_bst_knuth_slack(&demand, 40);
     let (_, b) = optimal_routing_based_tree(&demand, 2);
     assert_eq!(a, b);
 }
